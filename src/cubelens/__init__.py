@@ -30,16 +30,12 @@ from .hierarchy import (
     validate_hierarchy,
 )
 from .mqo import (
-    AggAdapter,
-    MergedQuery,
-    ResultMap,
-    adapter_for,
     build_all_encompassing,
     build_org_dd_merged,
+    reaggregate,
     run_max_mqo,
     run_mid_mqo,
     run_min_mqo,
-    update_map,
 )
 from .parser import AnalyzeStatement, parse, render
 from .query import (
@@ -52,7 +48,6 @@ from .query import (
     detailed_proxy,
     execute_query,
     grouper_domain,
-    reaggregate,
 )
 from .selector import CostStats, SelectorConfig, StrategyChoice, choose_strategy, estimate_stats
 from .synth import SynthSpec, generate
@@ -67,13 +62,12 @@ __all__ = [
     "CubeLensError",
     "Dimension", "Level", "anc", "desc", "dimension_from_member_rows",
     "dimension_from_tables", "siblings_under_parent", "validate_hierarchy",
-    "AggAdapter", "MergedQuery", "ResultMap", "adapter_for",
-    "build_all_encompassing", "build_org_dd_merged",
-    "run_max_mqo", "run_mid_mqo", "run_min_mqo", "update_map",
+    "build_all_encompassing", "build_org_dd_merged", "reaggregate",
+    "run_max_mqo", "run_mid_mqo", "run_min_mqo",
     "AnalyzeStatement", "parse", "render",
     "CellSet", "CubeQuery", "SelectionAtom", "SelectionCondition",
     "cell_sets_equal", "cube_usable", "detailed_proxy", "execute_query",
-    "grouper_domain", "reaggregate",
+    "grouper_domain",
     "CostStats", "SelectorConfig", "StrategyChoice", "choose_strategy", "estimate_stats",
     "SynthSpec", "generate",
 ]

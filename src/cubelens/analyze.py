@@ -18,7 +18,7 @@ pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .cube import DetailedCube
 from .errors import (
@@ -37,6 +37,25 @@ REASON_FILTER_AT_ALL = "filter at ALL has no parent level"
 REASON_MOST_DETAILED = "already most detailed"
 
 
+def check_analyze_shape(groupers: Sequence[Level], atom_levels: Sequence[Level]) -> None:
+    """The ANALYZE shape rules: two groupers from distinct dimensions, at most
+    one atom per dimension, and no filter below its dimension's grouper.
+    Raises ConstraintViolation."""
+    if len(groupers) != 2:
+        raise ConstraintViolation(f"ANALYZE takes exactly two groupers, got {len(groupers)}")
+    if groupers[0].dimension_name == groupers[1].dimension_name:
+        raise ConstraintViolation("the two groupers must come from distinct dimensions")
+    by_dim: dict[str, Level] = {}
+    for level in atom_levels:
+        if level.dimension_name in by_dim:
+            raise ConstraintViolation(f"two atoms on dimension {level.dimension_name}")
+        by_dim[level.dimension_name] = level
+    for g in groupers:
+        level = by_dim.get(g.dimension_name)
+        if level is not None and g.depth > level.depth:
+            raise ConstraintViolation(f"filter on {level!r} sits below the grouper {g!r}")
+
+
 @dataclass
 class AnalyzeQuery:
     """A validated ANALYZE request: agg(measure) over exactly two groupers,
@@ -52,10 +71,7 @@ class AnalyzeQuery:
     name: str = "analyze"
 
     def __post_init__(self):
-        if len(self.groupers) != 2:
-            raise ConstraintViolation(f"ANALYZE takes exactly two groupers, got {len(self.groupers)}")
-        if self.groupers[0].dimension_name == self.groupers[1].dimension_name:
-            raise ConstraintViolation("the two groupers must come from distinct dimensions")
+        check_analyze_shape(self.groupers, [atom.level for atom in self.condition])
         self.cube.schema.measure(self.measure_name)  # raises UnknownMeasure
         for atom in self.condition:
             if not atom.is_single():
@@ -63,11 +79,6 @@ class AnalyzeQuery:
                     f"ANALYZE atoms are single-valued; {atom.dimension_name} has "
                     f"{len(atom.values)} values"
                 )
-            for g in self.groupers:
-                if g.dimension_name == atom.dimension_name and g.depth > atom.level.depth:
-                    raise ConstraintViolation(
-                        f"filter on {atom.level!r} sits below the grouper {g!r}"
-                    )
 
     def grouper(self, which: str) -> Level:
         return self.groupers[_which_index(which)]

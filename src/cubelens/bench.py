@@ -3,7 +3,7 @@
 The four-stage timing breakdown mirrors how the operator spends its time:
 parsing the text, constructing the facilitator queries (plus the strategy
 selection when it is automatic), executing the facilitator queries, and
-post-processing merged results into the five facilitator maps.  total_ns is
+deriving facilitators from a merged result (post-processing).  total_ns is
 the sum of the four stages.  Timings come from the monotonic clock.
 
 The workload runner measures each query x strategy x repetition after a

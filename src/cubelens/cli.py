@@ -33,7 +33,7 @@ from .errors import (
     UnknownMember,
     UnknownMemberLabel,
 )
-from .selector import SelectorConfig
+from .selector import DEFAULT_COVERAGE_THRESHOLD, DEFAULT_IMBALANCE_THRESHOLD, SelectorConfig
 from .synth import SynthSpec, generate
 
 DATA_DIR_ENV = "CUBELENS_DATA_DIR"
@@ -56,6 +56,13 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
                    help="member CSVs, positional or NAME=PATH (overrides the schema file)")
     p.add_argument("--facts", help="fact CSV path (overrides the schema file)")
     p.add_argument("--delimiter", default=",", help="CSV delimiter (default comma)")
+
+
+def _add_selector_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--coverage-threshold", type=float, default=DEFAULT_COVERAGE_THRESHOLD)
+    p.add_argument("--imbalance-threshold", type=float, default=DEFAULT_IMBALANCE_THRESHOLD)
+    p.add_argument("--no-selector", action="store_true",
+                   help="disable the auto selector (falls back to mid)")
 
 
 def _schema_path(args) -> Path:
@@ -149,10 +156,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--query-file", help="file containing the statement")
     p.add_argument("--strategy", choices=["auto", "min", "mid", "max"], default="auto")
     p.add_argument("--output", "-o", help="file prefix; writes <prefix>_<role>.csv per facilitator")
-    p.add_argument("--coverage-threshold", type=float, default=0.40)
-    p.add_argument("--imbalance-threshold", type=float, default=0.45)
-    p.add_argument("--no-selector", action="store_true",
-                   help="disable the auto selector (falls back to mid)")
+    _add_selector_args(p)
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("bench", help="run a workload and write a timing report")
@@ -162,9 +166,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategies", default="min,mid,max")
     p.add_argument("--timeout-s", type=float, default=None,
                    help="per-query budget (default from the workload file, 300s)")
-    p.add_argument("--coverage-threshold", type=float, default=0.40)
-    p.add_argument("--imbalance-threshold", type=float, default=0.45)
-    p.add_argument("--no-selector", action="store_true")
+    _add_selector_args(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gensynth", help="generate a deterministic synthetic dataset")

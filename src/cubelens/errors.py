@@ -75,10 +75,6 @@ class UsabilityViolation(CubeLensError):
         self.failed = tuple(failed)
 
 
-class ArityMismatch(CubeLensError):
-    pass
-
-
 class NoFilterAtom(CubeLensError):
     """Sibling derivation needs a filter atom on the grouper dimension."""
 

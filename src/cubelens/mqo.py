@@ -1,38 +1,45 @@
 """Three provably-equivalent execution strategies for one ANALYZE request.
 
-* Min-MQO runs the five facilitator queries directly (5 fact scans, no
-  post-processing).
-* Max-MQO builds one all-encompassing query whose condition widens both
-  grouper-dimension atoms to their parent values and whose schema carries the
-  drill-down, original and filter-level coordinates; its result tuples are
-  then distributed into the five facilitator maps.
-* Mid-MQO merges only the original and the two drill-downs (which share a
-  selection condition and therefore a fact region) into one query and runs
-  the two siblings directly (3 fact scans).
+A strategy is a plan: an optional merged base query plus the facilitator
+roles derived from its result.  One executor runs every plan.  It scans the
+base once, scans every other non-empty facilitator directly, and answers each
+derived role with reaggregate(), the rewrite of a query over a usable base
+(cube_usable is checked on every call).
 
-Map updates fold partial aggregates with the adapter of the aggregate
-function: sum/min/max fold with themselves, count folds by adding partial
-counts.  Folds are order-independent, so distribution may be vectorized or
-parallelized freely.  All three strategies produce identical result sets;
-that equivalence is the central test of this package.
+* Min-MQO has no base: the five facilitators are scanned directly (5 fact
+  scans, no post-processing).
+* Mid-MQO merges the original and the two drill-downs, which share a
+  selection condition and therefore a fact region, into one base and scans
+  the two siblings directly (3 fact scans).
+* Max-MQO builds one all-encompassing base whose condition widens both
+  grouper-dimension atoms to their parent values and whose groupers carry
+  the drill-down, original and filter levels; all five roles derive from it
+  (1 fact scan).  It falls back to Mid-MQO when that structure is missing.
+
+Deriving folds partial aggregates: sum/min/max fold with themselves, count
+adds partial counts.  Folds are order-independent, so all three strategies
+produce identical result sets; that equivalence is the central test of this
+package.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .aggregate import group_reduce
-from .analyze import AnalyzeQuery, AnalyzeResult, FacilitatorSet, SlotResult, sibling_atom
-from .errors import ArityMismatch, DegradedStructure
+from .analyze import ROLES, AnalyzeQuery, AnalyzeResult, FacilitatorSet, SlotResult, sibling_atom
+from .errors import DegradedStructure, UsabilityViolation
 from .hierarchy import Level
 from .query import (
     CellSchema,
     CellSet,
     CubeQuery,
+    _atoms_equal,
+    _lift_values,
+    cube_usable,
     empty_cell_set,
     execute_query,
 )
@@ -41,98 +48,18 @@ STRATEGIES = ("min", "mid", "max")
 
 
 # ---------------------------------------------------------------------------
-# Adapter aggregation and the per-tuple map update
+# Merged base queries
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AggAdapter:
-    """Folds a running value with an incoming partial aggregate."""
-
-    agg: str
-    fold: Callable
-    fold_op: str  # group_reduce op implementing the same fold
-
-    def __call__(self, current, incoming):
-        return self.fold(current, incoming)
+def _distinct_levels(levels: list[Level]) -> tuple[Level, ...]:
+    """Drop repeated (dimension, depth) levels, keeping first-seen order."""
+    seen: dict[tuple[str, int], Level] = {}
+    for level in levels:
+        seen.setdefault((level.dimension_name, level.depth), level)
+    return tuple(seen.values())
 
 
-def adapter_for(agg: str) -> AggAdapter:
-    if agg == "sum":
-        return AggAdapter("sum", lambda a, b: a + b, "sum")
-    if agg == "min":
-        return AggAdapter("min", min, "min")
-    if agg == "max":
-        return AggAdapter("max", max, "max")
-    if agg == "count":
-        # partial counts are pre-aggregated cells: they add up
-        return AggAdapter("count", lambda a, b: a + b, "sum")
-    raise ValueError(f"no adapter for aggregate {agg!r}")
-
-
-class ResultMap:
-    """Coordinate-pair -> aggregate value map populated by update_map."""
-
-    def __init__(self, arity: int, adapter: AggAdapter):
-        self.arity = arity
-        self.adapter = adapter
-        self.data: dict[tuple, object] = {}
-
-    def __len__(self):
-        return len(self.data)
-
-    def as_dict(self) -> dict:
-        return dict(self.data)
-
-
-def update_map(h: ResultMap, key: tuple, m, adapter: Optional[AggAdapter] = None) -> ResultMap:
-    """Insert m under key, or fold it into the existing value."""
-    key = tuple(key)
-    if len(key) != h.arity:
-        raise ArityMismatch(f"key arity {len(key)} does not match map arity {h.arity}")
-    fold = adapter or h.adapter
-    if key in h.data:
-        h.data[key] = fold(h.data[key], m)
-    else:
-        h.data[key] = m
-    return h
-
-
-# ---------------------------------------------------------------------------
-# Merged queries
-# ---------------------------------------------------------------------------
-
-@dataclass
-class MergedQuery:
-    """A multi-grouper query plus the bookkeeping that maps facilitator roles
-    to grouper positions.  Role keys: ddA_key, ddB_key, org_a, org_b,
-    sibA_key, sibB_key (missing keys mean the role's slot was degraded)."""
-
-    query: CubeQuery
-    role_cols: dict[str, int]
-    alpha_code: Optional[int] = None  # filter value at the alpha sigma level
-    beta_code: Optional[int] = None
-
-    def column(self, cells: CellSet, role: str) -> np.ndarray:
-        return cells.key_cols[self.role_cols[role]]
-
-
-def _role_major_groupers(entries: list[tuple[str, Level]]) -> tuple[list[Level], dict[str, int]]:
-    """Dedupe (dimension, level) pairs, keeping role-major order and mapping
-    every role to the column its level landed in."""
-    levels: list[Level] = []
-    role_cols: dict[str, int] = {}
-    seen: dict[tuple[str, int], int] = {}
-    for role, level in entries:
-        key = (level.dimension_name, level.depth)
-        if key not in seen:
-            seen[key] = len(levels)
-            levels.append(level)
-        if role:
-            role_cols[role] = seen[key]
-    return levels, role_cols
-
-
-def build_all_encompassing(aq: AnalyzeQuery) -> MergedQuery:
+def build_all_encompassing(aq: AnalyzeQuery) -> CubeQuery:
     """The single query that can answer all five facilitators: sibling-style
     widened atoms, and groupers covering the drill-down levels, the original
     grouper levels and both filter levels."""
@@ -146,83 +73,93 @@ def build_all_encompassing(aq: AnalyzeQuery) -> MergedQuery:
         raise DegradedStructure("a grouper at the most detailed level cannot drill down")
 
     schema = aq.cube.schema
-    dim_a = schema.dimension(g_a.dimension_name)
-    dim_b = schema.dimension(g_b.dimension_name)
     star_a = sibling_atom(aq, "alpha")
     star_b = sibling_atom(aq, "beta")
     condition = (aq.condition
                  .replacing(atom_a.dimension_name, star_a)
                  .replacing(atom_b.dimension_name, star_b))
 
-    entries = [
-        ("ddA_key", dim_a.child_level(g_a)),
-        ("ddB_key", dim_b.child_level(g_b)),
-        ("org_a", g_a),
-        ("org_b", g_b),
-        ("sibA_key", atom_a.level),
-        ("sibB_key", atom_b.level),
+    levels = [
+        schema.dimension(g_a.dimension_name).child_level(g_a),
+        schema.dimension(g_b.dimension_name).child_level(g_b),
+        g_a, g_b, atom_a.level, atom_b.level,
     ]
     # When the filter sits at the grouper level itself, the widened filter's
     # level is carried as an extra (constant-valued) grouper, mirroring the
     # merged query's published shape.
     if atom_a.level.depth == g_a.depth and not star_a.level.is_all:
-        entries.append(("", star_a.level))
+        levels.append(star_a.level)
     if atom_b.level.depth == g_b.depth and not star_b.level.is_all:
-        entries.append(("", star_b.level))
-    levels, role_cols = _role_major_groupers(entries)
-
-    query = CubeQuery(aq.cube, condition, tuple(levels), aq.measure_name,
-                      f"{aq.measure_alias}_all", aq.agg)
-    return MergedQuery(query, role_cols,
-                       alpha_code=atom_a.values[0], beta_code=atom_b.values[0])
+        levels.append(star_b.level)
+    return CubeQuery(aq.cube, condition, _distinct_levels(levels), aq.measure_name,
+                     f"{aq.measure_alias}_all", aq.agg)
 
 
-def build_org_dd_merged(aq: AnalyzeQuery) -> MergedQuery:
+def build_org_dd_merged(aq: AnalyzeQuery) -> CubeQuery:
     """The original-and-drill-down merged query: original condition, original
     groupers plus the one-level-down grouper of each drillable side."""
-    g_a, g_b = aq.groupers
     schema = aq.cube.schema
-    entries: list[tuple[str, Level]] = []
-    if g_a.depth > 0:
-        entries.append(("ddA_key", schema.dimension(g_a.dimension_name).child_level(g_a)))
-    if g_b.depth > 0:
-        entries.append(("ddB_key", schema.dimension(g_b.dimension_name).child_level(g_b)))
-    entries.append(("org_a", g_a))
-    entries.append(("org_b", g_b))
-    levels, role_cols = _role_major_groupers(entries)
-    query = CubeQuery(aq.cube, aq.condition, tuple(levels), aq.measure_name,
-                      f"{aq.measure_alias}_orgdd", aq.agg)
-    return MergedQuery(query, role_cols)
+    drilled = [schema.dimension(g.dimension_name).child_level(g)
+               for g in aq.groupers if g.depth > 0]
+    return CubeQuery(aq.cube, aq.condition, _distinct_levels(drilled + list(aq.groupers)),
+                     aq.measure_name, f"{aq.measure_alias}_orgdd", aq.agg)
 
 
 # ---------------------------------------------------------------------------
-# Distribution of merged-query tuples into facilitator maps
+# Answering a query from a usable base
 # ---------------------------------------------------------------------------
 
-def _facilitator_schema(fs: FacilitatorSet, role: str) -> CellSchema:
-    q = fs.slots()[role].query
-    return CellSchema(q.groupers, q.measure_alias, q.agg)
+def reaggregate(base_cells: CellSet, target: CubeQuery, base: CubeQuery) -> CellSet:
+    """Filter base cells by the target atoms (re-expressed at the base levels),
+    roll coordinates up to the target groupers and fold the partial
+    aggregates.  Requires cube_usable(base, target)."""
+    report = cube_usable(base, target)
+    if not report.usable:
+        raise UsabilityViolation(
+            f"base query is not usable for the target: failed {report.failed}",
+            failed=report.failed,
+        )
+    schema = CellSchema(target.groupers, target.measure_alias, target.agg)
+    if len(base_cells) == 0:
+        return empty_cell_set(schema, base_cells.values.dtype)
 
+    cube_schema = base.cube.schema
+    col_index: dict[str, int] = {}
+    for i, g in enumerate(base.groupers):
+        best = col_index.get(g.dimension_name)
+        if best is None or g.depth < base.groupers[best].depth:
+            col_index[g.dimension_name] = i
 
-def _distribute(cells: CellSet, mask: Optional[np.ndarray],
-                key_cols: list[np.ndarray], key_levels: list[Level],
-                schema: CellSchema, adapter: AggAdapter) -> CellSet:
-    """Group the (masked) merged tuples by the role's coordinates and fold
-    their partial aggregates with the adapter."""
-    if mask is not None:
-        key_cols = [c[mask] for c in key_cols]
-        values = cells.values[mask]
-    else:
-        values = cells.values
-    if len(values) == 0:
-        return empty_cell_set(schema, cells.values.dtype)
-    sizes = [lv.member_count for lv in key_levels]
-    out_cols, out_vals = group_reduce(key_cols, sizes, values, adapter.fold_op)
-    return CellSet(schema, out_cols, out_vals)
+    mask = np.ones(len(base_cells), dtype=bool)
+    dims = {a.dimension_name for a in base.condition} | {a.dimension_name for a in target.condition}
+    for dim_name in sorted(dims):
+        a_base = base.condition.atom_for(dim_name)
+        a_new = target.condition.atom_for(dim_name)
+        if _atoms_equal(a_base, a_new) or a_new is None:
+            continue
+        dim = cube_schema.dimension(dim_name)
+        idx = col_index[dim_name]
+        allowed = _lift_values(dim, a_new.level, a_new.values, base.groupers[idx].depth)
+        mask &= np.isin(base_cells.key_cols[idx], allowed)
+
+    cols, sizes = [], []
+    for g in target.groupers:
+        idx = col_index[g.dimension_name]
+        src = base.groupers[idx]
+        col = base_cells.key_cols[idx][mask]
+        if src.depth != g.depth:
+            dim = cube_schema.dimension(g.dimension_name)
+            col = dim.anc_array(src.depth, g.depth)[col]
+        cols.append(col)
+        sizes.append(g.member_count)
+    values = base_cells.values[mask]
+    fold_op = "sum" if base.agg == "count" else base.agg  # partial counts add up
+    key_cols, out = group_reduce(cols, sizes, values, fold_op)
+    return CellSet(schema, key_cols, out)
 
 
 # ---------------------------------------------------------------------------
-# Strategies
+# The executor and the strategies
 # ---------------------------------------------------------------------------
 
 def _timed_execute(q: CubeQuery) -> SlotResult:
@@ -231,118 +168,52 @@ def _timed_execute(q: CubeQuery) -> SlotResult:
     return SlotResult(cells=cells, exec_ns=time.perf_counter_ns() - t0)
 
 
+def _execute_plan(fs: FacilitatorSet, base: Optional[CubeQuery],
+                  derived: tuple[str, ...], strategy: str) -> AnalyzeResult:
+    """Scan the base (if any) and every non-empty facilitator outside
+    ``derived``, then answer each non-empty derived role from the base."""
+    slots = fs.slots()
+    results = {role: SlotResult(reason=slot.reason) for role, slot in slots.items() if slot.empty}
+    scanned = [role for role, slot in slots.items() if not slot.empty and role not in derived]
+    merged = _timed_execute(base) if base is not None else SlotResult()
+    for role in scanned:
+        results[role] = _timed_execute(slots[role].query)
+
+    post_ns = 0
+    if base is not None:
+        t0 = time.perf_counter_ns()
+        for role in derived:
+            if not slots[role].empty:
+                results[role] = SlotResult(cells=reaggregate(merged.cells, slots[role].query, base))
+        post_ns = time.perf_counter_ns() - t0
+
+    return AnalyzeResult(slots={role: results[role] for role in ROLES},
+                         strategy_requested=strategy, strategy_used=strategy,
+                         store_queries=len(scanned) + int(base is not None),
+                         postprocess_ns=post_ns, merged_exec_ns=merged.exec_ns)
+
+
 def run_min_mqo(fs: FacilitatorSet) -> AnalyzeResult:
     """Execute every derivable facilitator directly; no post-processing."""
-    slots: dict[str, SlotResult] = {}
-    store_queries = 0
-    for role, slot in fs.slots().items():
-        if slot.empty:
-            slots[role] = SlotResult(reason=slot.reason)
-        else:
-            slots[role] = _timed_execute(slot.query)
-            store_queries += 1
-    return AnalyzeResult(slots=slots, strategy_requested="min", strategy_used="min",
-                         store_queries=store_queries, postprocess_ns=0)
+    return _execute_plan(fs, None, (), "min")
 
 
 def run_mid_mqo(aq: AnalyzeQuery, fs: FacilitatorSet) -> AnalyzeResult:
     """One merged original-and-drill-down query plus the two siblings."""
-    merged = build_org_dd_merged(aq)
-    slots: dict[str, SlotResult] = {}
-    store_queries = 1
-    merged_slot = _timed_execute(merged.query)
-    cells = merged_slot.cells
-
-    for role, attr in (("sibA", "sib_a"), ("sibB", "sib_b")):
-        slot = getattr(fs, attr)
-        if slot.empty:
-            slots[role] = SlotResult(reason=slot.reason)
-        else:
-            slots[role] = _timed_execute(slot.query)  # exact sibling tuples
-            store_queries += 1
-
-    t0 = time.perf_counter_ns()
-    adapter = adapter_for(aq.agg)
-    org_a = merged.column(cells, "org_a")
-    org_b = merged.column(cells, "org_b")
-    g_a, g_b = aq.groupers
-    slots["org"] = SlotResult(cells=_distribute(
-        cells, None, [org_a, org_b], [g_a, g_b], _facilitator_schema(fs, "org"), adapter))
-    for role, key_role in (("ddA", "ddA_key"), ("ddB", "ddB_key")):
-        slot = fs.slots()[role]
-        if slot.empty or key_role not in merged.role_cols:
-            slots[role] = SlotResult(reason=slot.reason)
-            continue
-        dd_q = slot.query
-        if role == "ddA":
-            cols = [merged.column(cells, "ddA_key"), org_b]
-        else:
-            cols = [org_a, merged.column(cells, "ddB_key")]
-        slots[role] = SlotResult(cells=_distribute(
-            cells, None, cols, list(dd_q.groupers), _facilitator_schema(fs, role), adapter))
-    post_ns = time.perf_counter_ns() - t0
-
-    return AnalyzeResult(slots=slots, strategy_requested="mid", strategy_used="mid",
-                         store_queries=store_queries, postprocess_ns=post_ns,
-                         merged_exec_ns=merged_slot.exec_ns)
+    return _execute_plan(fs, build_org_dd_merged(aq), ("org", "ddA", "ddB"), "mid")
 
 
 def run_max_mqo(aq: AnalyzeQuery, fs: FacilitatorSet) -> AnalyzeResult:
-    """Single all-encompassing query; distribute its tuples per the
-    satisfaction tests on the tuple's own filter-level coordinates.  Falls
-    back to Mid-MQO when the required structure is missing."""
+    """Single all-encompassing query answering all five roles.  Falls back to
+    Mid-MQO when the required structure is missing."""
     try:
-        merged = build_all_encompassing(aq)
+        base = build_all_encompassing(aq)
     except DegradedStructure as exc:
         result = run_mid_mqo(aq, fs)
         result.strategy_requested = "max"
-        result.strategy_used = "mid"
         result.fallback_reason = str(exc)
         return result
-
-    merged_slot = _timed_execute(merged.query)
-    cells = merged_slot.cells
-
-    t0 = time.perf_counter_ns()
-    adapter = adapter_for(aq.agg)
-    col_sig_a = merged.column(cells, "sibA_key")
-    col_sig_b = merged.column(cells, "sibB_key")
-    pass_a = col_sig_a == merged.alpha_code
-    pass_b = col_sig_b == merged.beta_code
-    pass_ab = pass_a & pass_b
-
-    org_a = merged.column(cells, "org_a")
-    org_b = merged.column(cells, "org_b")
-    dd_a = merged.column(cells, "ddA_key")
-    dd_b = merged.column(cells, "ddB_key")
-    g_a, g_b = aq.groupers
-    sib_a_q = fs.sib_a.query
-    sib_b_q = fs.sib_b.query
-    dd_a_q = fs.dd_a.query
-    dd_b_q = fs.dd_b.query
-
-    slots = {
-        "org": SlotResult(cells=_distribute(
-            cells, pass_ab, [org_a, org_b], [g_a, g_b],
-            _facilitator_schema(fs, "org"), adapter)),
-        "ddA": SlotResult(cells=_distribute(
-            cells, pass_ab, [dd_a, org_b], list(dd_a_q.groupers),
-            _facilitator_schema(fs, "ddA"), adapter)),
-        "ddB": SlotResult(cells=_distribute(
-            cells, pass_ab, [org_a, dd_b], list(dd_b_q.groupers),
-            _facilitator_schema(fs, "ddB"), adapter)),
-        "sibA": SlotResult(cells=_distribute(
-            cells, pass_b, [col_sig_a, org_b], list(sib_a_q.groupers),
-            _facilitator_schema(fs, "sibA"), adapter)),
-        "sibB": SlotResult(cells=_distribute(
-            cells, pass_a, [org_a, col_sig_b], list(sib_b_q.groupers),
-            _facilitator_schema(fs, "sibB"), adapter)),
-    }
-    post_ns = time.perf_counter_ns() - t0
-
-    return AnalyzeResult(slots=slots, strategy_requested="max", strategy_used="max",
-                         store_queries=1, postprocess_ns=post_ns,
-                         merged_exec_ns=merged_slot.exec_ns)
+    return _execute_plan(fs, base, ROLES, "max")
 
 
 def run_strategy(name: str, aq: AnalyzeQuery, fs: FacilitatorSet) -> AnalyzeResult:

@@ -24,6 +24,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
+from .analyze import check_analyze_shape
 from .cube import CubeSchema
 from .errors import (
     AnalyzeSyntaxError,
@@ -222,22 +223,7 @@ class _Parser:
         return ParsedAtom(level, label, code)
 
     def finish(self, agg, measure, alias, cube_name, atoms, groupers, name) -> AnalyzeStatement:
-        if len(groupers) != 2:
-            raise ConstraintViolation(f"GROUP BY takes exactly two levels, got {len(groupers)}")
-        if groupers[0].dimension_name == groupers[1].dimension_name:
-            raise ConstraintViolation("the two groupers must come from distinct dimensions")
-        seen: dict[str, ParsedAtom] = {}
-        for atom in atoms:
-            dim_name = atom.level.dimension_name
-            if dim_name in seen:
-                raise ConstraintViolation(f"two atoms on dimension {dim_name}")
-            seen[dim_name] = atom
-        for g in groupers:
-            atom = seen.get(g.dimension_name)
-            if atom is not None and g.depth > atom.level.depth:
-                raise ConstraintViolation(
-                    f"filter on {atom.level!r} sits below the grouper {g!r}"
-                )
+        check_analyze_shape(groupers, [atom.level for atom in atoms])
         return AnalyzeStatement(agg, measure, alias, cube_name, tuple(atoms),
                                 (groupers[0], groupers[1]), name)
 

@@ -1,4 +1,4 @@
-"""Single cube queries: representation, execution, usability, reaggregation.
+"""Single cube queries: representation, execution, usability.
 
 A cube query is the 4-tuple (detailed cube, selection condition, grouper
 schema, aggregation).  Execution follows the three-step semantics: isolate
@@ -9,8 +9,8 @@ which selects exactly the rows the atom's detailed proxy would (the proxy
 equivalence is property-tested).
 
 The usability predicate decides when one query's result can be filtered and
-re-rolled into another's; reaggregate() performs that rewrite.  Both treat an
-absent atom as the trivial ALL filter.
+re-rolled into another's (mqo.reaggregate performs that rewrite).  It treats
+an absent atom as the trivial ALL filter.
 
 execute_query is pure over immutable inputs; concurrent query runs are safe.
 """
@@ -28,7 +28,6 @@ from .errors import (
     InvalidQuery,
     LevelOrderViolation,
     UnknownMember,
-    UsabilityViolation,
 )
 from .hierarchy import Dimension, Level
 
@@ -340,55 +339,6 @@ def cube_usable(q_base: CubeQuery, q_new: CubeQuery):
                    "; ".join(vi_problems) or "new atoms re-expressed at the base levels stay within the base grouper domains"))
 
     return UsabilityReport(all(ok for _, ok, _ in checks), tuple(checks))
-
-
-def reaggregate(base_cells: CellSet, target: CubeQuery, base: CubeQuery) -> CellSet:
-    """Filter base cells by the target atoms (re-expressed at the base levels),
-    roll coordinates up to the target groupers and fold with the adapter rule.
-    Requires cube_usable(base, target)."""
-    report = cube_usable(base, target)
-    if not report.usable:
-        raise UsabilityViolation(
-            f"base query is not usable for the target: failed {report.failed}",
-            failed=report.failed,
-        )
-    schema = CellSchema(target.groupers, target.measure_alias, target.agg)
-    if len(base_cells) == 0:
-        return empty_cell_set(schema, base_cells.values.dtype)
-
-    cube_schema = base.cube.schema
-    col_index: dict[str, int] = {}
-    for i, g in enumerate(base.groupers):
-        best = col_index.get(g.dimension_name)
-        if best is None or g.depth < base.groupers[best].depth:
-            col_index[g.dimension_name] = i
-
-    mask = np.ones(len(base_cells), dtype=bool)
-    dims = {a.dimension_name for a in base.condition} | {a.dimension_name for a in target.condition}
-    for dim_name in sorted(dims):
-        a_base = base.condition.atom_for(dim_name)
-        a_new = target.condition.atom_for(dim_name)
-        if _atoms_equal(a_base, a_new) or a_new is None:
-            continue
-        dim = cube_schema.dimension(dim_name)
-        idx = col_index[dim_name]
-        allowed = _lift_values(dim, a_new.level, a_new.values, base.groupers[idx].depth)
-        mask &= np.isin(base_cells.key_cols[idx], allowed)
-
-    cols, sizes = [], []
-    for g in target.groupers:
-        idx = col_index[g.dimension_name]
-        src = base.groupers[idx]
-        col = base_cells.key_cols[idx][mask]
-        if src.depth != g.depth:
-            dim = cube_schema.dimension(g.dimension_name)
-            col = dim.anc_array(src.depth, g.depth)[col]
-        cols.append(col)
-        sizes.append(g.member_count)
-    values = base_cells.values[mask]
-    fold_op = "sum" if base.agg == "count" else base.agg  # partial counts add up
-    key_cols, out = group_reduce(cols, sizes, values, fold_op)
-    return CellSet(schema, key_cols, out)
 
 
 def cell_sets_equal(a: CellSet, b: CellSet, rel_tol: float = 1e-9,

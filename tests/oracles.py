@@ -2,10 +2,45 @@
 
 Everything here works on labels and plain-Python dict walks, deliberately
 sharing no code with the engine.  The engine's dictionary-encoded, vectorized
-results are compared against these after decoding.
+results are compared against these after decoding.  ResultMap/update_map is
+the reference fold: merged tuples folded one at a time into per-role maps.
 """
 
+import operator
+
 ALL_LABEL = "All"
+
+# Folding a running value with an incoming partial aggregate: partial counts
+# are pre-aggregated cells, so they add up.
+FOLDS = {"sum": operator.add, "min": min, "max": max, "count": operator.add}
+
+
+class ArityMismatch(Exception):
+    pass
+
+
+class ResultMap:
+    """Coordinate-tuple -> aggregate value map populated by update_map."""
+
+    def __init__(self, arity, agg):
+        self.arity = arity
+        self.fold = FOLDS[agg]
+        self.data = {}
+
+    def __len__(self):
+        return len(self.data)
+
+    def as_dict(self):
+        return dict(self.data)
+
+
+def update_map(h, key, m):
+    """Insert m under key, or fold it into the existing value."""
+    key = tuple(key)
+    if len(key) != h.arity:
+        raise ArityMismatch(f"key arity {len(key)} does not match map arity {h.arity}")
+    h.data[key] = h.fold(h.data[key], m) if key in h.data else m
+    return h
 
 
 class HierarchyOracle:

@@ -115,20 +115,20 @@ def test_criterion_2_worked_examples(foodmart_cube, walkthrough_cube):
     w_atoms = {a.dimension_name: (a.level.name,
                                   walkthrough_cube.schema.dimension(a.dimension_name)
                                   .member_label(a.level, a.values[0]))
-               for a in merged.query.condition}
+               for a in merged.condition}
     assert w_atoms["Geo"] == ("Country", "USA")
     assert w_atoms["Date"] == ("Year", "2025")
-    assert [g.name for g in merged.query.groupers] == [
+    assert [g.name for g in merged.groupers] == [
         "City", "Month", "State", "Quarter", "Country", "Year"]
 
     mid = build_org_dd_merged(w_aq)
     m_atoms = {a.dimension_name: (a.level.name,
                                   walkthrough_cube.schema.dimension(a.dimension_name)
                                   .member_label(a.level, a.values[0]))
-               for a in mid.query.condition}
+               for a in mid.condition}
     assert m_atoms["Geo"] == ("State", "CA")
     assert m_atoms["Date"] == ("Quarter", "2025-Q4")
-    assert [g.name for g in mid.query.groupers] == ["City", "Month", "State", "Quarter"]
+    assert [g.name for g in mid.groupers] == ["City", "Month", "State", "Quarter"]
     report_pass(2, "reference facilitators and walkthrough merged queries match the published shapes")
 
 
@@ -149,7 +149,7 @@ def test_criterion_3_usability_predicate():
         except DegradedStructure:
             continue
         fs = build_facilitators(aq)
-        base = merged.query
+        base = merged
         for slot in fs.slots().values():
             report = cube_usable(base, slot.query)
             assert report.usable, (slot.role, report.conditions)

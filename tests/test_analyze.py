@@ -17,13 +17,13 @@ from cubelens.errors import (
     ConstraintViolation,
     NoFilterAtom,
 )
+from cubelens.mqo import reaggregate
 from cubelens.parser import parse
 from cubelens.query import (
     SelectionAtom,
     SelectionCondition,
     cell_sets_equal,
     execute_query,
-    reaggregate,
 )
 
 from fixtures import (

@@ -5,16 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubelens.analyze import build_facilitators, from_statement
-from cubelens.errors import ArityMismatch, DegradedStructure
+from cubelens.errors import DegradedStructure
 from cubelens.mqo import (
-    ResultMap,
-    adapter_for,
     build_all_encompassing,
     build_org_dd_merged,
     run_max_mqo,
     run_mid_mqo,
     run_min_mqo,
-    update_map,
 )
 from cubelens.parser import parse
 from cubelens.query import SelectionAtom, SelectionCondition, cell_sets_equal
@@ -27,6 +24,7 @@ from fixtures import (
     random_analyze,
     random_tables,
 )
+from oracles import ArityMismatch, ResultMap, update_map
 
 ROLES = ("org", "sibA", "sibB", "ddA", "ddB")
 
@@ -52,32 +50,32 @@ def reference_aq(foodmart_cube):
 
 
 # ---------------------------------------------------------------------------
-# update_map / adapter
+# update_map (the reference fold oracle)
 # ---------------------------------------------------------------------------
 
 def test_update_map_sum_fold():
-    h = ResultMap(2, adapter_for("sum"))
+    h = ResultMap(2, "sum")
     update_map(h, (1, 2), 10)
     update_map(h, (1, 2), 5)
     assert h.as_dict() == {(1, 2): 15}
 
 
 def test_update_map_inserts_absent_key():
-    h = ResultMap(2, adapter_for("sum"))
+    h = ResultMap(2, "sum")
     update_map(h, (0, 0), 7)
     assert h.as_dict() == {(0, 0): 7}
 
 
 def test_update_map_count_folds_partial_counts():
     # partial counts of 3 and 4 rows fold to the 7 rows a naive scan counts
-    h = ResultMap(1, adapter_for("count"))
+    h = ResultMap(1, "count")
     update_map(h, (9,), 3)
     update_map(h, (9,), 4)
     assert h.as_dict() == {(9,): 7}
 
 
 def test_update_map_arity_checked():
-    h = ResultMap(2, adapter_for("sum"))
+    h = ResultMap(2, "sum")
     with pytest.raises(ArityMismatch):
         update_map(h, (1,), 1)
 
@@ -89,10 +87,8 @@ def test_update_map_arity_checked():
 def test_update_map_order_independent(values, agg, rnd):
     if agg == "count":
         values = [abs(v) for v in values]  # partial counts are non-negative
-    adapter = adapter_for(agg)
-
     def fold(seq):
-        h = ResultMap(1, adapter)
+        h = ResultMap(1, agg)
         for v in seq:
             update_map(h, (0,), v)
         return h.as_dict()[(0,)]
@@ -107,8 +103,7 @@ def test_update_map_order_independent(values, agg, rnd):
 # ---------------------------------------------------------------------------
 
 def test_all_encompassing_walkthrough_shape(walkthrough_aq):
-    merged = build_all_encompassing(walkthrough_aq)
-    q = merged.query
+    q = build_all_encompassing(walkthrough_aq)
     atoms = {a.dimension_name: a for a in q.condition}
     geo = walkthrough_aq.cube.schema.dimension("Geo")
     date = walkthrough_aq.cube.schema.dimension("Date")
@@ -121,8 +116,7 @@ def test_all_encompassing_walkthrough_shape(walkthrough_aq):
 
 
 def test_all_encompassing_reference_shape(reference_aq):
-    merged = build_all_encompassing(reference_aq)
-    q = merged.query
+    q = build_all_encompassing(reference_aq)
     assert [g.name for g in q.groupers] == [
         "Day", "CustomerId", "Month", "customerRegion", "Quarter", "State"]
     atoms = {a.dimension_name: (a.level.name,) for a in q.condition}
@@ -132,8 +126,7 @@ def test_all_encompassing_reference_shape(reference_aq):
 
 
 def test_org_dd_merged_walkthrough_shape(walkthrough_aq):
-    merged = build_org_dd_merged(walkthrough_aq)
-    q = merged.query
+    q = build_org_dd_merged(walkthrough_aq)
     assert [g.name for g in q.groupers] == ["City", "Month", "State", "Quarter"]
     atoms = {a.dimension_name: a.level.name for a in q.condition}
     assert atoms == {"Geo": "State", "Date": "Quarter"}
@@ -146,8 +139,7 @@ def test_org_dd_merged_collapses_without_drilldowns(foodmart_cube):
                       (date.level("Day"), store.level("StoreId")),
                       "unit_sales", "u", "sum")
     merged = build_org_dd_merged(aq)
-    assert [g.name for g in merged.query.groupers] == ["Day", "StoreId"]
-    assert merged.role_cols == {"org_a": 0, "org_b": 1}
+    assert [g.name for g in merged.groupers] == ["Day", "StoreId"]
 
 
 def test_all_encompassing_degraded_cases(foodmart_cube):
@@ -289,7 +281,8 @@ def test_walkthrough_equivalence_filter_at_grouper_level(walkthrough_aq):
 
 
 def test_org_dd_merged_reaggregates_to_each_slot():
-    from cubelens.query import execute_query, reaggregate
+    from cubelens.mqo import reaggregate
+    from cubelens.query import execute_query
     rng = random.Random(137)
     done = 0
     while done < 10:
@@ -300,10 +293,10 @@ def test_org_dd_merged_reaggregates_to_each_slot():
             continue
         fs = build_facilitators(aq)
         merged = build_org_dd_merged(aq)
-        base_cells = execute_query(merged.query)
+        base_cells = execute_query(merged)
         for slot in (fs.org, fs.dd_a, fs.dd_b):
             direct = execute_query(slot.query)
-            rebuilt = reaggregate(base_cells, slot.query, merged.query)
+            rebuilt = reaggregate(base_cells, slot.query, merged)
             assert cell_sets_equal(direct, rebuilt)
         done += 1
 
@@ -351,4 +344,55 @@ def test_distribution_completeness_with_count():
         assert totals["ddB"] == stats.facts_org
         assert totals["sibA"] == stats.facts_sib_a
         assert totals["sibB"] == stats.facts_sib_b
+        checked += 1
+
+
+def _distribute_by_tuple(aq, merged, cells):
+    """The per-tuple distribution of the paper: walk the all-encompassing
+    tuples and fold each into every role map whose satisfaction test its
+    filter-level coordinates pass."""
+    col = {(g.dimension_name, g.depth): i for i, g in enumerate(merged.groupers)}
+    g_a, g_b = aq.groupers
+    alpha, beta = aq.atom_alpha, aq.atom_beta
+
+    def at(level):
+        return col[(level.dimension_name, level.depth)]
+
+    org_a, org_b = at(g_a), at(g_b)
+    dd_a = col[(g_a.dimension_name, g_a.depth - 1)]
+    dd_b = col[(g_b.dimension_name, g_b.depth - 1)]
+    sig_a, sig_b = at(alpha.level), at(beta.level)
+    maps = {role: ResultMap(2, aq.agg) for role in ROLES}
+    for coords, value in cells.items():
+        pass_a = coords[sig_a] == alpha.values[0]
+        pass_b = coords[sig_b] == beta.values[0]
+        if pass_a and pass_b:
+            update_map(maps["org"], (coords[org_a], coords[org_b]), value)
+            update_map(maps["ddA"], (coords[dd_a], coords[org_b]), value)
+            update_map(maps["ddB"], (coords[org_a], coords[dd_b]), value)
+        if pass_b:
+            update_map(maps["sibA"], (coords[sig_a], coords[org_b]), value)
+        if pass_a:
+            update_map(maps["sibB"], (coords[org_a], coords[sig_b]), value)
+    return maps
+
+
+@pytest.mark.parametrize("agg", ["sum", "min", "max", "count"])
+def test_max_matches_per_tuple_distribution_oracle(agg):
+    from cubelens.query import execute_query
+    rng = random.Random(89)
+    checked = 0
+    while checked < 20:
+        tables = random_tables(rng, max_facts=400)
+        cube = build_cube(tables)
+        aq = random_analyze(rng, cube, aggs=(agg,))
+        try:
+            merged = build_all_encompassing(aq)
+        except DegradedStructure:
+            continue
+        maps = _distribute_by_tuple(aq, merged, execute_query(merged))
+        result = run_max_mqo(aq, build_facilitators(aq))
+        assert result.strategy_used == "max"
+        for role in ROLES:
+            assert result.slots[role].cells.as_dict() == maps[role].as_dict(), role
         checked += 1

@@ -5,7 +5,7 @@ import pytest
 
 from cubelens.errors import LevelOrderViolation, UsabilityViolation
 from cubelens.hierarchy import desc
-from cubelens.mqo import build_all_encompassing
+from cubelens.mqo import build_all_encompassing, reaggregate
 from cubelens.analyze import build_facilitators
 from cubelens.query import (
     CubeQuery,
@@ -16,7 +16,6 @@ from cubelens.query import (
     detailed_proxy,
     execute_query,
     grouper_domain,
-    reaggregate,
 )
 
 from fixtures import REFERENCE_QUERY, build_cube, random_analyze, random_tables
@@ -239,7 +238,7 @@ def test_all_encompassing_usable_for_facilitators(foodmart_cube):
     fs = build_facilitators(aq)
     merged = build_all_encompassing(aq)
     for role, slot in fs.slots().items():
-        report = cube_usable(merged.query, slot.query)
+        report = cube_usable(merged, slot.query)
         assert report.usable, (role, report.conditions)
 
 
@@ -313,11 +312,11 @@ def test_reaggregate_random_usable_pairs():
         except Exception:
             continue
         fs = build_facilitators(aq)
-        base_cells = execute_query(merged.query)
+        base_cells = execute_query(merged)
         for slot in fs.slots().values():
             if slot.query is None:
                 continue
             direct = execute_query(slot.query)
-            rebuilt = reaggregate(base_cells, slot.query, merged.query)
+            rebuilt = reaggregate(base_cells, slot.query, merged)
             assert cell_sets_equal(direct, rebuilt)
             done += 1

@@ -2,14 +2,18 @@
 
 The detailed cube keeps one dictionary-encoded coordinate column per
 dimension (at that dimension's most detailed level) plus one numeric column
-per measure.  Measures whose inputs all parse as integers are stored as
-int64 so aggregate comparisons can be exact; anything else is float64.
+per measure.  Measures whose inputs all parse as int64 integers are stored
+as int64 so aggregate comparisons can be exact; anything else is float64.
+An integer-declared value outside int64, and NaN or infinity in any decimal
+measure, is a ParseError naming file and line.
 
 Filter evaluation produces row bitsets (boolean arrays over 0..row_count-1)
-so the strategy selector can combine and count regions cheaply.  Per-atom
-bitsets are cached after first use: the five facilitator queries of one
-request share atoms heavily.  The cube is immutable after load; the caches
-fill idempotently, so concurrent readers are fine.
+so the strategy selector can combine and count regions cheaply.  An atom's
+bitset is a per-member table over the detailed level, gathered through the
+coordinate column.  Per-atom bitsets are cached after first use: the five
+facilitator queries of one request share atoms heavily.  The cube is
+immutable after load; the caches fill idempotently, so concurrent readers
+are fine.
 """
 
 from __future__ import annotations
@@ -146,12 +150,9 @@ class DetailedCube:
         key = (level.dimension_name, level.depth, tuple(codes))
         cached = self._atom_mask_cache.get(key)
         if cached is None:
-            rolled = self.rolled_column(level.dimension_name, level.depth)
-            if len(key[2]) == 1:
-                mask = rolled == key[2][0]
-            else:
-                mask = np.isin(rolled, np.asarray(key[2], dtype=np.int64))
-            cached = self._atom_mask_cache.setdefault(key, mask)
+            dim = self.schema.dimension(level.dimension_name)
+            selected = np.isin(dim.anc_array(0, level.depth), np.asarray(key[2], dtype=np.int64))
+            cached = self._atom_mask_cache.setdefault(key, selected[self.coordinates[dim.name]])
         return cached
 
     def condition_mask(self, atoms: Sequence[tuple[Level, Sequence[int]]]) -> np.ndarray:
@@ -339,6 +340,13 @@ def _read_facts(fact_file, dimensions, measures, delimiter=","):
                                 f"but got {text!r}"
                             ) from None
                         is_int[low] = False  # fall back to decimal inference
+                    except OverflowError:
+                        if declared_int[low]:
+                            raise ParseError(
+                                f"{fact_file}:{lineno}: measure {low!r} value {text!r} "
+                                f"is outside the int64 range"
+                            ) from None
+                        is_int[low] = False
                 try:
                     m_float[low].append(float(text))
                 except ValueError:
@@ -357,6 +365,11 @@ def _read_facts(fact_file, dimensions, measures, delimiter=","):
             resolved.append(Measure(name, "integer"))
         else:
             col = np.frombuffer(m_float[low], dtype=np.float64) if len(m_float[low]) else np.empty(0, np.float64)
+            finite = np.isfinite(col)
+            if not finite.all():
+                first = int(np.argmin(finite))
+                raise ParseError(f"{fact_file}:{first + 2}: measure {low!r} is not finite: "
+                                 f"{float(col[first])}")
             resolved.append(Measure(name, "decimal"))
         out_measures[name] = col
     return coords, out_measures, resolved

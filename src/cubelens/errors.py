@@ -75,6 +75,10 @@ class UsabilityViolation(CubeLensError):
         self.failed = tuple(failed)
 
 
+class SumOverflow(CubeLensError):
+    """An integer sum's true value leaves the int64 range."""
+
+
 class NoFilterAtom(CubeLensError):
     """Sibling derivation needs a filter atom on the grouper dimension."""
 

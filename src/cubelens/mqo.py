@@ -19,7 +19,13 @@ derived role with reaggregate(), the rewrite of a query over a usable base
 Deriving folds partial aggregates: sum/min/max fold with themselves, count
 adds partial counts.  Folds are order-independent, so all three strategies
 produce identical result sets; that equivalence is the central test of this
-package.
+package.  It also holds for integer sums that leave the int64 range: a merged
+base whose own cells overflow is abandoned for direct scans, so every
+strategy raises SumOverflow exactly when some facilitator cell overflows.
+
+reaggregate reads the base cells' codes at a level from the base column at
+that level when the base groups on it, and tests target atoms by equality or
+a membership table at the atom's own level.
 """
 
 from __future__ import annotations
@@ -31,17 +37,18 @@ import numpy as np
 
 from .aggregate import group_reduce
 from .analyze import ROLES, AnalyzeQuery, AnalyzeResult, FacilitatorSet, SlotResult, sibling_atom
-from .errors import DegradedStructure, UsabilityViolation
+from .errors import DegradedStructure, SumOverflow, UsabilityViolation
 from .hierarchy import Level
 from .query import (
     CellSchema,
     CellSet,
     CubeQuery,
     _atoms_equal,
-    _lift_values,
+    atom_contains,
     cube_usable,
     empty_cell_set,
     execute_query,
+    finest_groupers,
 )
 
 STRATEGIES = ("min", "mid", "max")
@@ -124,34 +131,30 @@ def reaggregate(base_cells: CellSet, target: CubeQuery, base: CubeQuery) -> Cell
         return empty_cell_set(schema, base_cells.values.dtype)
 
     cube_schema = base.cube.schema
-    col_index: dict[str, int] = {}
-    for i, g in enumerate(base.groupers):
-        best = col_index.get(g.dimension_name)
-        if best is None or g.depth < base.groupers[best].depth:
-            col_index[g.dimension_name] = i
+    exact = {(g.dimension_name, g.depth): i for i, g in enumerate(base.groupers)}
+    finest = finest_groupers(base.groupers)
 
-    mask = np.ones(len(base_cells), dtype=bool)
-    dims = {a.dimension_name for a in base.condition} | {a.dimension_name for a in target.condition}
-    for dim_name in sorted(dims):
-        a_base = base.condition.atom_for(dim_name)
-        a_new = target.condition.atom_for(dim_name)
-        if _atoms_equal(a_base, a_new) or a_new is None:
+    def codes_at(level: Level) -> np.ndarray:
+        """The base cells' codes at ``level``: a base column when the base
+        groups on that level, else its finest column on the dimension, rolled."""
+        idx = exact.get((level.dimension_name, level.depth))
+        if idx is not None:
+            return base_cells.key_cols[idx]
+        i = finest[level.dimension_name]
+        dim = cube_schema.dimension(level.dimension_name)
+        return dim.anc_array(base.groupers[i].depth, level.depth)[base_cells.key_cols[i]]
+
+    mask = None  # base cells kept by the target atoms that differ from the base's
+    for dim_name, a_new in target.condition.by_dimension.items():
+        if a_new.level.is_all or _atoms_equal(base.condition.atom_for(dim_name), a_new):
             continue
-        dim = cube_schema.dimension(dim_name)
-        idx = col_index[dim_name]
-        allowed = _lift_values(dim, a_new.level, a_new.values, base.groupers[idx].depth)
-        mask &= np.isin(base_cells.key_cols[idx], allowed)
-
-    cols, sizes = [], []
-    for g in target.groupers:
-        idx = col_index[g.dimension_name]
-        src = base.groupers[idx]
-        col = base_cells.key_cols[idx][mask]
-        if src.depth != g.depth:
-            dim = cube_schema.dimension(g.dimension_name)
-            col = dim.anc_array(src.depth, g.depth)[col]
-        cols.append(col)
-        sizes.append(g.member_count)
+        hit = atom_contains(cube_schema.dimension(dim_name), a_new, a_new.level.depth,
+                            codes_at(a_new.level))
+        mask = hit if mask is None else mask & hit
+    if mask is None:
+        mask = slice(None)
+    cols = [codes_at(g)[mask] for g in target.groupers]
+    sizes = [g.member_count for g in target.groupers]
     values = base_cells.values[mask]
     fold_op = "sum" if base.agg == "count" else base.agg  # partial counts add up
     key_cols, out = group_reduce(cols, sizes, values, fold_op)
@@ -175,7 +178,16 @@ def _execute_plan(fs: FacilitatorSet, base: Optional[CubeQuery],
     slots = fs.slots()
     results = {role: SlotResult(reason=slot.reason) for role, slot in slots.items() if slot.empty}
     scanned = [role for role, slot in slots.items() if not slot.empty and role not in derived]
-    merged = _timed_execute(base) if base is not None else SlotResult()
+    try:
+        merged = _timed_execute(base) if base is not None else SlotResult()
+    except SumOverflow as exc:
+        # A base cell's sum left int64, so its partial sums cannot be folded.
+        # Direct scans overflow exactly when a facilitator's own sum does,
+        # which keeps the answer the same under every strategy.
+        result = _execute_plan(fs, None, (), strategy)
+        result.strategy_used = "min"
+        result.fallback_reason = f"merged base query: {exc}"
+        return result
     for role in scanned:
         results[role] = _timed_execute(slots[role].query)
 

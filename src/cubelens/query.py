@@ -8,9 +8,15 @@ atoms are evaluated by rolling coordinate columns up to the atom's own level,
 which selects exactly the rows the atom's detailed proxy would (the proxy
 equivalence is property-tested).
 
+Every coarser grouper of a dimension is a function of its finest one, so a
+scan gathers, rolls and groups rows on the finest requested level of each
+dimension only; the other grouper columns are mapped up from the unique
+finest codes of the result.
+
 The usability predicate decides when one query's result can be filtered and
 re-rolled into another's (mqo.reaggregate performs that rewrite).  It treats
-an absent atom as the trivial ALL filter.
+an absent atom as the trivial ALL filter.  Both test atom membership through
+ancestor maps (atom_contains), not set lookups.
 
 execute_query is pure over immutable inputs; concurrent query runs are safe.
 """
@@ -61,19 +67,16 @@ class SelectionCondition:
 
     def __init__(self, atoms: Iterable[SelectionAtom] = ()):
         self.atoms = tuple(atoms)
-        seen = set()
+        self.by_dimension: dict[str, SelectionAtom] = {}
         for atom in self.atoms:
-            if atom.dimension_name in seen:
+            if atom.dimension_name in self.by_dimension:
                 raise InvalidQuery(
                     f"two atoms on dimension {atom.dimension_name}; one allowed"
                 )
-            seen.add(atom.dimension_name)
+            self.by_dimension[atom.dimension_name] = atom
 
     def atom_for(self, dim_name: str) -> SelectionAtom | None:
-        for atom in self.atoms:
-            if atom.dimension_name == dim_name:
-                return atom
-        return None
+        return self.by_dimension.get(dim_name)
 
     def replacing(self, dim_name: str, new_atom: SelectionAtom | None) -> "SelectionCondition":
         kept = [a for a in self.atoms if a.dimension_name != dim_name]
@@ -208,8 +211,30 @@ def grouper_domain(dim: Dimension, atom: SelectionAtom, grouper_level: Level) ->
     return _lift_values(dim, atom.level, atom.values, g.depth)
 
 
+def finest_groupers(groupers: Sequence[Level]) -> dict[str, int]:
+    """Per grouper dimension, the position of its finest (lowest) grouper."""
+    index: dict[str, int] = {}
+    for i, g in enumerate(groupers):
+        best = index.get(g.dimension_name)
+        if best is None or g.depth < groupers[best].depth:
+            index[g.dimension_name] = i
+    return index
+
+
+def atom_contains(dim: Dimension, atom: SelectionAtom, depth: int, codes: np.ndarray) -> np.ndarray:
+    """Whether each code at ``depth`` (at or below the atom's level) rolls up
+    into one of the atom's values."""
+    up = codes if depth == atom.level.depth else dim.anc_array(depth, atom.level.depth)[codes]
+    if atom.is_single():
+        return up == atom.values[0]
+    table = np.zeros(atom.level.member_count, dtype=bool)
+    table[list(atom.values)] = True
+    return table[up]
+
+
 def execute_query(q: CubeQuery) -> CellSet:
-    """Run the query: filter, roll coordinates to the grouper levels, fold."""
+    """Run the query: filter, roll coordinates to the finest grouper level of
+    each dimension, fold, then map the result up to the coarser groupers."""
     q.validate()
     cube = q.cube
     mask = cube.condition_mask(q.condition.mask_atoms())
@@ -221,10 +246,18 @@ def execute_query(q: CubeQuery) -> CellSet:
         dtype = np.int64 if q.agg == "count" else cube.measure_columns[q.measure_name].dtype
         return empty_cell_set(schema, dtype)
 
-    cols = [cube.rolled_column(g.dimension_name, g.depth, rows) for g in q.groupers]
-    sizes = [g.member_count for g in q.groupers]
+    finest = finest_groupers(q.groupers)
+    keys = [q.groupers[i] for i in finest.values()]
+    cols = [cube.rolled_column(g.dimension_name, g.depth, rows) for g in keys]
     values = None if q.agg == "count" else cube.measure_columns[q.measure_name][rows]
-    key_cols, out = group_reduce(cols, sizes, values, q.agg)
+    uniq, out = group_reduce(cols, [g.member_count for g in keys], values, q.agg)
+    by_dim = dict(zip(finest, uniq))
+    key_cols = []
+    for g in q.groupers:
+        col, fine = by_dim[g.dimension_name], q.groupers[finest[g.dimension_name]]
+        if g.depth != fine.depth:
+            col = cube.schema.dimension(g.dimension_name).anc_array(fine.depth, g.depth)[col]
+        key_cols.append(col)
     return CellSet(schema, key_cols, out)
 
 
@@ -254,16 +287,11 @@ def _atoms_equal(a: SelectionAtom | None, b: SelectionAtom | None) -> bool:
     return a.level == b.level and a.values == b.values
 
 
-def _finest_grouper(q: CubeQuery, dim_name: str) -> Level | None:
-    levels = [g for g in q.groupers if g.dimension_name == dim_name]
-    return min(levels, key=lambda lv: lv.depth) if levels else None
-
-
 def _check_filter_order(q: CubeQuery) -> str | None:
-    for atom in q.condition:
-        for g in q.groupers:
-            if g.dimension_name == atom.dimension_name and g.depth > atom.level.depth:
-                return f"{g!r} grouped above its filter level {atom.level!r}"
+    for g in q.groupers:
+        atom = q.condition.atom_for(g.dimension_name)
+        if atom is not None and g.depth > atom.level.depth:
+            return f"{g!r} grouped above its filter level {atom.level!r}"
     return None
 
 
@@ -277,8 +305,9 @@ def cube_usable(q_base: CubeQuery, q_new: CubeQuery):
     checks.append(("i", same_cube, "same detailed cube" if same_cube else "different detailed cubes"))
 
     problems = []
-    if not q_new.grouper_dims() <= q_base.grouper_dims():
-        extra = sorted(q_new.grouper_dims() - q_base.grouper_dims())
+    base_dims, new_dims = q_base.grouper_dims(), q_new.grouper_dims()
+    if not new_dims <= base_dims:
+        extra = sorted(new_dims - base_dims)
         problems.append(f"dimensions {extra} absent from the base schema")
     base_measure = q_base.cube.schema.measure(q_base.measure_name).name
     new_measure = q_new.cube.schema.measure(q_new.measure_name).name
@@ -297,9 +326,10 @@ def cube_usable(q_base: CubeQuery, q_new: CubeQuery):
     checks.append(("iv", order_problem is None,
                    order_problem or "filters at or above grouper levels in both queries"))
 
+    base_fine = {d: q_base.groupers[i] for d, i in finest_groupers(q_base.groupers).items()}
     v_problems = []
     for g in q_new.groupers:
-        base_level = _finest_grouper(q_base, g.dimension_name)
+        base_level = base_fine.get(g.dimension_name)
         if base_level is None:
             continue  # already reported under (ii)
         if base_level.depth > g.depth:
@@ -310,14 +340,13 @@ def cube_usable(q_base: CubeQuery, q_new: CubeQuery):
     vi_problems = []
     if same_cube:
         schema = q_base.cube.schema
-        dims = {a.dimension_name for a in q_base.condition} | {a.dimension_name for a in q_new.condition}
-        for dim_name in sorted(dims):
-            a_base = q_base.condition.atom_for(dim_name)
-            a_new = q_new.condition.atom_for(dim_name)
+        base_atoms, new_atoms = q_base.condition.by_dimension, q_new.condition.by_dimension
+        for dim_name in sorted(base_atoms.keys() | new_atoms.keys()):
+            a_base, a_new = base_atoms.get(dim_name), new_atoms.get(dim_name)
             if _atoms_equal(a_base, a_new):
                 continue  # identical restriction: nothing to re-apply
             dim = schema.dimension(dim_name)
-            base_level = _finest_grouper(q_base, dim_name) or dim.all_level
+            base_level = base_fine.get(dim_name) or dim.all_level
             new_level = a_new.level if a_new is not None else dim.all_level
             if base_level.depth > new_level.depth:
                 vi_problems.append(
@@ -325,13 +354,12 @@ def cube_usable(q_base: CubeQuery, q_new: CubeQuery):
                     f"schema level {base_level!r}"
                 )
                 continue
-            if a_base is None:
+            if a_base is None or a_base.level.is_all:
                 continue  # base unconstrained: grouper domain is the full level
             lifted = (_lift_values(dim, a_new.level, a_new.values, base_level.depth)
                       if a_new is not None else
                       np.arange(base_level.member_count, dtype=np.int64))
-            gdom = _lift_values(dim, a_base.level, a_base.values, base_level.depth)
-            if not np.isin(lifted, gdom, assume_unique=True).all():
+            if not atom_contains(dim, a_base, base_level.depth, lifted).all():
                 vi_problems.append(
                     f"atom on {dim_name} selects values outside the base grouper domain"
                 )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cubelens.aggregate import group_reduce
+from cubelens.errors import SumOverflow
 
 
 def dict_oracle(cols, values, op):
@@ -81,6 +82,58 @@ def test_group_reduce_dense_and_sort_paths_agree():
         # inflate the declared sizes so the packed space exceeds the dense gate
         sort_cols, sort_out = group_reduce(cols, [1 << 22, 1 << 22], values, op)
         assert as_dict(dense_cols, dense_out) == as_dict(sort_cols, sort_out)
+
+    # min/max above 500K rows, integer and float measures
+    gen = np.random.default_rng(99)
+    n = 600_000
+    cols = [gen.integers(0, 300, n), gen.integers(0, 200, n)]
+    for values in (gen.integers(-10**6, 10**6, n), gen.normal(size=n)):
+        for op in ("min", "max"):
+            dense_cols, dense_out = group_reduce(cols, [300, 200], values, op)
+            sort_cols, sort_out = group_reduce(cols, [1 << 22, 1 << 22], values, op)
+            dense_order = np.lexsort(dense_cols[::-1])
+            sort_order = np.lexsort(sort_cols[::-1])
+            for d, s in zip(dense_cols, sort_cols):
+                assert np.array_equal(d[dense_order], s[sort_order])
+            assert np.array_equal(dense_out[dense_order], sort_out[sort_order])
+
+
+INT64_MAX = (1 << 63) - 1
+INT64_MIN = -(1 << 63)
+PATH_SIZES = [(1, 1), (1 << 22, 1 << 22), (1 << 40, 1 << 40)]  # dense, sort, lexsort
+
+
+@pytest.mark.parametrize("sizes", PATH_SIZES)
+@pytest.mark.parametrize("rows", [[INT64_MAX, INT64_MAX], [INT64_MIN, -1],
+                                  [1 << 62, 1 << 62, 1, -1]])
+def test_group_reduce_sum_overflow_raises(sizes, rows):
+    # the true sum leaves int64; it used to wrap (two rows of 2**63-1 gave -2)
+    cols = [np.zeros(len(rows), np.int64), np.zeros(len(rows), np.int64)]
+    with pytest.raises(SumOverflow):
+        group_reduce(cols, list(sizes), np.asarray(rows, dtype=np.int64), "sum")
+
+
+@pytest.mark.parametrize("sizes", PATH_SIZES)
+@pytest.mark.parametrize("rows,expected", [
+    ([INT64_MAX, INT64_MAX, INT64_MIN, INT64_MIN + 2], 0),
+    ([INT64_MIN, 5], INT64_MIN + 5),
+    ([1 << 62, (1 << 62) - 1], INT64_MAX),
+    ([INT64_MIN], INT64_MIN),
+])
+def test_group_reduce_sum_at_int64_edges_exact(sizes, rows, expected):
+    cols = [np.zeros(len(rows), np.int64), np.zeros(len(rows), np.int64)]
+    _, out = group_reduce(cols, list(sizes), np.asarray(rows, dtype=np.int64), "sum")
+    assert out.tolist() == [expected]
+
+
+def test_group_reduce_overflow_is_per_group():
+    # one group overflows, the other stays in range: the call still raises
+    cols = [np.asarray([0, 0, 1, 1], np.int64)]
+    values = np.asarray([INT64_MAX, 1, 7, 8], dtype=np.int64)
+    with pytest.raises(SumOverflow):
+        group_reduce(cols, [2], values, "sum")
+    _, out = group_reduce(cols, [2], np.asarray([INT64_MAX, 0, 7, 8], np.int64), "sum")
+    assert out.tolist() == [INT64_MAX, 15]
 
 
 def test_group_reduce_rejects_unknown_op():

@@ -176,3 +176,67 @@ def test_bench_missing_workload_exits_2(foodmart_dir, tmp_path):
                "--workload", str(tmp_path / "none.json"),
                "--report", str(tmp_path / "r.csv")])
     assert rc == 2
+
+
+# ---------------------------------------------------------------------------
+# Measure values outside what the engine can answer exactly
+# ---------------------------------------------------------------------------
+
+TINY_QUERY = ("ANALYZE sum(m) FROM c FOR A.Grp = 'g1' AND B.Band = 'h1' "
+              "GROUP BY A.Grp, B.Band")
+
+
+def _tiny_dataset(out_dir, values, kind):
+    """Two two-level dimensions, one fact row per value at (a1, b1); ``kind``
+    None leaves the measure undeclared in the schema file."""
+    from fixtures import DatasetTables
+    tables = DatasetTables(
+        "c",
+        {"A": (["Leaf", "Grp"], [("a1", "g1"), ("a2", "g1"), ("a3", "g2")]),
+         "B": (["Unit", "Band"], [("b1", "h1"), ("b2", "h1"), ("b3", "h2")])},
+        [("m", kind)],
+        [{"A": "a1", "B": "b1"} for _ in values],
+        {"m": list(values)},
+    )
+    schema_path = write_dataset(tables, out_dir)
+    if kind is None:
+        schema = json.loads(schema_path.read_text())
+        del schema["measures"][0]["kind"]
+        schema_path.write_text(json.dumps(schema))
+    return schema_path
+
+
+def test_load_integer_beyond_int64_exits_2(tmp_path, capsys):
+    schema = _tiny_dataset(tmp_path, ["1", "99999999999999999999"], "integer")
+    assert main(["load", "--schema", str(schema)]) == 2
+    err = capsys.readouterr().err
+    assert "facts.csv:3" in err and "int64" in err and "Traceback" not in err
+
+
+def test_load_undeclared_integer_beyond_int64_is_decimal(tmp_path, capsys):
+    from cubelens.cube import load_cube
+    schema = _tiny_dataset(tmp_path, ["1", "99999999999999999999"], None)
+    assert main(["load", "--schema", str(schema)]) == 0
+    cube = load_cube(schema)
+    assert cube.schema.measure("m").kind == "decimal"
+    assert cube.measure_columns["m"].tolist() == [1.0, 1e20]
+
+
+@pytest.mark.parametrize("kind", ["decimal", None])
+@pytest.mark.parametrize("text", ["nan", "inf", "-Infinity", "1e400"])
+def test_load_non_finite_decimal_exits_2(tmp_path, capsys, kind, text):
+    schema = _tiny_dataset(tmp_path, ["1.5", text, "2"], kind)
+    assert main(["load", "--schema", str(schema)]) == 2
+    err = capsys.readouterr().err
+    assert "facts.csv:3" in err and "not finite" in err
+
+
+@pytest.mark.parametrize("strategy", ["auto", "min", "mid", "max"])
+def test_query_sum_beyond_int64_exits_4(tmp_path, capsys, strategy):
+    big = str((1 << 63) - 1)
+    schema = _tiny_dataset(tmp_path, [big, big], "integer")
+    rc = main(["query", "--schema", str(schema), "--query", TINY_QUERY,
+               "--strategy", strategy])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert "int64" in captured.err and captured.out == ""

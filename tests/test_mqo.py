@@ -396,3 +396,77 @@ def test_max_matches_per_tuple_distribution_oracle(agg):
         for role in ROLES:
             assert result.slots[role].cells.as_dict() == maps[role].as_dict(), role
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# int64 sum overflow: the same answer under every strategy
+# ---------------------------------------------------------------------------
+
+INT64_MAX = (1 << 63) - 1
+OVERFLOW_QUERY = ("ANALYZE sum(m) FROM c FOR A.Grp = 'g1' AND B.Grp = 'h1' "
+                  "GROUP BY A.Grp, B.Grp")
+
+
+def _overflow_tables(facts):
+    """A: a1, a2 under g1 and a3 under g2; B likewise with b/h.  ``facts`` is
+    a list of (a leaf, b leaf, value)."""
+    from fixtures import DatasetTables
+    dims = {"A": (["Leaf", "Grp", "Top"], [("a1", "g1", "t"), ("a2", "g1", "t"),
+                                           ("a3", "g2", "t")]),
+            "B": (["Unit", "Grp", "Top"], [("b1", "h1", "u"), ("b2", "h1", "u"),
+                                           ("b3", "h2", "u")])}
+    # both dimensions name their middle level Grp, so statements qualify it
+    return DatasetTables("c", dims, [("m", "integer")],
+                         [{"A": a, "B": b} for a, b, _ in facts],
+                         {"m": [v for _, _, v in facts]})
+
+
+def _run_all(facts):
+    cube = build_cube(_overflow_tables(facts))
+    aq = from_statement(parse(OVERFLOW_QUERY, cube.schema), cube)
+    fs = build_facilitators(aq)
+    return run_min_mqo(fs), run_mid_mqo(aq, fs), run_max_mqo(aq, fs)
+
+
+def test_overflow_only_outside_the_facilitators_is_no_error():
+    # the Max base covers g2 x h2, which no facilitator reads; its cell sum
+    # leaves int64, so Max answers by direct scans instead of raising
+    facts = [("a3", "b3", INT64_MAX), ("a3", "b3", INT64_MAX), ("a1", "b1", 5),
+             ("a2", "b2", 7), ("a3", "b1", 1), ("a1", "b3", 2)]
+    rmin, rmid, rmax = _run_all(facts)
+    assert results_equal(rmin, rmid) and results_equal(rmin, rmax)
+    assert list(rmin.slots["org"].cells.values) == [12]
+    assert rmid.strategy_used == "mid"
+    assert rmax.strategy_used == "min" and "int64" in rmax.fallback_reason
+
+
+def test_overflow_cancelling_inside_facilitator_cells_is_no_error():
+    # merged-base cells (leaf x leaf) overflow, but every facilitator cell
+    # sums to zero: all three strategies give the direct answer
+    v = 1 << 62
+    facts = [("a1", "b1", v), ("a1", "b1", v), ("a1", "b2", -v), ("a1", "b2", -v),
+             ("a2", "b1", -v), ("a2", "b1", -v), ("a2", "b2", v), ("a2", "b2", v)]
+    rmin, rmid, rmax = _run_all(facts)
+    assert results_equal(rmin, rmid) and results_equal(rmin, rmax)
+    for role in ROLES:
+        assert set(rmin.slots[role].cells.values.tolist()) == {0}
+    assert rmid.strategy_used == "min" and rmax.strategy_used == "min"
+
+
+def test_overflow_in_a_facilitator_raises_under_every_strategy():
+    from cubelens.errors import SumOverflow
+    facts = [("a1", "b1", INT64_MAX), ("a1", "b1", INT64_MAX), ("a2", "b2", 3)]
+    cube = build_cube(_overflow_tables(facts))
+    aq = from_statement(parse(OVERFLOW_QUERY, cube.schema), cube)
+    fs = build_facilitators(aq)
+    for run in (lambda: run_min_mqo(fs), lambda: run_mid_mqo(aq, fs),
+                lambda: run_max_mqo(aq, fs)):
+        with pytest.raises(SumOverflow):
+            run()
+    # the other aggregates are unaffected
+    for agg in ("min", "max", "count"):
+        aq_agg = from_statement(parse(OVERFLOW_QUERY.replace("sum(m)", f"{agg}(m)"),
+                                      cube.schema), cube)
+        fs_agg = build_facilitators(aq_agg)
+        rmin = run_min_mqo(fs_agg)
+        assert results_equal(rmin, run_max_mqo(aq_agg, fs_agg))

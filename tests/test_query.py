@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from cubelens.errors import LevelOrderViolation, UsabilityViolation
+from cubelens.errors import DegradedStructure, LevelOrderViolation, UsabilityViolation
 from cubelens.hierarchy import desc
 from cubelens.mqo import build_all_encompassing, reaggregate
 from cubelens.analyze import build_facilitators
@@ -159,6 +159,44 @@ def test_random_queries_match_naive_group_by():
             q.agg,
         )
         assert decode_cells(cube, cells) == expect
+
+
+@pytest.mark.parametrize("agg", ["sum", "min", "max", "count"])
+def test_merged_queries_match_naive_group_by(agg):
+    # merged queries carry 4-6 groupers with several levels per dimension;
+    # the scan groups on the finest level of each and maps the rest up
+    from cubelens.mqo import build_org_dd_merged
+    from fixtures import build_oracles
+    rng = random.Random(71)
+    shapes = set()
+    for _ in range(300):
+        if len(shapes) >= 8 and {4, 5, 6} <= {n for n, _ in shapes}:
+            break
+        tables = random_tables(rng, max_facts=400)
+        cube = build_cube(tables)
+        oracles = build_oracles(tables)
+        aq = random_analyze(rng, cube, aggs=(agg,))
+        queries = [build_org_dd_merged(aq)]
+        try:
+            queries.append(build_all_encompassing(aq))
+        except DegradedStructure:
+            pass
+        for q in queries:
+            cells = execute_query(q)
+            expect = naive_execute(
+                tables.fact_rows,
+                tables.fact_measures["m"],
+                oracle_atoms(tables, oracles, q.condition, cube),
+                [(g.dimension_name, oracles[g.dimension_name], g.name) for g in q.groupers],
+                agg,
+            )
+            assert decode_cells(cube, cells) == expect
+            assert [c.dtype for c in cells.key_cols] == [np.int64] * len(q.groupers)
+            per_dim = max(sum(g.dimension_name == d for g in q.groupers)
+                          for d in q.grouper_dims())
+            shapes.add((len(q.groupers), per_dim))
+    assert {4, 5, 6} <= {n for n, _ in shapes}
+    assert max(k for _, k in shapes) >= 3
 
 
 def test_proxy_equivalence_on_random_queries():

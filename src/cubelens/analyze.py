@@ -86,19 +86,6 @@ class AnalyzeQuery:
     def atom(self, which: str) -> Optional[SelectionAtom]:
         return self.condition.atom_for(self.grouper(which).dimension_name)
 
-    @property
-    def atom_alpha(self) -> Optional[SelectionAtom]:
-        return self.atom("alpha")
-
-    @property
-    def atom_beta(self) -> Optional[SelectionAtom]:
-        return self.atom("beta")
-
-    def box_atoms(self) -> list[SelectionAtom]:
-        """Atoms on dimensions other than the two groupers."""
-        grouper_dims = {g.dimension_name for g in self.groupers}
-        return [a for a in self.condition if a.dimension_name not in grouper_dims]
-
     def original_query(self) -> CubeQuery:
         return CubeQuery(self.cube, self.condition, tuple(self.groupers),
                          self.measure_name, f"{self.measure_alias}_org", self.agg)
@@ -127,6 +114,10 @@ class FacilitatorSlot:
 
 @dataclass
 class FacilitatorSet:
+    """The five facilitators of one request: the only derivation of its
+    structure, which merged bases, the selector and the strategies read."""
+
+    request: AnalyzeQuery
     org: FacilitatorSlot
     sib_a: FacilitatorSlot
     sib_b: FacilitatorSlot
@@ -136,6 +127,21 @@ class FacilitatorSet:
     def slots(self) -> dict[str, FacilitatorSlot]:
         return {"org": self.org, "sibA": self.sib_a, "sibB": self.sib_b,
                 "ddA": self.dd_a, "ddB": self.dd_b}
+
+    @property
+    def missing(self) -> tuple[str, ...]:
+        """Roles that could not be derived (empty slots)."""
+        return tuple(role for role, slot in self.slots().items() if slot.empty)
+
+    def widened_condition(self) -> SelectionCondition:
+        """The original condition with the widened atom of every derived
+        sibling: the region of the all-encompassing query."""
+        condition = self.request.condition
+        for g, slot in zip(self.request.groupers, (self.sib_a, self.sib_b)):
+            if not slot.empty:
+                condition = condition.replacing(
+                    g.dimension_name, slot.query.condition.atom_for(g.dimension_name))
+        return condition
 
 
 @dataclass
@@ -172,27 +178,21 @@ class AnalyzeResult:
 # Facilitator derivation
 # ---------------------------------------------------------------------------
 
-def sibling_atom(aq: AnalyzeQuery, which) -> SelectionAtom:
-    """The widened filter: parent_level(filter level) = anc(filter value)."""
+def derive_sibling(aq: AnalyzeQuery, which) -> CubeQuery:
+    """Sibling query for one grouper dimension: widen that dimension's atom
+    to parent_level(filter level) = anc(filter value) and group at the
+    former filter level."""
+    idx = _which_index(which)
     atom = aq.atom(which)
     if atom is None:
         raise NoFilterAtom(
             f"no filter atom on grouper dimension {aq.grouper(which).dimension_name}"
         )
-    dim = aq.cube.schema.dimension(atom.dimension_name)
     if atom.level.is_all:
         raise NoParentLevel(f"filter level {atom.level!r} has no parent")
+    dim = aq.cube.schema.dimension(atom.dimension_name)
     parent = dim.parent_level(atom.level)
-    mother = anc(dim, atom.level, parent, atom.values[0])
-    return SelectionAtom(parent, (mother,))
-
-
-def derive_sibling(aq: AnalyzeQuery, which) -> CubeQuery:
-    """Sibling query for one grouper dimension: widen that dimension's atom
-    to the parent value and group at the former filter level."""
-    idx = _which_index(which)
-    atom = aq.atom(which)
-    widened = sibling_atom(aq, which)
+    widened = SelectionAtom(parent, (anc(dim, atom.level, parent, atom.values[0]),))
     condition = aq.condition.replacing(atom.dimension_name, widened)
     groupers = list(aq.groupers)
     groupers[idx] = atom.level
@@ -230,6 +230,7 @@ def build_facilitators(aq: AnalyzeQuery) -> FacilitatorSet:
     """Assemble the original plus the two siblings and two drill-downs,
     degrading underivable slots to empty-with-reason."""
     return FacilitatorSet(
+        request=aq,
         org=FacilitatorSlot("org", query=aq.original_query()),
         sib_a=_try_slot("sibA", lambda: derive_sibling(aq, "alpha")),
         sib_b=_try_slot("sibB", lambda: derive_sibling(aq, "beta")),

@@ -70,14 +70,12 @@ def run_analyze(
     stats = None
     effective = strategy
     if strategy == "auto":
-        stats = estimate_stats(aq)
+        stats = estimate_stats(fs)
         choice = choose_strategy(stats, selector_config)
         effective = choice.chosen
-    elif strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
     timing.construct_ns = time.perf_counter_ns() - t1
 
-    result = run_strategy(effective, aq, fs)
+    result = run_strategy(effective, fs)
     result.strategy_requested = strategy
     timing.facilitator_exec_ns = result.facilitator_exec_ns()
     timing.postprocess_ns = result.postprocess_ns
@@ -215,7 +213,7 @@ def run_workload(
     for wq in spec.queries:
         stmt = parse(wq.text, cube.schema)
         aq = from_statement(stmt, cube)
-        stats = estimate_stats(aq)
+        stats = estimate_stats(build_facilitators(aq))
 
         # Oracle result for the equivalence flag (also warms the caches).
         oracle = run_analyze(cube, aq, strategy="min")

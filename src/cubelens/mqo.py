@@ -1,10 +1,12 @@
 """Three provably-equivalent execution strategies for one ANALYZE request.
 
 A strategy is a plan: an optional merged base query plus the facilitator
-roles derived from its result.  One executor runs every plan.  It scans the
-base once, scans every other non-empty facilitator directly, and answers each
-derived role with reaggregate(), the rewrite of a query over a usable base
-(cube_usable is checked on every call).
+roles derived from its result.  run_strategy(name, fs) runs every plan.  It
+scans the base once, scans every other non-empty facilitator directly, and
+answers each derived role with reaggregate(), the rewrite of a query over a
+usable base (cube_usable is checked on every call).  Merged bases derive
+nothing themselves: they take their groupers and widened atoms from the
+facilitator set's slot queries.
 
 * Min-MQO has no base: the five facilitators are scanned directly (5 fact
   scans, no post-processing).
@@ -14,7 +16,8 @@ derived role with reaggregate(), the rewrite of a query over a usable base
 * Max-MQO builds one all-encompassing base whose condition widens both
   grouper-dimension atoms to their parent values and whose groupers carry
   the drill-down, original and filter levels; all five roles derive from it
-  (1 fact scan).  It falls back to Mid-MQO when that structure is missing.
+  (1 fact scan).  It falls back to Mid-MQO when a facilitator is missing
+  (fs.missing).
 
 Deriving folds partial aggregates: sum/min/max fold with themselves, count
 adds partial counts.  Folds are order-independent, so all three strategies
@@ -36,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .aggregate import group_reduce
-from .analyze import ROLES, AnalyzeQuery, AnalyzeResult, FacilitatorSet, SlotResult, sibling_atom
+from .analyze import ROLES, AnalyzeResult, FacilitatorSet, SlotResult
 from .errors import DegradedStructure, SumOverflow, UsabilityViolation
 from .hierarchy import Level
 from .query import (
@@ -51,9 +54,6 @@ from .query import (
     finest_groupers,
 )
 
-STRATEGIES = ("min", "mid", "max")
-
-
 # ---------------------------------------------------------------------------
 # Merged base queries
 # ---------------------------------------------------------------------------
@@ -66,48 +66,35 @@ def _distinct_levels(levels: list[Level]) -> tuple[Level, ...]:
     return tuple(seen.values())
 
 
-def build_all_encompassing(aq: AnalyzeQuery) -> CubeQuery:
-    """The single query that can answer all five facilitators: sibling-style
+def build_all_encompassing(fs: FacilitatorSet) -> CubeQuery:
+    """The single query that can answer all five facilitators: both siblings'
     widened atoms, and groupers covering the drill-down levels, the original
-    grouper levels and both filter levels."""
-    atom_a, atom_b = aq.atom_alpha, aq.atom_beta
-    if atom_a is None or atom_b is None:
-        raise DegradedStructure("both grouper dimensions need a filter atom")
-    if atom_a.level.is_all or atom_b.level.is_all:
-        raise DegradedStructure("a filter at ALL has no parent to widen to")
+    grouper levels and both filter levels (the siblings' groupers)."""
+    if fs.missing:
+        raise DegradedStructure(f"missing facilitators: {', '.join(fs.missing)}")
+    aq = fs.request
     g_a, g_b = aq.groupers
-    if g_a.depth == 0 or g_b.depth == 0:
-        raise DegradedStructure("a grouper at the most detailed level cannot drill down")
-
-    schema = aq.cube.schema
-    star_a = sibling_atom(aq, "alpha")
-    star_b = sibling_atom(aq, "beta")
-    condition = (aq.condition
-                 .replacing(atom_a.dimension_name, star_a)
-                 .replacing(atom_b.dimension_name, star_b))
-
-    levels = [
-        schema.dimension(g_a.dimension_name).child_level(g_a),
-        schema.dimension(g_b.dimension_name).child_level(g_b),
-        g_a, g_b, atom_a.level, atom_b.level,
-    ]
+    filter_a, filter_b = fs.sib_a.query.groupers[0], fs.sib_b.query.groupers[1]
+    condition = fs.widened_condition()
+    levels = [fs.dd_a.query.groupers[0], fs.dd_b.query.groupers[1],
+              g_a, g_b, filter_a, filter_b]
     # When the filter sits at the grouper level itself, the widened filter's
     # level is carried as an extra (constant-valued) grouper, mirroring the
     # merged query's published shape.
-    if atom_a.level.depth == g_a.depth and not star_a.level.is_all:
-        levels.append(star_a.level)
-    if atom_b.level.depth == g_b.depth and not star_b.level.is_all:
-        levels.append(star_b.level)
+    for g, level in ((g_a, filter_a), (g_b, filter_b)):
+        widened = condition.atom_for(g.dimension_name).level
+        if level.depth == g.depth and not widened.is_all:
+            levels.append(widened)
     return CubeQuery(aq.cube, condition, _distinct_levels(levels), aq.measure_name,
                      f"{aq.measure_alias}_all", aq.agg)
 
 
-def build_org_dd_merged(aq: AnalyzeQuery) -> CubeQuery:
+def build_org_dd_merged(fs: FacilitatorSet) -> CubeQuery:
     """The original-and-drill-down merged query: original condition, original
     groupers plus the one-level-down grouper of each drillable side."""
-    schema = aq.cube.schema
-    drilled = [schema.dimension(g.dimension_name).child_level(g)
-               for g in aq.groupers if g.depth > 0]
+    aq = fs.request
+    drilled = [slot.query.groupers[i] for i, slot in enumerate((fs.dd_a, fs.dd_b))
+               if not slot.empty]
     return CubeQuery(aq.cube, aq.condition, _distinct_levels(drilled + list(aq.groupers)),
                      aq.measure_name, f"{aq.measure_alias}_orgdd", aq.agg)
 
@@ -205,34 +192,43 @@ def _execute_plan(fs: FacilitatorSet, base: Optional[CubeQuery],
                          postprocess_ns=post_ns, merged_exec_ns=merged.exec_ns)
 
 
-def run_min_mqo(fs: FacilitatorSet) -> AnalyzeResult:
-    """Execute every derivable facilitator directly; no post-processing."""
-    return _execute_plan(fs, None, (), "min")
+# Each plan: the builder of its merged base (None: no base) and the roles
+# answered from that base.  Max's base needs all five roles; without them
+# run_strategy falls back to Mid.
+_PLANS = {
+    "min": (None, ()),
+    "mid": (build_org_dd_merged, ("org", "ddA", "ddB")),
+    "max": (build_all_encompassing, ROLES),
+}
+STRATEGIES = tuple(_PLANS)
 
 
-def run_mid_mqo(aq: AnalyzeQuery, fs: FacilitatorSet) -> AnalyzeResult:
-    """One merged original-and-drill-down query plus the two siblings."""
-    return _execute_plan(fs, build_org_dd_merged(aq), ("org", "ddA", "ddB"), "mid")
-
-
-def run_max_mqo(aq: AnalyzeQuery, fs: FacilitatorSet) -> AnalyzeResult:
-    """Single all-encompassing query answering all five roles.  Falls back to
-    Mid-MQO when the required structure is missing."""
+def run_strategy(name: str, fs: FacilitatorSet) -> AnalyzeResult:
+    """Run the named strategy's plan over the facilitator set."""
+    if name not in _PLANS:
+        raise ValueError(f"unknown strategy {name!r}")
+    build, derived = _PLANS[name]
     try:
-        base = build_all_encompassing(aq)
+        base = build(fs) if build is not None else None
     except DegradedStructure as exc:
-        result = run_mid_mqo(aq, fs)
-        result.strategy_requested = "max"
+        result = run_strategy("mid", fs)
+        result.strategy_requested = name
         result.fallback_reason = str(exc)
         return result
-    return _execute_plan(fs, base, ROLES, "max")
+    return _execute_plan(fs, base, derived, name)
 
 
-def run_strategy(name: str, aq: AnalyzeQuery, fs: FacilitatorSet) -> AnalyzeResult:
-    if name == "min":
-        return run_min_mqo(fs)
-    if name == "mid":
-        return run_mid_mqo(aq, fs)
-    if name == "max":
-        return run_max_mqo(aq, fs)
-    raise ValueError(f"unknown strategy {name!r}")
+def run_min_mqo(fs: FacilitatorSet) -> AnalyzeResult:
+    """Execute every derivable facilitator directly; no post-processing."""
+    return run_strategy("min", fs)
+
+
+def run_mid_mqo(fs: FacilitatorSet) -> AnalyzeResult:
+    """One merged original-and-drill-down query plus the two siblings."""
+    return run_strategy("mid", fs)
+
+
+def run_max_mqo(fs: FacilitatorSet) -> AnalyzeResult:
+    """Single all-encompassing query answering all five roles; Mid-MQO when
+    a facilitator is missing."""
+    return run_strategy("max", fs)

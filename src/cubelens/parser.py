@@ -24,6 +24,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
+from .aggregate import AGG_FUNCTIONS
 from .analyze import check_analyze_shape
 from .cube import CubeSchema
 from .errors import (
@@ -32,7 +33,6 @@ from .errors import (
 )
 from .hierarchy import Level
 
-AGG_TOKENS = ("sum", "min", "max", "count")
 KEYWORDS = {"analyze", "as", "from", "for", "and", "group", "by", "in"}
 
 _TOKEN_RE = re.compile(
@@ -148,9 +148,9 @@ class _Parser:
     def parse(self) -> AnalyzeStatement:
         self.expect_keyword("analyze")
         agg_tok = self.peek()
-        if not (agg_tok.kind == "word" and agg_tok.text.lower() in AGG_TOKENS):
+        if not (agg_tok.kind == "word" and agg_tok.text.lower() in AGG_FUNCTIONS):
             self.error(f"expected an aggregate function, got {agg_tok.text!r}",
-                       agg_tok, expected=AGG_TOKENS)
+                       agg_tok, expected=AGG_FUNCTIONS)
         agg = self.advance().text.lower()
         self.expect_sym("(")
         measure = self.expect_word("a measure name").text

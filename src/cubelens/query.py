@@ -356,6 +356,14 @@ def cube_usable(q_base: CubeQuery, q_new: CubeQuery):
                 continue
             if a_base is None or a_base.level.is_all:
                 continue  # base unconstrained: grouper domain is the full level
+            if a_base.level.depth < base_level.depth:
+                # The base cells carry no coordinate at the base atom's level,
+                # so its restriction cannot be compared with the target's.
+                vi_problems.append(
+                    f"base atom on {dim_name} at {a_base.level!r} sits below the base "
+                    f"schema level {base_level!r}"
+                )
+                continue
             lifted = (_lift_values(dim, a_new.level, a_new.values, base_level.depth)
                       if a_new is not None else
                       np.arange(base_level.member_count, dtype=np.int64))

@@ -3,7 +3,9 @@
 The costs that matter are fact-table touches.  We count, exactly, the rows
 matched by the detailed filter regions of the original query, the two
 sibling queries and the all-encompassing query (cheap popcounts over the
-cached filter bitsets, which the subsequent execution reuses).  Max-MQO is
+cached filter bitsets, which the subsequent execution reuses).  The regions
+are the slot conditions of the request's FacilitatorSet, and the sibling
+union is counted from the other three, without a union mask.  Max-MQO is
 picked only when the sibling regions jointly cover a large share of the
 all-encompassing region (they overlap enough for the single scan to pay off)
 and the two sibling regions are not too imbalanced.  Everything else runs
@@ -12,9 +14,10 @@ and as the correctness oracle.
 
 When a sibling cannot be derived (no filter atom, or a filter at ALL), the
 widening is vacuous and that region falls back to the original condition's
-region; the slot is flagged as degraded and the selector then stays on
-Mid-MQO.  This keeps the containment chain
-facts_org <= facts_sA/facts_sB <= facts_A <= row_count valid for every query.
+region; the slot is flagged as degraded, as is "all" whenever any
+facilitator is missing, and the selector then stays on Mid-MQO.  This keeps
+the containment chain facts_org <= facts_sA/facts_sB <= facts_A <= row_count
+valid for every query.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analyze import AnalyzeQuery, sibling_atom
-from .errors import NoFilterAtom, NoParentLevel
+from .analyze import FacilitatorSet
 
 DEFAULT_COVERAGE_THRESHOLD = 0.40
 DEFAULT_IMBALANCE_THRESHOLD = 0.45
@@ -63,42 +65,29 @@ class StrategyChoice:
     reason: str
 
 
-def estimate_stats(aq: AnalyzeQuery) -> CostStats:
+def estimate_stats(fs: FacilitatorSet) -> CostStats:
     """Exact region sizes via cached filter bitsets; no sampling."""
-    degraded = []
+    org = fs.org.query.condition
+    cond_a = org if fs.sib_a.empty else fs.sib_a.query.condition
+    cond_b = org if fs.sib_b.empty else fs.sib_b.query.condition
+    cube = fs.request.cube
 
-    def widened(which, role):
-        try:
-            return sibling_atom(aq, which)
-        except (NoFilterAtom, NoParentLevel):
-            degraded.append(role)
-            return None
+    def count(condition) -> int:
+        return int(np.count_nonzero(cube.condition_mask(condition.mask_atoms())))
 
-    star_a = widened("alpha", "sibA")
-    star_b = widened("beta", "sibB")
-    g_a, g_b = aq.groupers
-    if g_a.depth == 0 or g_b.depth == 0 or star_a is None or star_b is None:
-        degraded.append("all")
-
-    cond_org = aq.condition
-    cond_a = cond_org.replacing(g_a.dimension_name, star_a) if star_a else cond_org
-    cond_b = cond_org.replacing(g_b.dimension_name, star_b) if star_b else cond_org
-    cond_all = cond_a.replacing(g_b.dimension_name, star_b) if star_b else cond_a
-
-    cube = aq.cube
-    mask_org = cube.condition_mask(cond_org.mask_atoms())
-    mask_a = cube.condition_mask(cond_a.mask_atoms())
-    mask_b = cube.condition_mask(cond_b.mask_atoms())
-    mask_all = cube.condition_mask(cond_all.mask_atoms())
-
+    facts_org, facts_a, facts_b = count(org), count(cond_a), count(cond_b)
+    missing = fs.missing
+    degraded = tuple(role for role in ("sibA", "sibB") if role in missing)
     return CostStats(
-        facts_org=int(np.count_nonzero(mask_org)),
-        facts_sib_a=int(np.count_nonzero(mask_a)),
-        facts_sib_b=int(np.count_nonzero(mask_b)),
-        facts_all=int(np.count_nonzero(mask_all)),
-        sibling_union=int(np.count_nonzero(mask_a | mask_b)),
+        facts_org=facts_org,
+        facts_sib_a=facts_a,
+        facts_sib_b=facts_b,
+        facts_all=count(fs.widened_condition()),
+        # Each sibling widens one atom and keeps the other, so the two
+        # regions intersect exactly in the original's region.
+        sibling_union=facts_a + facts_b - facts_org,
         row_count=cube.row_count,
-        degraded=tuple(dict.fromkeys(degraded)),
+        degraded=degraded + (("all",) if missing else ()),
     )
 
 

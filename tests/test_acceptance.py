@@ -73,8 +73,8 @@ def test_criterion_1_strategy_equivalence():
             aq = random_analyze(rng, cube, aggs=(agg,))
             fs = build_facilitators(aq)
             rmin = run_min_mqo(fs)
-            rmid = run_mid_mqo(aq, fs)
-            rmax = run_max_mqo(aq, fs)
+            rmid = run_mid_mqo(fs)
+            rmax = run_max_mqo(fs)
             assert results_equal_exact(rmin, rmid), f"mid diverged on {aq}"
             assert results_equal_exact(rmin, rmax), f"max diverged on {aq}"
             agg_seen[agg] += 1
@@ -111,7 +111,7 @@ def test_criterion_2_worked_examples(foodmart_cube, walkthrough_cube):
         assert atom(slot.query, "Promo") == ("Media", "Daily Paper")
 
     w_aq = from_statement(parse(WALKTHROUGH_QUERY, walkthrough_cube.schema), walkthrough_cube)
-    merged = build_all_encompassing(w_aq)
+    merged = build_all_encompassing(build_facilitators(w_aq))
     w_atoms = {a.dimension_name: (a.level.name,
                                   walkthrough_cube.schema.dimension(a.dimension_name)
                                   .member_label(a.level, a.values[0]))
@@ -121,7 +121,7 @@ def test_criterion_2_worked_examples(foodmart_cube, walkthrough_cube):
     assert [g.name for g in merged.groupers] == [
         "City", "Month", "State", "Quarter", "Country", "Year"]
 
-    mid = build_org_dd_merged(w_aq)
+    mid = build_org_dd_merged(build_facilitators(w_aq))
     m_atoms = {a.dimension_name: (a.level.name,
                                   walkthrough_cube.schema.dimension(a.dimension_name)
                                   .member_label(a.level, a.values[0]))
@@ -144,11 +144,11 @@ def test_criterion_3_usability_predicate():
         tables = random_tables(rng, max_dims=4, max_facts=50)
         cube = build_cube(tables)
         aq = random_analyze(rng, cube)
+        fs = build_facilitators(aq)
         try:
-            merged = build_all_encompassing(aq)
+            merged = build_all_encompassing(fs)
         except DegradedStructure:
             continue
-        fs = build_facilitators(aq)
         base = merged
         for slot in fs.slots().values():
             report = cube_usable(base, slot.query)
@@ -201,8 +201,8 @@ def test_criterion_4_store_access_counts(foodmart_cube):
     fs = build_facilitators(aq)
     observed = {}
     for name, run in (("min", lambda: run_min_mqo(fs)),
-                      ("mid", lambda: run_mid_mqo(aq, fs)),
-                      ("max", lambda: run_max_mqo(aq, fs))):
+                      ("mid", lambda: run_mid_mqo(fs)),
+                      ("max", lambda: run_max_mqo(fs))):
         before = foodmart_cube.exec_stats.fact_scans
         result = run()
         observed[name] = foodmart_cube.exec_stats.fact_scans - before
@@ -215,14 +215,14 @@ def test_criterion_4_store_access_counts(foodmart_cube):
         tables = random_tables(rng, max_facts=200)
         cube = build_cube(tables)
         aq = random_analyze(rng, cube)
+        fs = build_facilitators(aq)
         try:
-            build_all_encompassing(aq)
+            build_all_encompassing(fs)
         except DegradedStructure:
             continue
-        fs = build_facilitators(aq)
         for name, expected, run in (("min", 5, lambda: run_min_mqo(fs)),
-                                    ("mid", 3, lambda: run_mid_mqo(aq, fs)),
-                                    ("max", 1, lambda: run_max_mqo(aq, fs))):
+                                    ("mid", 3, lambda: run_mid_mqo(fs)),
+                                    ("max", 1, lambda: run_max_mqo(fs))):
             before = cube.exec_stats.fact_scans
             run()
             assert cube.exec_stats.fact_scans - before == expected, name
@@ -263,7 +263,7 @@ def test_criterion_5_selector_rule():
         cube = build_cube(tables)
         for _ in range(10):
             aq = random_analyze(rng, cube)
-            s = estimate_stats(aq)
+            s = estimate_stats(build_facilitators(aq))
             assert s.facts_org <= s.facts_sib_a <= s.facts_all
             assert s.facts_org <= s.facts_sib_b <= s.facts_all
             assert max(s.facts_sib_a, s.facts_sib_b) <= s.sibling_union <= s.facts_all
@@ -329,7 +329,7 @@ def _sweep_queries(cube):
         text = (f"ANALYZE sum(amount) FROM sweep "
                 f"FOR {d1.name}.{la.name} = '{va}' AND {d2.name}.{lb.name} = '{vb}' "
                 f"GROUP BY {d1.name}.{la.name}, {d2.name}.{lb.name}")
-        stats = estimate_stats(from_statement(parse(text, cube.schema), cube))
+        stats = estimate_stats(build_facilitators(from_statement(parse(text, cube.schema), cube)))
         queries.append((stats.facts_org, stats.facts_all, text))
     queries.sort(key=lambda q: q[0])
     return queries

@@ -1,5 +1,10 @@
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
+from cubelens.analyze import ROLES
 from cubelens.bench import (
     WorkloadSpec,
     decode_cells,
@@ -9,9 +14,10 @@ from cubelens.bench import (
     write_report,
     write_result_files,
 )
+from cubelens.query import cell_sets_equal
 from cubelens.selector import SelectorConfig
 
-from fixtures import REFERENCE_QUERY, WALKTHROUGH_QUERY
+from fixtures import REFERENCE_QUERY, WALKTHROUGH_QUERY, build_cube, random_analyze, random_tables
 
 
 def test_timing_breakdown_sums(foodmart_cube):
@@ -120,3 +126,40 @@ def test_bad_workload_rejected(tmp_path):
     bad.write_text('{"queries": [{"text": "x", "repetitions": 0}]}')
     with pytest.raises(ParseError):
         WorkloadSpec.load(bad)
+
+
+def test_concurrent_readers_match_serial():
+    """Four threads run the same requests on one fresh cube, racing to fill
+    its mask and descendant caches; every result equals the serial one.
+    ExecStats.fact_scans is not checked: its ``+= 1`` is not atomic, so
+    concurrent scans may lose counts."""
+    tables = random_tables(random.Random(151), max_facts=2000)
+    strategies = ("auto", "min", "mid", "max")
+
+    def answers(cube, order_seed):
+        rng = random.Random(157)  # the same 20 requests on every cube
+        requests = [random_analyze(rng, cube) for _ in range(20)]
+        jobs = [(i, s) for i in range(len(requests)) for s in strategies]
+        random.Random(order_seed).shuffle(jobs)
+        return {(i, s): run_analyze(cube, requests[i], strategy=s) for i, s in jobs}
+
+    serial = answers(build_cube(tables), 0)
+    shared = build_cube(tables)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(answers, shared, seed) for seed in range(1, 5)]
+            threaded = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+
+    for results in threaded:
+        assert results.keys() == serial.keys()
+        for key, result in results.items():
+            expect = serial[key]
+            assert result.strategy_used == expect.strategy_used, key
+            for role in ROLES:
+                a, b = result.slots[role].cells, expect.slots[role].cells
+                assert (a is None) == (b is None), (key, role)
+                assert a is None or cell_sets_equal(a, b), (key, role)

@@ -103,7 +103,7 @@ def test_update_map_order_independent(values, agg, rnd):
 # ---------------------------------------------------------------------------
 
 def test_all_encompassing_walkthrough_shape(walkthrough_aq):
-    q = build_all_encompassing(walkthrough_aq)
+    q = build_all_encompassing(build_facilitators(walkthrough_aq))
     atoms = {a.dimension_name: a for a in q.condition}
     geo = walkthrough_aq.cube.schema.dimension("Geo")
     date = walkthrough_aq.cube.schema.dimension("Date")
@@ -116,7 +116,7 @@ def test_all_encompassing_walkthrough_shape(walkthrough_aq):
 
 
 def test_all_encompassing_reference_shape(reference_aq):
-    q = build_all_encompassing(reference_aq)
+    q = build_all_encompassing(build_facilitators(reference_aq))
     assert [g.name for g in q.groupers] == [
         "Day", "CustomerId", "Month", "customerRegion", "Quarter", "State"]
     atoms = {a.dimension_name: (a.level.name,) for a in q.condition}
@@ -126,7 +126,7 @@ def test_all_encompassing_reference_shape(reference_aq):
 
 
 def test_org_dd_merged_walkthrough_shape(walkthrough_aq):
-    q = build_org_dd_merged(walkthrough_aq)
+    q = build_org_dd_merged(build_facilitators(walkthrough_aq))
     assert [g.name for g in q.groupers] == ["City", "Month", "State", "Quarter"]
     atoms = {a.dimension_name: a.level.name for a in q.condition}
     assert atoms == {"Geo": "State", "Date": "Quarter"}
@@ -138,7 +138,7 @@ def test_org_dd_merged_collapses_without_drilldowns(foodmart_cube):
     aq = AnalyzeQuery(foodmart_cube, SelectionCondition([]),
                       (date.level("Day"), store.level("StoreId")),
                       "unit_sales", "u", "sum")
-    merged = build_org_dd_merged(aq)
+    merged = build_org_dd_merged(build_facilitators(aq))
     assert [g.name for g in merged.groupers] == ["Day", "StoreId"]
 
 
@@ -153,7 +153,7 @@ def test_all_encompassing_degraded_cases(foodmart_cube):
         (date.level("Day"), cust.level("customerRegion")),
         "unit_sales", "u", "sum")
     with pytest.raises(DegradedStructure):
-        build_all_encompassing(aq)
+        build_all_encompassing(build_facilitators(aq))
     # missing atom
     aq2 = AnalyzeQuery(
         foodmart_cube,
@@ -161,7 +161,7 @@ def test_all_encompassing_degraded_cases(foodmart_cube):
         (date.level("Month"), cust.level("customerRegion")),
         "unit_sales", "u", "sum")
     with pytest.raises(DegradedStructure):
-        build_all_encompassing(aq2)
+        build_all_encompassing(build_facilitators(aq2))
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +199,10 @@ def test_store_query_counts(reference_aq):
         runner(fs)
         assert cube.exec_stats.fact_scans - before == expected
     before = cube.exec_stats.fact_scans
-    run_mid_mqo(reference_aq, fs)
+    run_mid_mqo(fs)
     assert cube.exec_stats.fact_scans - before == 3
     before = cube.exec_stats.fact_scans
-    run_max_mqo(reference_aq, fs)
+    run_max_mqo(fs)
     assert cube.exec_stats.fact_scans - before == 1
 
 
@@ -214,7 +214,7 @@ def test_max_falls_back_to_mid_on_degraded(foodmart_cube):
                       (date.level("Month"), cust.level("State")),
                       "unit_sales", "u", "sum")
     fs = build_facilitators(aq)
-    result = run_max_mqo(aq, fs)
+    result = run_max_mqo(fs)
     assert result.strategy_requested == "max"
     assert result.strategy_used == "mid"
     assert result.fallback_reason
@@ -246,7 +246,7 @@ def test_empty_all_encompassing_gives_empty_results(walkthrough_cube):
                       (d1.level("A1"), d2.level("B1")),
                       "m", "m", "sum")
     fs = build_facilitators(aq)
-    result = run_max_mqo(aq, fs)
+    result = run_max_mqo(fs)
     assert result.strategy_used == "max"
     assert len(result.slots["org"].cells) == 0
     assert len(result.slots["ddA"].cells) == 0
@@ -264,8 +264,8 @@ def test_strategies_agree_on_empty_cube():
     aq = random_analyze(rng, cube)
     fs = build_facilitators(aq)
     rmin = run_min_mqo(fs)
-    assert results_equal(rmin, run_mid_mqo(aq, fs))
-    assert results_equal(rmin, run_max_mqo(aq, fs))
+    assert results_equal(rmin, run_mid_mqo(fs))
+    assert results_equal(rmin, run_max_mqo(fs))
     assert all(s.cells is None or len(s.cells) == 0 for s in rmin.slots.values())
 
 
@@ -274,8 +274,8 @@ def test_walkthrough_equivalence_filter_at_grouper_level(walkthrough_aq):
     # filter levels as constant extra groupers
     fs = build_facilitators(walkthrough_aq)
     rmin = run_min_mqo(fs)
-    assert results_equal(rmin, run_mid_mqo(walkthrough_aq, fs))
-    rmax = run_max_mqo(walkthrough_aq, fs)
+    assert results_equal(rmin, run_mid_mqo(fs))
+    rmax = run_max_mqo(fs)
     assert rmax.strategy_used == "max"
     assert results_equal(rmin, rmax)
 
@@ -292,7 +292,7 @@ def test_org_dd_merged_reaggregates_to_each_slot():
         if aq.groupers[0].depth == 0 or aq.groupers[1].depth == 0:
             continue
         fs = build_facilitators(aq)
-        merged = build_org_dd_merged(aq)
+        merged = build_org_dd_merged(fs)
         base_cells = execute_query(merged)
         for slot in (fs.org, fs.dd_a, fs.dd_b):
             direct = execute_query(slot.query)
@@ -310,8 +310,8 @@ def test_strategy_equivalence_random_smoke():
         aq = random_analyze(rng, cube)
         fs = build_facilitators(aq)
         rmin = run_min_mqo(fs)
-        rmid = run_mid_mqo(aq, fs)
-        rmax = run_max_mqo(aq, fs)
+        rmid = run_mid_mqo(fs)
+        rmax = run_max_mqo(fs)
         assert results_equal(rmin, rmid)
         assert results_equal(rmin, rmax)
         if rmax.strategy_used == "max":
@@ -331,11 +331,11 @@ def test_distribution_completeness_with_count():
         aq = random_analyze(rng, cube, aggs=("count",))
         fs = build_facilitators(aq)
         try:
-            build_all_encompassing(aq)
+            build_all_encompassing(fs)
         except DegradedStructure:
             continue
-        stats = estimate_stats(aq)
-        result = run_max_mqo(aq, fs)
+        stats = estimate_stats(fs)
+        result = run_max_mqo(fs)
         assert result.strategy_used == "max"
         totals = {role: sum(v for _, v in result.slots[role].cells.items())
                   for role in ROLES}
@@ -353,7 +353,7 @@ def _distribute_by_tuple(aq, merged, cells):
     filter-level coordinates pass."""
     col = {(g.dimension_name, g.depth): i for i, g in enumerate(merged.groupers)}
     g_a, g_b = aq.groupers
-    alpha, beta = aq.atom_alpha, aq.atom_beta
+    alpha, beta = aq.atom("alpha"), aq.atom("beta")
 
     def at(level):
         return col[(level.dimension_name, level.depth)]
@@ -386,12 +386,13 @@ def test_max_matches_per_tuple_distribution_oracle(agg):
         tables = random_tables(rng, max_facts=400)
         cube = build_cube(tables)
         aq = random_analyze(rng, cube, aggs=(agg,))
+        fs = build_facilitators(aq)
         try:
-            merged = build_all_encompassing(aq)
+            merged = build_all_encompassing(fs)
         except DegradedStructure:
             continue
         maps = _distribute_by_tuple(aq, merged, execute_query(merged))
-        result = run_max_mqo(aq, build_facilitators(aq))
+        result = run_max_mqo(fs)
         assert result.strategy_used == "max"
         for role in ROLES:
             assert result.slots[role].cells.as_dict() == maps[role].as_dict(), role
@@ -425,7 +426,7 @@ def _run_all(facts):
     cube = build_cube(_overflow_tables(facts))
     aq = from_statement(parse(OVERFLOW_QUERY, cube.schema), cube)
     fs = build_facilitators(aq)
-    return run_min_mqo(fs), run_mid_mqo(aq, fs), run_max_mqo(aq, fs)
+    return run_min_mqo(fs), run_mid_mqo(fs), run_max_mqo(fs)
 
 
 def test_overflow_only_outside_the_facilitators_is_no_error():
@@ -459,8 +460,8 @@ def test_overflow_in_a_facilitator_raises_under_every_strategy():
     cube = build_cube(_overflow_tables(facts))
     aq = from_statement(parse(OVERFLOW_QUERY, cube.schema), cube)
     fs = build_facilitators(aq)
-    for run in (lambda: run_min_mqo(fs), lambda: run_mid_mqo(aq, fs),
-                lambda: run_max_mqo(aq, fs)):
+    for run in (lambda: run_min_mqo(fs), lambda: run_mid_mqo(fs),
+                lambda: run_max_mqo(fs)):
         with pytest.raises(SumOverflow):
             run()
     # the other aggregates are unaffected
@@ -469,4 +470,4 @@ def test_overflow_in_a_facilitator_raises_under_every_strategy():
                                       cube.schema), cube)
         fs_agg = build_facilitators(aq_agg)
         rmin = run_min_mqo(fs_agg)
-        assert results_equal(rmin, run_max_mqo(aq_agg, fs_agg))
+        assert results_equal(rmin, run_max_mqo(fs_agg))

@@ -176,9 +176,10 @@ def test_merged_queries_match_naive_group_by(agg):
         cube = build_cube(tables)
         oracles = build_oracles(tables)
         aq = random_analyze(rng, cube, aggs=(agg,))
-        queries = [build_org_dd_merged(aq)]
+        fs = build_facilitators(aq)
+        queries = [build_org_dd_merged(fs)]
         try:
-            queries.append(build_all_encompassing(aq))
+            queries.append(build_all_encompassing(fs))
         except DegradedStructure:
             pass
         for q in queries:
@@ -274,7 +275,7 @@ def test_usable_reflexive(foodmart_cube):
 def test_all_encompassing_usable_for_facilitators(foodmart_cube):
     aq = reference_aq(foodmart_cube)
     fs = build_facilitators(aq)
-    merged = build_all_encompassing(aq)
+    merged = build_all_encompassing(fs)
     for role, slot in fs.slots().items():
         report = cube_usable(merged, slot.query)
         assert report.usable, (role, report.conditions)
@@ -314,6 +315,20 @@ def test_usable_fails_on_extra_atom(foodmart_cube):
     assert "vi" in report.failed
 
 
+def test_usable_fails_on_dropped_atom_below_base_levels(foodmart_cube):
+    # the base filters Promo at Media but does not group on Promo, so its
+    # cells cannot be re-filtered to the target's unrestricted Promo
+    aq = reference_aq(foodmart_cube)
+    base = aq.original_query()
+    wider = CubeQuery(base.cube, base.condition.replacing("Promo", None),
+                      base.groupers, base.measure_name, "x", base.agg)
+    report = cube_usable(base, wider)
+    assert not report.usable
+    assert report.failed == ("vi",)
+    with pytest.raises(UsabilityViolation):
+        reaggregate(execute_query(base), wider, base)
+
+
 def test_reaggregate_identity(foodmart_cube):
     aq = reference_aq(foodmart_cube)
     q = aq.original_query()
@@ -345,11 +360,11 @@ def test_reaggregate_random_usable_pairs():
         tables = random_tables(rng, max_facts=400)
         cube = build_cube(tables)
         aq = random_analyze(rng, cube)
+        fs = build_facilitators(aq)
         try:
-            merged = build_all_encompassing(aq)
+            merged = build_all_encompassing(fs)
         except Exception:
             continue
-        fs = build_facilitators(aq)
         base_cells = execute_query(merged)
         for slot in fs.slots().values():
             if slot.query is None:

@@ -1,8 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
-from cubelens.analyze import AnalyzeQuery, from_statement
+from cubelens.analyze import AnalyzeQuery, build_facilitators, from_statement
 from cubelens.parser import parse
 from cubelens.query import SelectionCondition
 from cubelens.selector import (
@@ -84,7 +85,7 @@ def test_choice_is_deterministic():
 
 def test_stats_reference_query(foodmart, foodmart_cube, foodmart_oracles):
     aq = from_statement(parse(REFERENCE_QUERY, foodmart_cube.schema), foodmart_cube)
-    stats = estimate_stats(aq)
+    stats = estimate_stats(build_facilitators(aq))
 
     def count(atom_spec):
         return len(naive_filter(foodmart.fact_rows, atom_spec))
@@ -107,7 +108,7 @@ def test_stats_unfiltered_query_touches_everything(foodmart_cube):
     aq = AnalyzeQuery(foodmart_cube, SelectionCondition([]),
                       (date.level("Month"), cust.level("State")),
                       "unit_sales", "u", "sum")
-    stats = estimate_stats(aq)
+    stats = estimate_stats(build_facilitators(aq))
     n = foodmart_cube.row_count
     assert (stats.facts_org, stats.facts_sib_a, stats.facts_sib_b, stats.facts_all) == \
         (n, n, n, n)
@@ -120,11 +121,17 @@ def test_stats_containment_on_random_queries():
         tables = random_tables(rng, max_facts=400)
         cube = build_cube(tables)
         aq = random_analyze(rng, cube)
-        s = estimate_stats(aq)
+        fs = build_facilitators(aq)
+        s = estimate_stats(fs)
         assert s.facts_org <= s.facts_sib_a
         assert s.facts_org <= s.facts_sib_b
         assert max(s.facts_sib_a, s.facts_sib_b) <= s.sibling_union <= s.facts_all
         assert s.facts_all <= s.row_count
+        # estimate_stats counts the union without a union mask: pin it to one
+        # (a missing sibling's region is the original's)
+        regions = [fs.org if slot.empty else slot for slot in (fs.sib_a, fs.sib_b)]
+        mask_a, mask_b = [cube.condition_mask(r.query.condition.mask_atoms()) for r in regions]
+        assert s.sibling_union == np.count_nonzero(mask_a | mask_b)
 
 
 def test_stats_random_against_naive_scan():
@@ -135,7 +142,7 @@ def test_stats_random_against_naive_scan():
         cube = build_cube(tables)
         oracles = build_oracles(tables)
         aq = random_analyze(rng, cube)
-        stats = estimate_stats(aq)
+        stats = estimate_stats(build_facilitators(aq))
         atoms = []
         for atom in aq.condition:
             dim = cube.schema.dimension(atom.dimension_name)
@@ -151,7 +158,7 @@ def test_coverage_and_imbalance_ranges():
         tables = random_tables(rng, max_facts=300)
         cube = build_cube(tables)
         aq = random_analyze(rng, cube)
-        choice = choose_strategy(estimate_stats(aq))
+        choice = choose_strategy(estimate_stats(build_facilitators(aq)))
         assert 0.0 <= choice.sibling_coverage <= 1.0
         assert 0.0 <= choice.sibling_imbalance <= 1.0
         assert choice.chosen in ("mid", "max")

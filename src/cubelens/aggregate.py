@@ -2,13 +2,24 @@
 post-processing stage.
 
 Keys are one int64 column per grouper.  When the cross product of the key
-domains fits in an int64 the columns are packed into a single key; small key
-spaces additionally use dense accumulation buffers instead of sorting, for
-every aggregate and at any row count (``ufunc.at`` folds min/max in a few
-milliseconds where an argsort of the same rows takes hundreds).
-Integer aggregates are computed exactly (int64 accumulation or float64 sums
-that stay below 2**52, which are exact for integers).  An integer sum whose
-true value leaves the int64 range raises SumOverflow instead of wrapping.
+domains fits in 2**62 the columns are packed row-major into a single key
+(``key_layout`` gives the strides, ``unpack`` splits a key again); a caller
+that packs its own key passes it as the only column with the whole key space
+as its size, and that column is read, never copied.  Small key spaces use
+dense accumulation buffers instead of sorting, for every aggregate and at any
+row count (``ufunc.at`` folds min/max in a few milliseconds where an argsort
+of the same rows takes hundreds); larger packed spaces sort, and key spaces
+past 2**62 lexsort the columns.  ``fold_chunks`` merges the results of
+group_reduce over consecutive chunks of one row set, which lets a scan fold
+each chunk while its arrays are still in cache.
+
+Integer aggregates are computed exactly (int64 accumulation, or float64 sums
+whose magnitudes stay below 2**52, which are exact for integers).  An integer
+sum whose true value leaves the int64 range raises SumOverflow instead of
+wrapping.  Whether the float sum is exact is decided from ``peak``, a bound on
+|value| the caller already knows (a measure's peak is recorded when the cube
+is built), times the row count; only a caller without one pays a pass over
+the values to find it.
 """
 
 from __future__ import annotations
@@ -24,24 +35,40 @@ AGG_FUNCTIONS = ("sum", "min", "max", "count")
 _PACK_LIMIT = 1 << 62
 _DENSE_SPACE_LIMIT = 1 << 22
 _DENSE_AT_ROW_LIMIT = 1 << 63  # above any array length: min/max fold densely at every size
-_EXACT_FLOAT_SUM = float(1 << 52)
+EXACT_FLOAT_SUM = float(1 << 52)
+
+
+def key_layout(sizes: Sequence[int]):
+    """Row-major strides packing one code per key domain into an int64 key,
+    and the key space; None when the space passes 2**62."""
+    strides = []
+    space = 1
+    for s in reversed(sizes):
+        strides.append(space)
+        space *= max(int(s), 1)
+        if space > _PACK_LIMIT:
+            return None
+    strides.reverse()
+    return strides, space
 
 
 def _pack(cols: Sequence[np.ndarray], sizes: Sequence[int]):
-    """Pack key columns into one int64 key, or None when it would overflow."""
-    total = 1
-    for s in sizes:
-        total *= max(int(s), 1)
-        if total > _PACK_LIMIT:
-            return None, None
+    """Pack key columns into one int64 key, or None when it would overflow.
+    A single column is the key itself and is not copied."""
+    layout = key_layout(sizes)
+    if layout is None:
+        return None, None
+    if len(cols) == 1:
+        return np.asarray(cols[0], dtype=np.int64), layout[1]
     keys = cols[0].astype(np.int64, copy=True)
     for col, size in zip(cols[1:], sizes[1:]):
         keys *= max(int(size), 1)
         keys += col
-    return keys, total
+    return keys, layout[1]
 
 
-def _unpack(keys: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
+def unpack(keys: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
+    """Split packed keys back into one code column per key domain."""
     out: list[np.ndarray] = []
     rest = keys
     for size in reversed([max(int(s), 1) for s in sizes[1:]]):
@@ -52,14 +79,12 @@ def _unpack(keys: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
     return out
 
 
-def _sum_bound(values: np.ndarray) -> float:
-    """Upper bound on the magnitude of any group sum of ``values``."""
+def abs_peak(values: np.ndarray) -> int | float:
+    """The largest |value| (0 for no values), as a Python number so that
+    -2**63 does not wrap."""
     if not len(values):
-        return 0.0
-    # arg-reductions skip the ufunc reduce set-up, which dominates on the few
-    # hundred partial aggregates a derive step folds
-    peak = max(abs(float(values[values.argmax()])), abs(float(values[values.argmin()])))
-    return peak * len(values)
+        return 0
+    return max(abs(values.max().item()), abs(values.min().item()))
 
 
 def _check_int64_sums(values: np.ndarray, fold) -> None:
@@ -76,11 +101,12 @@ def _check_int64_sums(values: np.ndarray, fold) -> None:
         raise SumOverflow("an integer sum leaves the int64 range")
 
 
-def _sum_exact(keys, values, minlength):
-    """Per-key sums, exact for int64 inputs."""
+def _sum_exact(keys, values, minlength, bound):
+    """Per-key sums, exact for int64 inputs; ``bound`` on the sum of |values|
+    decides whether float64 sums are exact."""
     if values.dtype.kind == "f":
         return np.bincount(keys, weights=values, minlength=minlength)
-    if _sum_bound(values) < _EXACT_FLOAT_SUM:  # float64 sums of integers stay exact
+    if bound < EXACT_FLOAT_SUM:  # float64 sums of integers stay exact
         sums = np.bincount(keys, weights=values.astype(np.float64), minlength=minlength)
         return sums.astype(np.int64)
 
@@ -98,11 +124,15 @@ def group_reduce(
     sizes: Sequence[int],
     values: np.ndarray | None,
     op: str,
+    *,
+    peak: int | float | None = None,
 ):
     """Group rows by the key columns and fold ``values`` with ``op``.
 
     Returns (unique key columns, folded values); groups appear only for keys
-    present in the input.  ``values`` is ignored for op == 'count'.
+    present in the input.  ``values`` is ignored for op == 'count'.  ``peak``
+    bounds |value| over ``values``; when None, an integer sum finds it with a
+    pass over the values.
     """
     if op not in AGG_FUNCTIONS:
         raise ValueError(f"unsupported aggregate {op!r}")
@@ -112,12 +142,15 @@ def group_reduce(
                               (values.dtype if values is not None else np.int64))
         return [np.empty(0, dtype=np.int64) for _ in cols], empty_vals
 
+    bound = None  # bounds the sum of |value|, and so every partial sum
+    if op == "sum" and values.dtype.kind != "f":
+        bound = (abs_peak(values) if peak is None else peak) * n
     keys, space = _pack(cols, sizes)
     dense_ok = (keys is not None and space <= _DENSE_SPACE_LIMIT
                 and space <= max(4 * n, 1 << 16)  # buffer passes must stay amortized
                 and (op in ("sum", "count") or n <= _DENSE_AT_ROW_LIMIT))
     if dense_ok:
-        return _dense_reduce(keys, space, sizes, values, op)
+        return _dense_reduce(keys, space, sizes, values, op, bound)
     if keys is not None:
         order = np.argsort(keys, kind="stable")
         sorted_keys = keys[order]
@@ -125,7 +158,7 @@ def group_reduce(
         new_group[0] = True
         np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_group[1:])
         bounds = np.flatnonzero(new_group)
-        uniq_cols = _unpack(sorted_keys[bounds], sizes)
+        uniq_cols = unpack(sorted_keys[bounds], sizes)
     else:
         order = np.lexsort(tuple(reversed([np.asarray(c) for c in cols])))
         new_group = np.zeros(n, dtype=bool)
@@ -135,16 +168,27 @@ def group_reduce(
             new_group[1:] |= sc[1:] != sc[:-1]
         bounds = np.flatnonzero(new_group)
         uniq_cols = [col[order][bounds] for col in cols]
-    vals = _reduce_sorted(values, order, bounds, n, op)
+    vals = _reduce_sorted(values, order, bounds, n, op, bound)
     return uniq_cols, vals
 
 
-def _reduce_sorted(values, order, bounds, n, op):
+def fold_chunks(parts, space: int, op: str, bound):
+    """Merge the results of ``group_reduce`` over consecutive chunks of one
+    row set, each keyed by a single packed column in a space of ``space``
+    keys (small: every chunk's cells are folded densely again).  Partial
+    counts add up; ``bound`` bounds the sum of |value| over the whole row
+    set."""
+    keys = np.concatenate([cols[0] for cols, _ in parts])
+    values = np.concatenate([vals for _, vals in parts])
+    return _dense_reduce(keys, space, [space], values, "sum" if op == "count" else op, bound)
+
+
+def _reduce_sorted(values, order, bounds, n, op, bound):
     if op == "count":
         return np.diff(np.append(bounds, n)).astype(np.int64)
     sorted_vals = values[order]
     if op == "sum":
-        if sorted_vals.dtype.kind != "f" and _sum_bound(sorted_vals) >= _EXACT_FLOAT_SUM:
+        if sorted_vals.dtype.kind != "f" and bound >= EXACT_FLOAT_SUM:
             _check_int64_sums(sorted_vals, lambda col: np.add.reduceat(col, bounds))
         return np.add.reduceat(sorted_vals, bounds)
     if op == "min":
@@ -152,17 +196,17 @@ def _reduce_sorted(values, order, bounds, n, op):
     return np.maximum.reduceat(sorted_vals, bounds)
 
 
-def _dense_reduce(keys, space, sizes, values, op):
+def _dense_reduce(keys, space, sizes, values, op, bound):
     if op == "count":
         acc = np.bincount(keys, minlength=space)
-        uniq = np.flatnonzero(acc)
-        return _unpack(uniq, sizes), acc[uniq].astype(np.int64)
+        uniq = acc.nonzero()[0]
+        return unpack(uniq, sizes), acc[uniq].astype(np.int64)
     if op == "sum":
-        acc = _sum_exact(keys, values, space)
+        acc = _sum_exact(keys, values, space, bound)
         touched = np.zeros(space, dtype=bool)
         touched[keys] = True
-        uniq = np.flatnonzero(touched)
-        return _unpack(uniq, sizes), acc[uniq]
+        uniq = touched.nonzero()[0]
+        return unpack(uniq, sizes), acc[uniq]
     if values.dtype.kind == "f":
         sentinel = np.inf if op == "min" else -np.inf
         acc = np.full(space, sentinel, dtype=values.dtype)
@@ -172,5 +216,5 @@ def _dense_reduce(keys, space, sizes, values, op):
     (np.minimum if op == "min" else np.maximum).at(acc, keys, values)
     touched = np.zeros(space, dtype=bool)
     touched[keys] = True
-    uniq = np.flatnonzero(touched)
-    return _unpack(uniq, sizes), acc[uniq]
+    uniq = touched.nonzero()[0]
+    return unpack(uniq, sizes), acc[uniq]

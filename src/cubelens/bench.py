@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .analyze import AnalyzeQuery, AnalyzeResult, ROLES, build_facilitators, from_statement
 from .cube import DetailedCube, load_cube
 from .errors import ParseError
@@ -91,17 +93,18 @@ def run_analyze(
 
 def decode_cells(cube: DetailedCube, cells: CellSet) -> tuple[list[str], list[list[str]]]:
     """Decoded label rows, sorted lexicographically by the grouper labels."""
-    header = [f"{g.dimension_name}.{g.name}" for g in cells.schema.groupers]
+    groupers = cells.schema.groupers
+    header = [f"{g.dimension_name}.{g.name}" for g in groupers]
     header.append(cells.schema.measure_alias)
-    dims = [cube.schema.dimension(g.dimension_name) for g in cells.schema.groupers]
-    rows = []
-    for coords, value in cells.items():
-        labels = [dim.member_label(g, code)
-                  for dim, g, code in zip(dims, cells.schema.groupers, coords)]
-        labels.append(str(value))
-        rows.append(labels)
-    rows.sort(key=lambda r: r[:-1])
-    return header, rows
+    if not len(cells):
+        return header, []
+    dicts = [cube.schema.dimension(g.dimension_name).dictionary(g) for g in groupers]
+    # Labels are unique within a level, so ordering by label ranks (first
+    # grouper most significant) orders by the label tuples.
+    order = np.lexsort([d.label_ranks[c] for d, c in zip(dicts[::-1], cells.key_cols[::-1])])
+    cols = [d.label_array[c[order]].tolist() for d, c in zip(dicts, cells.key_cols)]
+    cols.append([str(v) for v in cells.values[order].tolist()])
+    return header, [list(row) for row in zip(*cols)]
 
 
 def render_result(cube: DetailedCube, result: AnalyzeResult) -> str:

@@ -11,16 +11,25 @@ Filter evaluation produces row bitsets (boolean arrays over 0..row_count-1)
 so the strategy selector can combine and count regions cheaply.  An atom's
 bitset is a per-member table over the detailed level, gathered through the
 coordinate column.  Per-atom bitsets are cached after first use: the five
-facilitator queries of one request share atoms heavily.  The cube is
-immutable after load; the caches fill idempotently, so concurrent readers
-are fine.
+facilitator queries of one request share atoms heavily.  A condition's
+bitset is cached with its popcount, so counting a cached region is free.
+
+Scans read coordinates through per-member tables too: ``rolled_column``
+gathers the selected rows' codes through a cached int64 table holding each
+detailed member's ancestor code at a level, times a scale (the dimension's
+stride in a packed group key).  Each measure's peak |value| is recorded once,
+when the cube is built, so a scan bounds its sums without a pass over them.
+
+The cube is immutable after load; the caches fill idempotently, so
+concurrent readers are fine.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -28,6 +37,7 @@ import csv
 
 import numpy as np
 
+from .aggregate import abs_peak
 from .errors import (
     ParseError,
     SchemaMismatch,
@@ -102,9 +112,19 @@ class CubeSchema:
 
 @dataclass
 class ExecStats:
-    """Instrumentation: how many fact-scan query executions have run."""
+    """Instrumentation: how many fact-scan query executions have run.
+    Concurrent scans count under a lock, so no increment is lost."""
 
     fact_scans: int = 0
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
+
+    def count_scan(self) -> None:
+        with self._lock:
+            self.fact_scans += 1
+
+
+def _condition_key(atoms: Sequence[tuple[Level, Sequence[int]]]) -> tuple:
+    return tuple(sorted((lv.dimension_name, lv.depth, tuple(codes)) for lv, codes in atoms))
 
 
 class DetailedCube:
@@ -129,21 +149,34 @@ class DetailedCube:
             col = self.coordinates[dim.name]
             if len(col) and (col.min() < 0 or col.max() >= dim.detailed_level.member_count):
                 raise SchemaMismatch(f"coordinate code out of range for dimension {dim.name}")
+        self.measure_peaks = {name: abs_peak(col) for name, col in self.measure_columns.items()}
         self.exec_stats = ExecStats()
         self._atom_mask_cache: dict[tuple, np.ndarray] = {}
-        self._condition_mask_cache: dict[tuple, np.ndarray] = {}
+        self._condition_mask_cache: dict[tuple, tuple[np.ndarray, int]] = {}
+        self._scaled_tables: dict[tuple[str, int, int], np.ndarray] = {}
 
-    # -- filtering --------------------------------------------------------
+    # -- scanning ---------------------------------------------------------
 
-    def rolled_column(self, dim_name: str, depth: int, rows: np.ndarray | None = None) -> np.ndarray:
-        """Coordinate column mapped up to ``depth`` (optionally row-subset)."""
+    def rolled_column(self, dim_name: str, depth: int, rows: np.ndarray | None = None,
+                      scale: int = 1) -> np.ndarray:
+        """Coordinate column mapped up to ``depth`` and multiplied by
+        ``scale`` (optionally row-subset).  With ``rows`` the result is a
+        fresh array the caller may modify."""
         dim = self.schema.dimension(dim_name)
         col = self.coordinates[dim.name]
         if rows is not None:
             col = col[rows]
-        if depth == 0:
-            return col
-        return dim.anc_array(0, depth)[col]
+        if depth == 0:  # the table would be arange * scale: multiply instead
+            if scale == 1:
+                return col
+            return col * scale if rows is None else np.multiply(col, scale, out=col)
+        key = (dim.name, depth, scale)
+        table = self._scaled_tables.get(key)
+        if table is None:
+            table = self._scaled_tables.setdefault(key, dim.anc_array(0, depth) * scale)
+        return table[col]
+
+    # -- filtering --------------------------------------------------------
 
     def atom_mask(self, level: Level, codes: Sequence[int]) -> np.ndarray:
         """Bitset of rows whose coordinate rolls up into ``codes`` at ``level``."""
@@ -156,15 +189,22 @@ class DetailedCube:
         return cached
 
     def condition_mask(self, atoms: Sequence[tuple[Level, Sequence[int]]]) -> np.ndarray:
-        """Bitset for a conjunction of (level, codes) atoms; cached whole."""
-        key = tuple(sorted((lv.dimension_name, lv.depth, tuple(codes)) for lv, codes in atoms))
+        """Bitset for a conjunction of (level, codes) atoms; cached whole,
+        together with its popcount."""
+        key = _condition_key(atoms)
         cached = self._condition_mask_cache.get(key)
         if cached is None:
             mask = np.ones(self.row_count, dtype=bool)
             for level, codes in atoms:
                 mask = mask & self.atom_mask(level, codes)
-            cached = self._condition_mask_cache.setdefault(key, mask)
-        return cached
+            cached = self._condition_mask_cache.setdefault(
+                key, (mask, int(np.count_nonzero(mask))))
+        return cached[0]
+
+    def condition_count(self, atoms: Sequence[tuple[Level, Sequence[int]]]) -> int:
+        """Rows selected by a conjunction of atoms: the cached popcount."""
+        self.condition_mask(atoms)  # builds (and books) the mask on a miss
+        return self._condition_mask_cache[_condition_key(atoms)][1]
 
 
 def filter_rows(cube: DetailedCube, detailed_condition: Mapping[str, Iterable[int]]) -> np.ndarray:

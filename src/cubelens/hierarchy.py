@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -72,6 +73,19 @@ class MemberDictionary:
         if not 0 <= code < len(self.labels):
             raise UnknownMember(f"code {code} out of range at {self.level!r}")
         return self.labels[code]
+
+    @cached_property
+    def label_array(self) -> np.ndarray:
+        """The labels as an object array, gathered by code when decoding."""
+        return np.array(self.labels, dtype=object)
+
+    @cached_property
+    def label_ranks(self) -> np.ndarray:
+        """Each code's position in the sorted order of the labels, so that
+        sorting codes by rank sorts them by label."""
+        ranks = np.empty(len(self.labels), dtype=np.int64)
+        ranks[sorted(range(len(self.labels)), key=self.labels.__getitem__)] = np.arange(len(ranks))
+        return ranks
 
 
 class HierarchyMap:

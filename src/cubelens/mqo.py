@@ -26,17 +26,17 @@ package.  It also holds for integer sums that leave the int64 range: a merged
 base whose own cells overflow is abandoned for direct scans, so every
 strategy raises SumOverflow exactly when some facilitator cell overflows.
 
-reaggregate reads the base cells' codes at a level from the base column at
-that level when the base groups on it, and tests target atoms by equality or
-a membership table at the atom's own level.
+reaggregate reads the base cells' codes at a level, and which cells lie
+inside a target atom, from the base cell set, which computes each once: the
+five roles of a plan share their base, their levels and most of their atoms.
+Each fold is told the base's peak |cell value|, so none passes over the
+partial aggregates to bound its sums.
 """
 
 from __future__ import annotations
 
 import time
 from typing import Optional
-
-import numpy as np
 
 from .aggregate import group_reduce
 from .analyze import ROLES, AnalyzeResult, FacilitatorSet, SlotResult
@@ -47,11 +47,9 @@ from .query import (
     CellSet,
     CubeQuery,
     _atoms_equal,
-    atom_contains,
     cube_usable,
     empty_cell_set,
     execute_query,
-    finest_groupers,
 )
 
 # ---------------------------------------------------------------------------
@@ -118,33 +116,20 @@ def reaggregate(base_cells: CellSet, target: CubeQuery, base: CubeQuery) -> Cell
         return empty_cell_set(schema, base_cells.values.dtype)
 
     cube_schema = base.cube.schema
-    exact = {(g.dimension_name, g.depth): i for i, g in enumerate(base.groupers)}
-    finest = finest_groupers(base.groupers)
-
-    def codes_at(level: Level) -> np.ndarray:
-        """The base cells' codes at ``level``: a base column when the base
-        groups on that level, else its finest column on the dimension, rolled."""
-        idx = exact.get((level.dimension_name, level.depth))
-        if idx is not None:
-            return base_cells.key_cols[idx]
-        i = finest[level.dimension_name]
-        dim = cube_schema.dimension(level.dimension_name)
-        return dim.anc_array(base.groupers[i].depth, level.depth)[base_cells.key_cols[i]]
-
     mask = None  # base cells kept by the target atoms that differ from the base's
     for dim_name, a_new in target.condition.by_dimension.items():
         if a_new.level.is_all or _atoms_equal(base.condition.atom_for(dim_name), a_new):
             continue
-        hit = atom_contains(cube_schema.dimension(dim_name), a_new, a_new.level.depth,
-                            codes_at(a_new.level))
+        hit = base_cells.atom_hits(cube_schema.dimension(dim_name), a_new)
         mask = hit if mask is None else mask & hit
     if mask is None:
         mask = slice(None)
-    cols = [codes_at(g)[mask] for g in target.groupers]
+    cols = [base_cells.codes_at(cube_schema.dimension(g.dimension_name), g)[mask]
+            for g in target.groupers]
     sizes = [g.member_count for g in target.groupers]
     values = base_cells.values[mask]
     fold_op = "sum" if base.agg == "count" else base.agg  # partial counts add up
-    key_cols, out = group_reduce(cols, sizes, values, fold_op)
+    key_cols, out = group_reduce(cols, sizes, values, fold_op, peak=base_cells.peak)
     return CellSet(schema, key_cols, out)
 
 

@@ -9,9 +9,20 @@ which selects exactly the rows the atom's detailed proxy would (the proxy
 equivalence is property-tested).
 
 Every coarser grouper of a dimension is a function of its finest one, so a
-scan gathers, rolls and groups rows on the finest requested level of each
-dimension only; the other grouper columns are mapped up from the unique
-finest codes of the result.
+scan groups rows on the finest requested level of each dimension only; the
+other grouper columns are mapped up from the unique finest codes of the
+result.  The scan builds one packed int64 group key directly: each
+dimension's coordinates are gathered through a per-member table holding the
+ancestor code times that dimension's stride in the key
+(DetailedCube.rolled_column), and the gathers add up in place.  The selected
+rows are scanned in chunks of SCAN_CHUNK, each gathered and folded by
+group_reduce while its arrays are still in cache, and the chunks' cells are
+merged (aggregate.fold_chunks).  Sums are bounded by the measure's recorded
+peak |value| times the row count, so no pass looks for the bound; an integer
+sum that may leave the exact float range is folded whole, so that only a
+total beyond int64 raises SumOverflow.  The unique keys are unpacked with
+divmod.  Key spaces past 2**62 hand group_reduce the unscaled columns, which
+it lexsorts.  Scan cost stays proportional to the selected rows.
 
 The usability predicate decides when one query's result can be filtered and
 re-rolled into another's (mqo.reaggregate performs that rewrite).  It treats
@@ -24,11 +35,19 @@ execute_query is pure over immutable inputs; concurrent query runs are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .aggregate import AGG_FUNCTIONS, group_reduce
+from .aggregate import (
+    AGG_FUNCTIONS,
+    EXACT_FLOAT_SUM,
+    fold_chunks,
+    group_reduce,
+    key_layout,
+    unpack,
+)
 from .cube import DetailedCube
 from .errors import (
     InvalidQuery,
@@ -103,16 +122,50 @@ class CellSchema:
 
 class CellSet:
     """Query result: unique coordinate tuples at the grouper levels mapped to
-    one aggregate value each.  Stored columnar; no iteration order promised."""
+    one aggregate value each.  Stored columnar; no iteration order promised.
+    ``peak`` bounds |value| over the cells when the producer knows a bound
+    (a fact scan does), else it is None.
 
-    def __init__(self, schema: CellSchema, key_cols: Sequence[np.ndarray], values: np.ndarray):
+    A cell set answering several queries (a merged base) reads its codes at a
+    level and its atom hits once: both are cached, and fill idempotently."""
+
+    def __init__(self, schema: CellSchema, key_cols: Sequence[np.ndarray], values: np.ndarray,
+                 peak: int | float | None = None):
         self.schema = schema
         self.key_cols = [np.asarray(c, dtype=np.int64) for c in key_cols]
         self.values = np.asarray(values)
+        self.peak = peak
         self._dict = None
+        self._codes: dict[tuple[str, int], np.ndarray] = {}
+        self._hits: dict[SelectionAtom, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.values)
+
+    def codes_at(self, dim: Dimension, level: Level) -> np.ndarray:
+        """The cells' codes at ``level``: the key column grouped at that
+        level, else the finest key column on its dimension, rolled up."""
+        key = (level.dimension_name, level.depth)
+        codes = self._codes.get(key)
+        if codes is None:
+            groupers = self.schema.groupers
+            i = next((i for i, g in enumerate(groupers) if (g.dimension_name, g.depth) == key),
+                     None)
+            if i is None:
+                i = finest_groupers(groupers)[level.dimension_name]
+                codes = dim.anc_array(groupers[i].depth, level.depth)[self.key_cols[i]]
+            else:
+                codes = self.key_cols[i]
+            codes = self._codes.setdefault(key, codes)
+        return codes
+
+    def atom_hits(self, dim: Dimension, atom: SelectionAtom) -> np.ndarray:
+        """Whether each cell lies inside ``atom`` (tested at the atom's level)."""
+        hits = self._hits.get(atom)
+        if hits is None:
+            codes = self.codes_at(dim, atom.level)
+            hits = self._hits.setdefault(atom, atom_contains(dim, atom, atom.level.depth, codes))
+        return hits
 
     def as_dict(self) -> dict:
         if self._dict is None:
@@ -135,11 +188,12 @@ def empty_cell_set(schema: CellSchema, value_dtype=np.int64) -> CellSet:
                    np.empty(0, value_dtype))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CubeQuery:
     """<detailed cube, selection condition, groupers, agg(measure)> with a
     result-column alias.  User queries carry two groupers; internal merged
-    queries may carry up to six."""
+    queries may carry up to six.  Immutable, so facts derived from it alone
+    are cached on it (a merged base is checked against five targets)."""
 
     cube: DetailedCube
     condition: SelectionCondition
@@ -177,6 +231,20 @@ class CubeQuery:
 
     def grouper_dims(self) -> set[str]:
         return {g.dimension_name for g in self.groupers}
+
+    @cached_property
+    def finest(self) -> dict[str, int]:
+        """Per grouper dimension, the position of its finest grouper."""
+        return finest_groupers(self.groupers)
+
+    @cached_property
+    def filter_order_problem(self) -> str | None:
+        """Why some grouper sits above its dimension's filter level, if one does."""
+        for g in self.groupers:
+            atom = self.condition.atom_for(g.dimension_name)
+            if atom is not None and g.depth > atom.level.depth:
+                return f"{g!r} grouped above its filter level {atom.level!r}"
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +300,18 @@ def atom_contains(dim: Dimension, atom: SelectionAtom, depth: int, codes: np.nda
     return table[up]
 
 
+# Selected rows per fused gather-and-fold step: the step's key, values and
+# float sums stay in cache instead of streaming through memory.
+SCAN_CHUNK = 1 << 16
+
+
 def execute_query(q: CubeQuery) -> CellSet:
     """Run the query: filter, roll coordinates to the finest grouper level of
     each dimension, fold, then map the result up to the coarser groupers."""
     q.validate()
     cube = q.cube
     mask = cube.condition_mask(q.condition.mask_atoms())
-    cube.exec_stats.fact_scans += 1
+    cube.exec_stats.count_scan()
     rows = np.flatnonzero(mask)
 
     schema = CellSchema(q.groupers, q.measure_alias, q.agg)
@@ -246,11 +319,27 @@ def execute_query(q: CubeQuery) -> CellSet:
         dtype = np.int64 if q.agg == "count" else cube.measure_columns[q.measure_name].dtype
         return empty_cell_set(schema, dtype)
 
-    finest = finest_groupers(q.groupers)
+    finest = q.finest
     keys = [q.groupers[i] for i in finest.values()]
-    cols = [cube.rolled_column(g.dimension_name, g.depth, rows) for g in keys]
-    values = None if q.agg == "count" else cube.measure_columns[q.measure_name][rows]
-    uniq, out = group_reduce(cols, [g.member_count for g in keys], values, q.agg)
+    sizes = [g.member_count for g in keys]
+    peak = 1 if q.agg == "count" else cube.measure_peaks[q.measure_name]  # a count adds ones
+    bound = peak * len(rows)  # bounds |sum| of any group, and of every chunk's part of it
+    layout = key_layout(sizes)
+    if layout is None:  # past 2**62: group_reduce lexsorts the plain columns
+        cols = [cube.rolled_column(g.dimension_name, g.depth, rows) for g in keys]
+        uniq, out = group_reduce(cols, sizes, _measure(q, rows), q.agg, peak=peak)
+    else:
+        strides, space = layout
+        # Equal chunks of at most SCAN_CHUNK rows fold apart, and their cells
+        # fold again; a chunk keeps over four rows per key, which the dense
+        # fold needs.  A sum that may leave the exact float range folds
+        # whole: only its true total may raise SumOverflow.
+        whole = q.agg == "sum" and bound >= EXACT_FLOAT_SUM
+        chunks = 1 if whole else -(-len(rows) // max(SCAN_CHUNK, 8 * space))
+        parts = [_scan_chunk(q, keys, strides, space, part, peak)
+                 for part in np.array_split(rows, chunks)]
+        (packed,), out = parts[0] if len(parts) == 1 else fold_chunks(parts, space, q.agg, bound)
+        uniq = unpack(packed, sizes)
     by_dim = dict(zip(finest, uniq))
     key_cols = []
     for g in q.groupers:
@@ -258,7 +347,23 @@ def execute_query(q: CubeQuery) -> CellSet:
         if g.depth != fine.depth:
             col = cube.schema.dimension(g.dimension_name).anc_array(fine.depth, g.depth)[col]
         key_cols.append(col)
-    return CellSet(schema, key_cols, out)
+    return CellSet(schema, key_cols, out, peak=peak if q.agg in ("min", "max") else bound)
+
+
+def _measure(q: CubeQuery, rows: np.ndarray) -> np.ndarray | None:
+    return None if q.agg == "count" else q.cube.measure_columns[q.measure_name][rows]
+
+
+def _scan_chunk(q: CubeQuery, keys: list[Level], strides: list[int], space: int,
+                rows: np.ndarray, peak):
+    """Fold one chunk of selected rows on a packed key, built in place: each
+    dimension's rolled codes come out of the gather already multiplied by its
+    stride."""
+    cube = q.cube
+    key = cube.rolled_column(keys[0].dimension_name, keys[0].depth, rows, strides[0])
+    for g, stride in zip(keys[1:], strides[1:]):
+        key += cube.rolled_column(g.dimension_name, g.depth, rows, stride)
+    return group_reduce([key], [space], _measure(q, rows), q.agg, peak=peak)
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +390,6 @@ def _atoms_equal(a: SelectionAtom | None, b: SelectionAtom | None) -> bool:
     if a is None or b is None:
         return a is b or (a is None and b is None)
     return a.level == b.level and a.values == b.values
-
-
-def _check_filter_order(q: CubeQuery) -> str | None:
-    for g in q.groupers:
-        atom = q.condition.atom_for(g.dimension_name)
-        if atom is not None and g.depth > atom.level.depth:
-            return f"{g!r} grouped above its filter level {atom.level!r}"
-    return None
 
 
 def cube_usable(q_base: CubeQuery, q_new: CubeQuery):
@@ -322,11 +419,11 @@ def cube_usable(q_base: CubeQuery, q_new: CubeQuery):
     # One conjunctive atom per dimension is enforced by SelectionCondition.
     checks.append(("iii", True, "one atom per dimension (absent atoms are trivial ALL atoms)"))
 
-    order_problem = _check_filter_order(q_base) or _check_filter_order(q_new)
+    order_problem = q_base.filter_order_problem or q_new.filter_order_problem
     checks.append(("iv", order_problem is None,
                    order_problem or "filters at or above grouper levels in both queries"))
 
-    base_fine = {d: q_base.groupers[i] for d, i in finest_groupers(q_base.groupers).items()}
+    base_fine = {d: q_base.groupers[i] for d, i in q_base.finest.items()}
     v_problems = []
     for g in q_new.groupers:
         base_level = base_fine.get(g.dimension_name)

@@ -2,8 +2,8 @@
 
 The costs that matter are fact-table touches.  We count, exactly, the rows
 matched by the detailed filter regions of the original query, the two
-sibling queries and the all-encompassing query (cheap popcounts over the
-cached filter bitsets, which the subsequent execution reuses).  The regions
+sibling queries and the all-encompassing query (popcounts cached with the
+filter bitsets, which the subsequent execution reuses).  The regions
 are the slot conditions of the request's FacilitatorSet, and the sibling
 union is counted from the other three, without a union mask.  Max-MQO is
 picked only when the sibling regions jointly cover a large share of the
@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .analyze import FacilitatorSet
 
@@ -73,7 +71,7 @@ def estimate_stats(fs: FacilitatorSet) -> CostStats:
     cube = fs.request.cube
 
     def count(condition) -> int:
-        return int(np.count_nonzero(cube.condition_mask(condition.mask_atoms())))
+        return cube.condition_count(condition.mask_atoms())
 
     facts_org, facts_a, facts_b = count(org), count(cond_a), count(cond_b)
     missing = fs.missing

@@ -4,6 +4,8 @@ Everything here works on labels and plain-Python dict walks, deliberately
 sharing no code with the engine.  The engine's dictionary-encoded, vectorized
 results are compared against these after decoding.  ResultMap/update_map is
 the reference fold: merged tuples folded one at a time into per-role maps.
+decode_cells is the reference renderer: one label lookup per cell, then a
+sort of the label rows.
 """
 
 import operator
@@ -41,6 +43,21 @@ def update_map(h, key, m):
         raise ArityMismatch(f"key arity {len(key)} does not match map arity {h.arity}")
     h.data[key] = h.fold(h.data[key], m) if key in h.data else m
     return h
+
+
+def decode_cells(cube, cells):
+    """Decoded label rows, sorted lexicographically by the grouper labels."""
+    header = [f"{g.dimension_name}.{g.name}" for g in cells.schema.groupers]
+    header.append(cells.schema.measure_alias)
+    dims = [cube.schema.dimension(g.dimension_name) for g in cells.schema.groupers]
+    rows = []
+    for coords, value in cells.items():
+        labels = [dim.member_label(g, code)
+                  for dim, g, code in zip(dims, cells.schema.groupers, coords)]
+        labels.append(str(value))
+        rows.append(labels)
+    rows.sort(key=lambda r: r[:-1])
+    return header, rows
 
 
 class HierarchyOracle:

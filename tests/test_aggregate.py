@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from cubelens.aggregate import group_reduce
+from cubelens.aggregate import _pack, group_reduce
 from cubelens.errors import SumOverflow
 
 
@@ -101,11 +101,17 @@ def test_group_reduce_dense_and_sort_paths_agree():
 INT64_MAX = (1 << 63) - 1
 INT64_MIN = -(1 << 63)
 PATH_SIZES = [(1, 1), (1 << 22, 1 << 22), (1 << 40, 1 << 40)]  # dense, sort, lexsort
+OVERFLOWING = [[INT64_MAX, INT64_MAX], [INT64_MIN, -1], [1 << 62, 1 << 62, 1, -1]]
+AT_EDGES = [
+    ([INT64_MAX, INT64_MAX, INT64_MIN, INT64_MIN + 2], 0),
+    ([INT64_MIN, 5], INT64_MIN + 5),
+    ([1 << 62, (1 << 62) - 1], INT64_MAX),
+    ([INT64_MIN], INT64_MIN),
+]
 
 
 @pytest.mark.parametrize("sizes", PATH_SIZES)
-@pytest.mark.parametrize("rows", [[INT64_MAX, INT64_MAX], [INT64_MIN, -1],
-                                  [1 << 62, 1 << 62, 1, -1]])
+@pytest.mark.parametrize("rows", OVERFLOWING)
 def test_group_reduce_sum_overflow_raises(sizes, rows):
     # the true sum leaves int64; it used to wrap (two rows of 2**63-1 gave -2)
     cols = [np.zeros(len(rows), np.int64), np.zeros(len(rows), np.int64)]
@@ -114,16 +120,32 @@ def test_group_reduce_sum_overflow_raises(sizes, rows):
 
 
 @pytest.mark.parametrize("sizes", PATH_SIZES)
-@pytest.mark.parametrize("rows,expected", [
-    ([INT64_MAX, INT64_MAX, INT64_MIN, INT64_MIN + 2], 0),
-    ([INT64_MIN, 5], INT64_MIN + 5),
-    ([1 << 62, (1 << 62) - 1], INT64_MAX),
-    ([INT64_MIN], INT64_MIN),
-])
+@pytest.mark.parametrize("rows,expected", AT_EDGES)
 def test_group_reduce_sum_at_int64_edges_exact(sizes, rows, expected):
     cols = [np.zeros(len(rows), np.int64), np.zeros(len(rows), np.int64)]
     _, out = group_reduce(cols, list(sizes), np.asarray(rows, dtype=np.int64), "sum")
     assert out.tolist() == [expected]
+
+
+@pytest.mark.parametrize("sizes", PATH_SIZES)
+def test_group_reduce_sum_with_stated_peak(sizes):
+    # a caller's peak |value| replaces the pass that finds it, on every path
+    for rows, expected in AT_EDGES + [(rows, None) for rows in OVERFLOWING]:
+        cols = [np.zeros(len(rows), np.int64), np.zeros(len(rows), np.int64)]
+        values = np.asarray(rows, dtype=np.int64)
+        peak = max(abs(r) for r in rows)
+        if expected is None:
+            with pytest.raises(SumOverflow):
+                group_reduce(cols, list(sizes), values, "sum", peak=peak)
+        else:
+            assert group_reduce(cols, list(sizes), values, "sum", peak=peak)[1].tolist() == [expected]
+
+
+def test_single_packed_key_column_is_read_not_copied():
+    key = np.arange(12, dtype=np.int64)
+    assert _pack([key], [12])[0] is key
+    (uniq,), out = group_reduce([key], [12], None, "count")
+    assert uniq.tolist() == key.tolist() and out.tolist() == [1] * 12
 
 
 def test_group_reduce_overflow_is_per_group():

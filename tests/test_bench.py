@@ -17,6 +17,7 @@ from cubelens.bench import (
 from cubelens.query import cell_sets_equal
 from cubelens.selector import SelectorConfig
 
+import oracles
 from fixtures import REFERENCE_QUERY, WALKTHROUGH_QUERY, build_cube, random_analyze, random_tables
 
 
@@ -53,6 +54,39 @@ def test_decoded_rows_sorted(foodmart_cube):
     header, rows = decode_cells(foodmart_cube, result.slots["org"].cells)
     assert header[-1] == "SumSales_org"
     assert rows == sorted(rows, key=lambda r: r[:-1])
+
+
+def _relabelled(rng, tables):
+    """The same dataset with random labels, so label order differs from code
+    order at every level."""
+    names = {}
+
+    def fresh(label):
+        if label not in names:
+            names[label] = "".join(rng.choice("abcxyz") for _ in range(6)) + f"#{len(names)}"
+        return names[label]
+
+    tables.dims = {name: (levels, [tuple(fresh(x) for x in row) for row in rows])
+                   for name, (levels, rows) in tables.dims.items()}
+    tables.fact_rows = [{d: fresh(x) for d, x in row.items()} for row in tables.fact_rows]
+    return tables
+
+
+def test_decode_cells_matches_reference_renderer():
+    rng = random.Random(163)
+    checked = set()
+    for i in range(40):
+        tables = _relabelled(rng, random_tables(rng, max_facts=300))
+        if i % 2:
+            tables.measures = [("m", "decimal")]
+            tables.fact_measures["m"] = [v / 7 for v in tables.fact_measures["m"]]
+        cube = build_cube(tables)
+        result = run_analyze(cube, random_analyze(rng, cube), strategy="max")
+        for slot in result.slots.values():
+            if slot.cells is not None:
+                assert decode_cells(cube, slot.cells) == oracles.decode_cells(cube, slot.cells)
+                checked.add((len(slot.cells) > 1, i % 2))
+    assert checked == {(True, 0), (True, 1), (False, 0), (False, 1)}
 
 
 def test_render_sections_order(foodmart_cube):
@@ -130,9 +164,8 @@ def test_bad_workload_rejected(tmp_path):
 
 def test_concurrent_readers_match_serial():
     """Four threads run the same requests on one fresh cube, racing to fill
-    its mask and descendant caches; every result equals the serial one.
-    ExecStats.fact_scans is not checked: its ``+= 1`` is not atomic, so
-    concurrent scans may lose counts."""
+    its mask, descendant, scaled-table and label caches; every result equals
+    the serial one, and no fact scan goes uncounted."""
     tables = random_tables(random.Random(151), max_facts=2000)
     strategies = ("auto", "min", "mid", "max")
 
@@ -141,9 +174,15 @@ def test_concurrent_readers_match_serial():
         requests = [random_analyze(rng, cube) for _ in range(20)]
         jobs = [(i, s) for i in range(len(requests)) for s in strategies]
         random.Random(order_seed).shuffle(jobs)
-        return {(i, s): run_analyze(cube, requests[i], strategy=s) for i, s in jobs}
+        out = {}
+        for i, s in jobs:
+            result = run_analyze(cube, requests[i], strategy=s)
+            out[i, s] = result, [decode_cells(cube, result.slots[role].cells) for role in ROLES
+                                 if result.slots[role].cells is not None]
+        return out
 
-    serial = answers(build_cube(tables), 0)
+    serial_cube = build_cube(tables)
+    serial = answers(serial_cube, 0)
     shared = build_cube(tables)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -156,10 +195,12 @@ def test_concurrent_readers_match_serial():
 
     for results in threaded:
         assert results.keys() == serial.keys()
-        for key, result in results.items():
-            expect = serial[key]
+        for key, (result, decoded) in results.items():
+            expect, expect_decoded = serial[key]
+            assert decoded == expect_decoded, key
             assert result.strategy_used == expect.strategy_used, key
             for role in ROLES:
                 a, b = result.slots[role].cells, expect.slots[role].cells
                 assert (a is None) == (b is None), (key, role)
                 assert a is None or cell_sets_equal(a, b), (key, role)
+    assert shared.exec_stats.fact_scans == 4 * serial_cube.exec_stats.fact_scans

@@ -246,3 +246,19 @@ def test_filter_rows_monotone_and_conjunctive():
     m_a = filter_rows(cube, {names[0]: small})
     m_b = filter_rows(cube, {names[1]: other})
     assert np.array_equal(m_conj, m_a & m_b)
+
+
+def test_measure_peaks_recorded_at_build():
+    # the peak |value| is a Python number, so -2**63 does not wrap
+    from cubelens.cube import CubeSchema, DetailedCube, Measure
+    from cubelens.hierarchy import dimension_from_member_rows
+    dim = dimension_from_member_rows("A", ["Leaf"], [("a1",)])
+    cube = DetailedCube(
+        CubeSchema("c", [dim], [Measure("i", "integer"), Measure("f", "decimal"),
+                                Measure("e", "integer")]),
+        {"A": np.zeros(3, np.int64)},
+        {"i": np.asarray([5, -(1 << 63), 7], np.int64),
+         "f": np.asarray([-2.5, 1.0, 0.5]),
+         "e": np.asarray([-3, 2, 1], np.int64)},
+    )
+    assert cube.measure_peaks == {"i": 1 << 63, "f": 2.5, "e": 3}

@@ -200,6 +200,96 @@ def test_merged_queries_match_naive_group_by(agg):
     assert max(k for _, k in shapes) >= 3
 
 
+def _random_scan_query(rng, cube, agg):
+    """2-6 groupers (distinct levels, several per dimension allowed, depth 0
+    included); on grouped dimensions an atom at or above every grouper there,
+    given as is or as its multi-valued detailed proxy; on the others a box
+    atom (1-3 values at any level)."""
+    dims = list(cube.schema.dimensions)
+    pool = [(d, depth) for d in dims for depth in range(len(d.levels) - 1)]
+    picks = rng.sample(pool, min(rng.randint(2, 6), len(pool)))
+    groupers = tuple(d.levels[depth] for d, depth in picks)
+    atoms = []
+    for d in dims:
+        if rng.random() < 0.3:
+            continue
+        depths = [g.depth for g in groupers if g.dimension_name == d.name]
+        level = d.levels[rng.randint(max(depths, default=0), len(d.levels) - 2)]
+        values = rng.sample(range(level.member_count), rng.randint(1, min(3, level.member_count)))
+        atom = SelectionAtom(level, tuple(values))
+        if depths and level.depth > 0 and rng.random() < 0.5:
+            atom = detailed_proxy(d, atom)
+        atoms.append(atom)
+    return CubeQuery(cube, SelectionCondition(atoms), groupers, "m", "m", agg)
+
+
+@pytest.mark.parametrize("agg", ["sum", "min", "max", "count"])
+def test_execute_query_matches_naive_group_by_property(agg, monkeypatch):
+    # random shapes against the nested-loop oracle, folded whole and in
+    # chunks (a tiny SCAN_CHUNK makes small cubes take the chunk merge)
+    from cubelens import query
+    from fixtures import build_oracles
+    merges = []
+    fold_chunks, whole_chunk = query.fold_chunks, query.SCAN_CHUNK
+    monkeypatch.setattr(query, "fold_chunks", lambda *a: merges.append(1) or fold_chunks(*a))
+    rng = random.Random(89)
+    seen = {"groupers": set(), "empty": 0, "cells": 0, "depth0": 0, "proxy": 0, "box": 0}
+    for i in range(90):
+        tables = random_tables(rng, max_facts=400)
+        if i % 2:  # decimal measure; quarters keep every float sum exact
+            tables.measures = [("m", "decimal")]
+            tables.fact_measures["m"] = [v / 4 for v in tables.fact_measures["m"]]
+        cube = build_cube(tables)
+        oracles = build_oracles(tables)
+        q = _random_scan_query(rng, cube, agg)
+        expect = naive_execute(
+            tables.fact_rows,
+            tables.fact_measures["m"],
+            oracle_atoms(tables, oracles, q.condition, cube),
+            [(g.dimension_name, oracles[g.dimension_name], g.name) for g in q.groupers],
+            agg,
+        )
+        for chunk in (whole_chunk, 8):
+            monkeypatch.setattr(query, "SCAN_CHUNK", chunk)
+            cells = execute_query(q)
+            assert decode_cells(cube, cells) == expect, (i, chunk)
+            assert cells.values.dtype.kind == ("i" if agg == "count" or not i % 2 else "f")
+        grouped = q.grouper_dims()
+        seen["groupers"].add(len(q.groupers))
+        seen["empty" if not expect else "cells"] += 1
+        seen["depth0"] += any(g.depth == 0 for g in q.groupers)
+        seen["proxy"] += any(a.level.depth == 0 and len(a.values) > 1 and a.dimension_name in grouped
+                             for a in q.condition)
+        seen["box"] += any(len(a.values) > 1 and a.dimension_name not in grouped
+                           for a in q.condition)
+    assert seen["groupers"] == {2, 3, 4, 5, 6}
+    assert min(seen["empty"], seen["cells"], seen["depth0"], seen["proxy"], seen["box"]) > 0, seen
+    assert merges
+
+
+@pytest.mark.parametrize("signs, overflows", [((1, 1), True), ((1, -1), False)])
+def test_chunked_scan_raises_only_when_the_true_sum_overflows(monkeypatch, signs, overflows):
+    # 3 * 2**61 rows of one sign, then as many of the other: each half's sum
+    # leaves int64 (1.5 * 2**62 + ...), the total of (1, -1) is 0
+    from cubelens import query
+    from cubelens.cube import CubeSchema, DetailedCube, Measure
+    from cubelens.errors import SumOverflow
+    from cubelens.hierarchy import dimension_from_member_rows
+    monkeypatch.setattr(query, "SCAN_CHUNK", 4)
+    d1 = dimension_from_member_rows("A", ["Leaf", "Top"], [("a1", "T"), ("a2", "T")])
+    d2 = dimension_from_member_rows("B", ["Unit", "Grp"], [("b1", "G")])
+    n = 64
+    values = np.full(n, 3 << 61, np.int64) * np.repeat(np.asarray(signs, np.int64), n // 2)
+    cube = DetailedCube(CubeSchema("c", [d1, d2], [Measure("m", "integer")]),
+                        {"A": np.zeros(n, np.int64), "B": np.zeros(n, np.int64)}, {"m": values})
+    q = CubeQuery(cube, SelectionCondition(), (d1.level("Top"), d2.level("Grp")), "m", "m", "sum")
+    if overflows:
+        with pytest.raises(SumOverflow):
+            execute_query(q)
+    else:
+        assert execute_query(q).values.tolist() == [0]
+
+
 def test_proxy_equivalence_on_random_queries():
     rng = random.Random(53)
     for _ in range(15):

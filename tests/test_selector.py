@@ -162,3 +162,19 @@ def test_coverage_and_imbalance_ranges():
         assert 0.0 <= choice.sibling_coverage <= 1.0
         assert 0.0 <= choice.sibling_imbalance <= 1.0
         assert choice.chosen in ("mid", "max")
+
+
+def test_cached_regions_are_counted_without_a_popcount(monkeypatch):
+    # each condition's popcount is stored with its bitset: estimating a
+    # request again counts nothing, and the stored counts are the bitsets'
+    rng = random.Random(167)
+    cube = build_cube(random_tables(rng, max_facts=500))
+    fs = build_facilitators(random_analyze(rng, cube))
+    first = estimate_stats(fs)
+    calls = []
+    count_nonzero = np.count_nonzero
+    monkeypatch.setattr(np, "count_nonzero", lambda *a, **k: calls.append(1) or count_nonzero(*a, **k))
+    assert estimate_stats(fs) == first
+    assert calls == []
+    for key, (mask, count) in cube._condition_mask_cache.items():
+        assert count == count_nonzero(mask), key

@@ -1,7 +1,10 @@
 """The benchmark's tracer names the group_reduce path from the kernel's own
 limits (perfbench/tracing.py reads them); this pins that it names the path
 the kernel really takes, so renaming or retuning a limit cannot silently
-turn traced runs into request failures or wrong path counts."""
+turn traced runs into request failures or wrong path counts.  A traced run
+over a tiny cube pins the rest of the tracer's contract: every hooked name
+exists, each scan's folds see exactly its selected rows, and rollup and fold
+time are booked."""
 
 import sys
 from pathlib import Path
@@ -11,8 +14,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from cubelens import aggregate  # noqa: E402
-from perfbench.tracing import group_reduce_path  # noqa: E402
+from cubelens import aggregate, bench, query  # noqa: E402
+from fixtures import REFERENCE_QUERY, build_cube, foodmart_tables  # noqa: E402
+from perfbench.tracing import Tracer, group_reduce_path, layer_metrics  # noqa: E402
 
 SIZES = [(4, 3), (300, 200), (1000, 1000), (5000, 5000), (1 << 40, 1 << 40)]
 
@@ -65,3 +69,28 @@ def test_grid_covers_every_path():
             cols = [np.zeros(rows, np.int64) for _ in sizes]
             named.add(group_reduce_path(cols, sizes, cols[0], "min"))
     assert named == {"dense", "sort", "lexsort"}
+
+
+@pytest.mark.parametrize("chunk", [query.SCAN_CHUNK, 16])
+def test_traced_requests_keep_the_tracer_contract(monkeypatch, chunk):
+    # a tiny chunk splits each scan into several folds, as large cubes do
+    monkeypatch.setattr(query, "SCAN_CHUNK", chunk)
+    cube = build_cube(foodmart_tables(n_facts=2000))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        for i, strategy in enumerate(("auto", "min", "mid", "max")):
+            tracer.request = f"r{i}"
+            result = bench.run_analyze(cube, REFERENCE_QUERY, strategy=strategy)
+            bench.render_result(cube, result)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    metrics = layer_metrics(tracer, [f"r{i}" for i in range(4)])
+    assert metrics["query.scans"] > 0
+    assert metrics["aggregate.rows_in"] == metrics["query.rows_selected"] > 0
+    assert metrics["query.rollup_ms"] > 0
+    assert metrics["aggregate.group_reduce_ms"] > 0
+    names = [span[1] for span in tracer.spans]
+    folds, scans = names.count("aggregate.group_reduce"), names.count("query.execute_query")
+    assert folds > scans if chunk == 16 else folds == scans

@@ -225,12 +225,13 @@ def _random_scan_query(rng, cube, agg):
 
 @pytest.mark.parametrize("agg", ["sum", "min", "max", "count"])
 def test_execute_query_matches_naive_group_by_property(agg, monkeypatch):
-    # random shapes against the nested-loop oracle, folded whole and in
-    # chunks (a tiny SCAN_CHUNK makes small cubes take the chunk merge)
+    # random shapes against the nested-loop oracle, folded whole, in chunks
+    # (a tiny SCAN_CHUNK makes small cubes take the chunk merge), and as
+    # plain columns (the path of key spaces past 2**62)
     from cubelens import query
     from fixtures import build_oracles
     merges = []
-    fold_chunks, whole_chunk = query.fold_chunks, query.SCAN_CHUNK
+    fold_chunks, whole_chunk, key_layout = query.fold_chunks, query.SCAN_CHUNK, query.key_layout
     monkeypatch.setattr(query, "fold_chunks", lambda *a: merges.append(1) or fold_chunks(*a))
     rng = random.Random(89)
     seen = {"groupers": set(), "empty": 0, "cells": 0, "depth0": 0, "proxy": 0, "box": 0}
@@ -249,10 +250,11 @@ def test_execute_query_matches_naive_group_by_property(agg, monkeypatch):
             [(g.dimension_name, oracles[g.dimension_name], g.name) for g in q.groupers],
             agg,
         )
-        for chunk in (whole_chunk, 8):
+        for chunk, layout in ((whole_chunk, key_layout), (8, key_layout), (8, lambda sizes: None)):
             monkeypatch.setattr(query, "SCAN_CHUNK", chunk)
+            monkeypatch.setattr(query, "key_layout", layout)
             cells = execute_query(q)
-            assert decode_cells(cube, cells) == expect, (i, chunk)
+            assert decode_cells(cube, cells) == expect, (i, chunk, layout)
             assert cells.values.dtype.kind == ("i" if agg == "count" or not i % 2 else "f")
         grouped = q.grouper_dims()
         seen["groupers"].add(len(q.groupers))

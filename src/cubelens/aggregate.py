@@ -9,9 +9,10 @@ as its size, and that column is read, never copied.  Small key spaces use
 dense accumulation buffers instead of sorting, for every aggregate and at any
 row count (``ufunc.at`` folds min/max in a few milliseconds where an argsort
 of the same rows takes hundreds); larger packed spaces sort, and key spaces
-past 2**62 lexsort the columns.  ``fold_chunks`` merges the results of
-group_reduce over consecutive chunks of one row set, which lets a scan fold
-each chunk while its arrays are still in cache.
+past 2**62 lexsort the columns.  ``fold_path`` names the path a fold takes,
+for the kernel and for the selector's cost model.  ``fold_chunks`` merges
+the results of group_reduce over consecutive chunks of one row set, which
+lets a scan fold each chunk while its arrays are still in cache.
 
 Integer aggregates are computed exactly (int64 accumulation, or float64 sums
 whose magnitudes stay below 2**52, which are exact for integers).  An integer
@@ -119,6 +120,19 @@ def _sum_exact(keys, values, minlength, bound):
     return add_at(values)
 
 
+def fold_path(n: int, space: int | None, op: str) -> str:
+    """The path group_reduce folds ``n`` > 0 rows with ``op`` on: 'dense' or
+    'sort' for a packed key space of ``space`` keys, 'lexsort' when the
+    space passes 2**62 (None)."""
+    if space is None:
+        return "lexsort"
+    if (space <= _DENSE_SPACE_LIMIT
+            and space <= max(4 * n, 1 << 16)  # buffer passes must stay amortized
+            and (op in ("sum", "count") or n <= _DENSE_AT_ROW_LIMIT)):
+        return "dense"
+    return "sort"
+
+
 def group_reduce(
     cols: Sequence[np.ndarray],
     sizes: Sequence[int],
@@ -146,12 +160,10 @@ def group_reduce(
     if op == "sum" and values.dtype.kind != "f":
         bound = (abs_peak(values) if peak is None else peak) * n
     keys, space = _pack(cols, sizes)
-    dense_ok = (keys is not None and space <= _DENSE_SPACE_LIMIT
-                and space <= max(4 * n, 1 << 16)  # buffer passes must stay amortized
-                and (op in ("sum", "count") or n <= _DENSE_AT_ROW_LIMIT))
-    if dense_ok:
+    path = fold_path(n, space, op)
+    if path == "dense":
         return _dense_reduce(keys, space, sizes, values, op, bound)
-    if keys is not None:
+    if path == "sort":
         order = np.argsort(keys, kind="stable")
         sorted_keys = keys[order]
         new_group = np.empty(n, dtype=bool)

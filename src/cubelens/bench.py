@@ -11,7 +11,9 @@ configurable number of warmup runs (warmups also populate the cube's filter
 caches so repetitions compare hot paths).  A per-query timeout marks runs
 that exceeded their budget; execution is not preempted mid-scan, so the
 budget is checked against the measured wall time and a timed-out strategy is
-not retried for the remaining repetitions.
+not retried for the remaining repetitions.  Each report row names the
+strategy that ran and the selector's predicted time for it, next to the
+measured stages.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import ParseError
 from .mqo import STRATEGIES, run_strategy
 from .parser import parse
 from .query import CellSet, cell_sets_equal
-from .selector import SelectorConfig, StrategyChoice, choose_strategy, estimate_stats
+from .selector import SelectorConfig, StrategyChoice, choose_plan, estimate_plans, estimate_stats
 
 
 @dataclass
@@ -54,8 +56,8 @@ def run_analyze(
     selector_config: Optional[SelectorConfig] = None,
 ) -> AnalyzeResult:
     """Drive one ANALYZE request.  ``request`` is statement text or an
-    already-bound AnalyzeQuery.  strategy 'auto' applies the selector rule;
-    'min'/'mid'/'max' force a strategy ('min' exists only as an override)."""
+    already-bound AnalyzeQuery.  strategy 'auto' runs the plan the selector
+    picks (selector.choose_plan); 'min'/'mid'/'max' force a strategy."""
     timing = TimingBreakdown()
 
     t0 = time.perf_counter_ns()
@@ -73,7 +75,7 @@ def run_analyze(
     effective = strategy
     if strategy == "auto":
         stats = estimate_stats(fs)
-        choice = choose_strategy(stats, selector_config)
+        choice = choose_plan(fs, stats, selector_config)
         effective = choice.chosen
     timing.construct_ns = time.perf_counter_ns() - t1
 
@@ -114,6 +116,8 @@ def render_result(cube: DetailedCube, result: AnalyzeResult) -> str:
     if result.selector is not None:
         header_bits.append(f"(coverage={result.selector.sibling_coverage:.2f} "
                            f"imbalance={result.selector.sibling_imbalance:.2f})")
+        header_bits.append("predicted_ms " + " ".join(
+            f"{name}={ms:.2f}" for name, ms in result.selector.predicted_ms.items()))
     if result.fallback_reason:
         header_bits.append(f"[fallback: {result.fallback_reason}]")
     out.write("# " + " ".join(header_bits) + "\n")
@@ -200,6 +204,7 @@ REPORT_COLUMNS = [
     "exec_org_ns", "exec_sibA_ns", "exec_sibB_ns", "exec_ddA_ns", "exec_ddB_ns",
     "exec_merged_ns",
     "facts_org", "facts_sA", "facts_sB", "facts_A", "chosen_ok",
+    "strategy_used", "predicted_ms",
 ]
 
 
@@ -216,7 +221,9 @@ def run_workload(
     for wq in spec.queries:
         stmt = parse(wq.text, cube.schema)
         aq = from_statement(stmt, cube)
-        stats = estimate_stats(build_facilitators(aq))
+        fs = build_facilitators(aq)
+        stats = estimate_stats(fs)
+        predicted = {name: plan.ms for name, plan in estimate_plans(fs, stats).items()}
 
         # Oracle result for the equivalence flag (also warms the caches).
         oracle = run_analyze(cube, aq, strategy="min")
@@ -238,7 +245,7 @@ def run_workload(
                 elapsed = result.timing.total_ns
                 timed_out = elapsed > budget_ns
                 rows.append(_report_row(wq.label, strategy, rep, result, stats,
-                                        oracle, timed_out))
+                                        oracle, timed_out, predicted))
     return rows
 
 
@@ -252,7 +259,7 @@ def _results_match(result: AnalyzeResult, oracle: AnalyzeResult) -> bool:
     return True
 
 
-def _report_row(label, strategy, rep, result, stats, oracle, timed_out) -> dict:
+def _report_row(label, strategy, rep, result, stats, oracle, timed_out, predicted) -> dict:
     t = result.timing
     row = {
         "label": label, "strategy": strategy, "rep": rep, "timed_out": timed_out,
@@ -263,6 +270,8 @@ def _report_row(label, strategy, rep, result, stats, oracle, timed_out) -> dict:
         "facts_org": stats.facts_org, "facts_sA": stats.facts_sib_a,
         "facts_sB": stats.facts_sib_b, "facts_A": stats.facts_all,
         "chosen_ok": _results_match(result, oracle),
+        "strategy_used": result.strategy_used,
+        "predicted_ms": round(predicted[result.strategy_used], 3),
     }
     for role in ROLES:
         row[f"exec_{role}_ns"] = result.slots[role].exec_ns
@@ -275,7 +284,7 @@ def _timeout_row(label, strategy, rep, stats) -> dict:
         "label": label, "strategy": strategy, "rep": rep, "timed_out": True,
         "facts_org": stats.facts_org, "facts_sA": stats.facts_sib_a,
         "facts_sB": stats.facts_sib_b, "facts_A": stats.facts_all,
-        "chosen_ok": False,
+        "chosen_ok": False, "strategy_used": "",
     })
     return row
 

@@ -33,7 +33,12 @@ from .errors import (
     UnknownMember,
     UnknownMemberLabel,
 )
-from .selector import DEFAULT_COVERAGE_THRESHOLD, DEFAULT_IMBALANCE_THRESHOLD, SelectorConfig
+from .selector import (
+    DEFAULT_COVERAGE_THRESHOLD,
+    DEFAULT_IMBALANCE_THRESHOLD,
+    RULES,
+    SelectorConfig,
+)
 from .synth import SynthSpec, generate
 
 DATA_DIR_ENV = "CUBELENS_DATA_DIR"
@@ -59,8 +64,13 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_selector_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--coverage-threshold", type=float, default=DEFAULT_COVERAGE_THRESHOLD)
-    p.add_argument("--imbalance-threshold", type=float, default=DEFAULT_IMBALANCE_THRESHOLD)
+    p.add_argument("--selector", choices=RULES, default="cost",
+                   help="auto's rule: the cheapest predicted plan (cost, default) "
+                        "or the paper's coverage/imbalance thresholds (paper)")
+    p.add_argument("--coverage-threshold", type=float, default=DEFAULT_COVERAGE_THRESHOLD,
+                   help="paper rule only")
+    p.add_argument("--imbalance-threshold", type=float, default=DEFAULT_IMBALANCE_THRESHOLD,
+                   help="paper rule only")
     p.add_argument("--no-selector", action="store_true",
                    help="disable the auto selector (falls back to mid)")
 
@@ -83,6 +93,7 @@ def _selector_config(args) -> SelectorConfig:
         coverage_threshold=args.coverage_threshold,
         imbalance_threshold=args.imbalance_threshold,
         enabled=not args.no_selector,
+        rule=args.selector,
     )
 
 

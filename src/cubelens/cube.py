@@ -31,7 +31,7 @@ import threading
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import csv
 
@@ -205,16 +205,6 @@ class DetailedCube:
         """Rows selected by a conjunction of atoms: the cached popcount."""
         self.condition_mask(atoms)  # builds (and books) the mask on a miss
         return self._condition_mask_cache[_condition_key(atoms)][1]
-
-
-def filter_rows(cube: DetailedCube, detailed_condition: Mapping[str, Iterable[int]]) -> np.ndarray:
-    """Rows whose level-0 coordinate is in the code set of every constrained
-    dimension (bitset).  Unconstrained dimensions are unrestricted."""
-    atoms = []
-    for dim_name, codes in detailed_condition.items():
-        dim = cube.schema.dimension(dim_name)  # raises UnknownDimension
-        atoms.append((dim.detailed_level, tuple(sorted(int(c) for c in codes))))
-    return cube.condition_mask(atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -218,29 +218,6 @@ def anc(dim: Dimension, from_level, to_level, member: int) -> int:
     return int(dim.anc_array(lo.depth, hi.depth)[code])
 
 
-def desc(dim: Dimension, from_level, to_level, member: int) -> np.ndarray:
-    """All codes at ``to_level`` whose ancestor at ``from_level`` is
-    ``member``, as a sorted int64 array.  Identity set at the same level."""
-    hi = dim.level(from_level)
-    lo = dim.level(to_level)
-    if lo.depth > hi.depth:
-        raise LevelOrderViolation(
-            f"desc goes from coarse to detailed, got {hi!r} -> {lo!r}"
-        )
-    code = dim._check_code(hi, member)
-    return dim.desc_lists(hi.depth, lo.depth)[code]
-
-
-def siblings_under_parent(dim: Dimension, level, member: int) -> np.ndarray:
-    """All members sharing ``member``'s parent (including member itself)."""
-    lv = dim.level(level)
-    if lv.is_all:
-        raise NoParentLevel(f"{lv!r} has no parent level")
-    parent = dim.parent_level(lv)
-    mother = anc(dim, lv, parent, member)
-    return desc(dim, parent, lv, mother)
-
-
 def validate_hierarchy(dim: Dimension) -> list[str]:
     """Check the structural invariants; returns violations (empty = valid)."""
     violations: list[str] = []

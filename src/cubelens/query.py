@@ -49,11 +49,7 @@ from .aggregate import (
     unpack,
 )
 from .cube import DetailedCube
-from .errors import (
-    InvalidQuery,
-    LevelOrderViolation,
-    UnknownMember,
-)
+from .errors import InvalidQuery, UnknownMember
 from .hierarchy import Dimension, Level
 
 
@@ -135,7 +131,6 @@ class CellSet:
         self.key_cols = [np.asarray(c, dtype=np.int64) for c in key_cols]
         self.values = np.asarray(values)
         self.peak = peak
-        self._dict = None
         self._codes: dict[tuple[str, int], np.ndarray] = {}
         self._hits: dict[SelectionAtom, np.ndarray] = {}
 
@@ -166,21 +161,6 @@ class CellSet:
             codes = self.codes_at(dim, atom.level)
             hits = self._hits.setdefault(atom, atom_contains(dim, atom, atom.level.depth, codes))
         return hits
-
-    def as_dict(self) -> dict:
-        if self._dict is None:
-            py = (float if self.values.dtype.kind == "f" else int)
-            self._dict = {
-                coords: py(v)
-                for coords, v in zip(zip(*(c.tolist() for c in self.key_cols)), self.values.tolist())
-            } if len(self) else {}
-        return self._dict
-
-    def items(self):
-        return self.as_dict().items()
-
-    def get(self, coords, default=None):
-        return self.as_dict().get(tuple(coords), default)
 
 
 def empty_cell_set(schema: CellSchema, value_dtype=np.int64) -> CellSet:
@@ -238,6 +218,19 @@ class CubeQuery:
         return finest_groupers(self.groupers)
 
     @cached_property
+    def value_peak(self) -> int | float:
+        """A bound on |value| of the rows a scan folds: the measure's peak,
+        or 1 for a count (which adds ones)."""
+        return 1 if self.agg == "count" else self.cube.measure_peaks[self.measure_name]
+
+    @cached_property
+    def scan_layout(self):
+        """The strides and space of a scan's packed key, which groups on the
+        finest grouper of each dimension (aggregate.key_layout); None past
+        2**62."""
+        return key_layout([self.groupers[i].member_count for i in self.finest.values()])
+
+    @cached_property
     def filter_order_problem(self) -> str | None:
         """Why some grouper sits above its dimension's filter level, if one does."""
         for g in self.groupers:
@@ -258,25 +251,6 @@ def _lift_values(dim: Dimension, from_level: Level, values: Sequence[int], to_de
     if len(picked) == 1:
         return picked[0]
     return np.unique(np.concatenate(picked))
-
-
-def detailed_proxy(dim: Dimension, atom: SelectionAtom) -> SelectionAtom:
-    """The atom re-expressed at level 0 of its dimension: the union of the
-    values' descendant sets.  Selects exactly the same detailed subspace."""
-    if atom.level.depth == 0:
-        return atom
-    codes = _lift_values(dim, atom.level, atom.values, 0)
-    return SelectionAtom(dim.detailed_level, tuple(codes.tolist()))
-
-
-def grouper_domain(dim: Dimension, atom: SelectionAtom, grouper_level: Level) -> np.ndarray:
-    """Grouper-level codes producible under the atom (sorted array)."""
-    g = dim.level(grouper_level)
-    if g.depth > atom.level.depth:
-        raise LevelOrderViolation(
-            f"grouper level {g!r} is above the atom level {atom.level!r}"
-        )
-    return _lift_values(dim, atom.level, atom.values, g.depth)
 
 
 def finest_groupers(groupers: Sequence[Level]) -> dict[str, int]:
@@ -305,6 +279,18 @@ def atom_contains(dim: Dimension, atom: SelectionAtom, depth: int, codes: np.nda
 SCAN_CHUNK = 1 << 16
 
 
+def scan_chunks(q: CubeQuery, n: int, space: int) -> int:
+    """How many equal chunks execute_query folds ``n`` selected rows of ``q``
+    in, on a packed key space of ``space`` keys.  Chunks of at most
+    SCAN_CHUNK rows fold apart, and their cells fold again; a chunk keeps
+    over four rows per key, which the dense fold needs.  A sum that may
+    leave the exact float range folds whole: only its true total may raise
+    SumOverflow."""
+    if q.agg == "sum" and q.value_peak * n >= EXACT_FLOAT_SUM:
+        return 1
+    return -(-n // max(SCAN_CHUNK, 8 * space))
+
+
 def execute_query(q: CubeQuery) -> CellSet:
     """Run the query: filter, roll coordinates to the finest grouper level of
     each dimension, fold, then map the result up to the coarser groupers."""
@@ -322,22 +308,16 @@ def execute_query(q: CubeQuery) -> CellSet:
     finest = q.finest
     keys = [q.groupers[i] for i in finest.values()]
     sizes = [g.member_count for g in keys]
-    peak = 1 if q.agg == "count" else cube.measure_peaks[q.measure_name]  # a count adds ones
+    peak = q.value_peak
     bound = peak * len(rows)  # bounds |sum| of any group, and of every chunk's part of it
-    layout = key_layout(sizes)
+    layout = q.scan_layout
     if layout is None:  # past 2**62: group_reduce lexsorts the plain columns
         cols = [cube.rolled_column(g.dimension_name, g.depth, rows) for g in keys]
         uniq, out = group_reduce(cols, sizes, _measure(q, rows), q.agg, peak=peak)
     else:
         strides, space = layout
-        # Equal chunks of at most SCAN_CHUNK rows fold apart, and their cells
-        # fold again; a chunk keeps over four rows per key, which the dense
-        # fold needs.  A sum that may leave the exact float range folds
-        # whole: only its true total may raise SumOverflow.
-        whole = q.agg == "sum" and bound >= EXACT_FLOAT_SUM
-        chunks = 1 if whole else -(-len(rows) // max(SCAN_CHUNK, 8 * space))
         parts = [_scan_chunk(q, keys, strides, space, part, peak)
-                 for part in np.array_split(rows, chunks)]
+                 for part in np.array_split(rows, scan_chunks(q, len(rows), space))]
         (packed,), out = parts[0] if len(parts) == 1 else fold_chunks(parts, space, q.agg, bound)
         uniq = unpack(packed, sizes)
     by_dim = dict(zip(finest, uniq))

@@ -1,41 +1,87 @@
-"""Statistics-driven choice between Max-MQO and Mid-MQO.
+"""Plan choice for strategy 'auto': a cost model over the plans, or the
+paper's coverage/imbalance rule.
 
-The costs that matter are fact-table touches.  We count, exactly, the rows
-matched by the detailed filter regions of the original query, the two
-sibling queries and the all-encompassing query (popcounts cached with the
-filter bitsets, which the subsequent execution reuses).  The regions
-are the slot conditions of the request's FacilitatorSet, and the sibling
-union is counted from the other three, without a union mask.  Max-MQO is
-picked only when the sibling regions jointly cover a large share of the
-all-encompassing region (they overlap enough for the single scan to pay off)
-and the two sibling regions are not too imbalanced.  Everything else runs
-Mid-MQO.  Min-MQO is never auto-selected; it exists as an explicit override
-and as the correctness oracle.
+Both read exact region sizes: the fact rows matched by the detailed filter
+regions of the original query, the two sibling queries and the
+all-encompassing query (popcounts cached with the filter bitsets, which the
+subsequent execution reuses).  The regions are the slot conditions of the
+request's FacilitatorSet, and the sibling union is counted from the other
+three, without a union mask.
+
+The cost rule (the default) predicts the time of every plan in mqo._PLANS
+and runs the cheapest: Min-MQO is a candidate, Max-MQO only when all five
+facilitators exist (else it would fall back to Mid).  A plan's time is the
+sum over its scans (its merged base and every facilitator it scans
+directly) plus a constant per role it derives from the base.  A scan costs
+a constant, a pass over the cube's full bitset (row selection), its rows at
+the per-row cost of the fold path it will take (dense, or a sort at
+rows * log2(rows)), a gather cost per row that grows as its region thins
+out, and its key space once per chunk for the dense buffers.  The fold path
+and the chunk count come from the functions the scan itself runs
+(aggregate.fold_path, query.scan_chunks), so the model cannot drift from
+the kernel.  The rows come from the region sizes: the original region
+for the original, the drill-downs and Mid's base, the sibling regions, and
+the all-encompassing region for Max's base.  No mask is built and no fact
+is read beyond what estimate_stats does.
+
+The paper rule (choose_strategy, rule="paper") picks Max-MQO only when the
+sibling regions jointly cover a large share of the all-encompassing region
+(they overlap enough for the single scan to pay off) and the two sibling
+regions are not too imbalanced; everything else runs Mid-MQO.  It never
+picks Min-MQO.
 
 When a sibling cannot be derived (no filter atom, or a filter at ALL), the
 widening is vacuous and that region falls back to the original condition's
 region; the slot is flagged as degraded, as is "all" whenever any
-facilitator is missing, and the selector then stays on Mid-MQO.  This keeps
-the containment chain facts_org <= facts_sA/facts_sB <= facts_A <= row_count
-valid for every query.
+facilitator is missing, and the paper rule then stays on Mid-MQO.  This
+keeps the containment chain facts_org <= facts_sA/facts_sB <= facts_A <=
+row_count valid for every query.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Optional
 
+from .aggregate import fold_path
 from .analyze import FacilitatorSet
+from .errors import DegradedStructure
+from .mqo import _PLANS
+from .query import CubeQuery, scan_chunks
 
 DEFAULT_COVERAGE_THRESHOLD = 0.40
 DEFAULT_IMBALANCE_THRESHOLD = 0.45
+RULES = ("cost", "paper")
+
+# The cost model, in ns.  Fitted once by non-negative least squares on the
+# relative error of forced-plan timings (exec + derive, hot masks, best of 5,
+# 2 CPUs): the ten sweep statements and 72 explore-cold statements (seed
+# 7001), each under min, mid and max, on SWEEP_SPEC at 2M, 500K and 100K
+# facts; 738 plan timings.  CHANGES.md records the fit and its data.
+SCAN_NS = 22_000.0       # per scan
+MASK_ROW_NS = 0.48       # per fact of the cube: the pass over the scan's bitset
+DENSE_ROW_NS = 13.5      # per selected row folded densely
+SORT_ROW_NS = 13.4       # per selected row and log2(rows) folded by a sort
+SPACE_NS = 5.2           # per key of the key space, per chunk: dense buffers
+SPARSE_ROW_NS = 23.6     # per selected row times the share of facts outside the
+                         # region: gathers from a sparse region miss the cache
+DERIVE_NS = 111_000.0    # per role derived from the merged base
 
 
 @dataclass
 class SelectorConfig:
+    """rule 'cost' runs the plan predicted cheapest; rule 'paper' applies
+    the coverage/imbalance thresholds.  Disabled, both run Mid-MQO."""
+
     coverage_threshold: float = DEFAULT_COVERAGE_THRESHOLD
     imbalance_threshold: float = DEFAULT_IMBALANCE_THRESHOLD
     enabled: bool = True
+    rule: str = "cost"
+
+    def __post_init__(self):
+        if self.rule not in RULES:
+            raise ValueError(f"unknown selector rule {self.rule!r}")
 
 
 @dataclass
@@ -61,6 +107,7 @@ class StrategyChoice:
     sibling_coverage: float
     sibling_imbalance: float
     reason: str
+    predicted_ms: dict[str, float] = field(default_factory=dict)  # per candidate plan
 
 
 def estimate_stats(fs: FacilitatorSet) -> CostStats:
@@ -102,11 +149,7 @@ def choose_strategy(stats: CostStats, config: Optional[SelectorConfig] = None) -
     if stats.facts_all == 0:
         return StrategyChoice("mid", 0.0, 0.0, "degenerate stats: empty all-encompassing region")
 
-    coverage = stats.sibling_union / stats.facts_all
-    hi = max(stats.facts_sib_a, stats.facts_sib_b)
-    lo = min(stats.facts_sib_a, stats.facts_sib_b)
-    imbalance = 0.0 if hi == 0 else 1.0 - lo / hi
-
+    coverage, imbalance = _overlap(stats)
     if coverage > config.coverage_threshold and imbalance < config.imbalance_threshold:
         return StrategyChoice("max", coverage, imbalance,
                               f"coverage {coverage:.2f} > {config.coverage_threshold:.2f} and "
@@ -114,3 +157,98 @@ def choose_strategy(stats: CostStats, config: Optional[SelectorConfig] = None) -
     return StrategyChoice("mid", coverage, imbalance,
                           f"coverage {coverage:.2f} / imbalance {imbalance:.2f} "
                           f"outside the Max-MQO region")
+
+
+def _overlap(stats: CostStats) -> tuple[float, float]:
+    """Sibling coverage of the all-encompassing region, and sibling imbalance."""
+    coverage = stats.sibling_union / stats.facts_all if stats.facts_all else 0.0
+    hi = max(stats.facts_sib_a, stats.facts_sib_b)
+    lo = min(stats.facts_sib_a, stats.facts_sib_b)
+    return coverage, 0.0 if hi == 0 else 1.0 - lo / hi
+
+
+# ---------------------------------------------------------------------------
+# The cost model
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ScanEstimate:
+    """One predicted scan: its selected rows, the chunks it folds in, the
+    fold path they take (None for an empty region, which folds nothing) and
+    its predicted time."""
+
+    query: CubeQuery
+    rows: int
+    chunks: int
+    path: Optional[str]
+    ns: float
+
+
+@dataclass(frozen=True)
+class PlanEstimate:
+    scans: tuple[ScanEstimate, ...]
+    derived: int  # roles answered from the merged base
+
+    @property
+    def ms(self) -> float:
+        return (sum(scan.ns for scan in self.scans) + DERIVE_NS * self.derived) / 1e6
+
+
+def _estimate_scan(q: CubeQuery, rows: int) -> ScanEstimate:
+    """The predicted cost of execute_query(q) over ``rows`` selected rows."""
+    ns = SCAN_NS + MASK_ROW_NS * q.cube.row_count
+    if rows == 0:
+        return ScanEstimate(q, 0, 0, None, ns)
+    layout = q.scan_layout
+    space = None if layout is None else layout[1]
+    chunks = 1 if space is None else scan_chunks(q, rows, space)
+    path = fold_path(rows // chunks, space, q.agg)  # equal chunks take one path
+    if path == "dense":
+        ns += DENSE_ROW_NS * rows + SPACE_NS * space * chunks
+    else:
+        ns += SORT_ROW_NS * rows * math.log2(rows)
+    ns += SPARSE_ROW_NS * rows * (1.0 - rows / q.cube.row_count)
+    return ScanEstimate(q, rows, chunks, path, ns)
+
+
+def estimate_plans(fs: FacilitatorSet, stats: CostStats) -> dict[str, PlanEstimate]:
+    """The predicted scans and cost of every plan that runs as planned: Max
+    only when no facilitator is missing."""
+    rows = {"org": stats.facts_org, "sibA": stats.facts_sib_a, "sibB": stats.facts_sib_b,
+            "ddA": stats.facts_org, "ddB": stats.facts_org}
+    slots = fs.slots()
+    plans = {}
+    for name, (build, derived) in _PLANS.items():
+        try:
+            base = build(fs) if build is not None else None
+        except DegradedStructure:
+            continue
+        scans = []
+        if base is not None:
+            # A base answering a sibling covers the all-encompassing region;
+            # one answering the original and the drill-downs, their region.
+            covered = stats.facts_all if {"sibA", "sibB"} & set(derived) else stats.facts_org
+            scans.append(_estimate_scan(base, covered))
+        scans += [_estimate_scan(slot.query, rows[role]) for role, slot in slots.items()
+                  if not slot.empty and role not in derived]
+        plans[name] = PlanEstimate(tuple(scans),
+                                   sum(not slots[role].empty for role in derived))
+    return plans
+
+
+def choose_plan(fs: FacilitatorSet, stats: CostStats,
+                config: Optional[SelectorConfig] = None) -> StrategyChoice:
+    """The strategy 'auto' runs: under the cost rule the plan predicted
+    cheapest, under the paper rule choose_strategy's pick.  Either way the
+    choice carries every candidate plan's predicted time."""
+    config = config or SelectorConfig()
+    predicted = {name: plan.ms for name, plan in estimate_plans(fs, stats).items()}
+    if config.rule == "paper" or not config.enabled:
+        choice = choose_strategy(stats, config)
+    else:
+        best, runner_up = sorted(predicted, key=predicted.get)[:2]
+        choice = StrategyChoice(best, *_overlap(stats),
+                                f"predicted {best} {predicted[best]:.2f} ms < "
+                                f"{runner_up} {predicted[runner_up]:.2f} ms")
+    choice.predicted_ms = predicted
+    return choice

@@ -1,14 +1,24 @@
-"""Independent brute-force oracles.
+"""Independent brute-force oracles, and the code-level helpers only tests use.
 
-Everything here works on labels and plain-Python dict walks, deliberately
-sharing no code with the engine.  The engine's dictionary-encoded, vectorized
+The oracles work on labels and plain-Python dict walks, deliberately sharing
+no code with the engine.  The engine's dictionary-encoded, vectorized
 results are compared against these after decoding.  ResultMap/update_map is
 the reference fold: merged tuples folded one at a time into per-role maps.
 decode_cells is the reference renderer: one label lookup per cell, then a
 sort of the label rows.
+
+The helpers at the end (cell_dict, desc, siblings_under_parent, filter_rows,
+detailed_proxy, grouper_domain) read the engine's own encodings; the engine
+does not need them, and the tests check them against the oracles.
 """
 
 import operator
+
+import numpy as np
+
+from cubelens.errors import LevelOrderViolation
+from cubelens.hierarchy import anc
+from cubelens.query import SelectionAtom
 
 ALL_LABEL = "All"
 
@@ -51,7 +61,7 @@ def decode_cells(cube, cells):
     header.append(cells.schema.measure_alias)
     dims = [cube.schema.dimension(g.dimension_name) for g in cells.schema.groupers]
     rows = []
-    for coords, value in cells.items():
+    for coords, value in cell_dict(cells).items():
         labels = [dim.member_label(g, code)
                   for dim, g, code in zip(dims, cells.schema.groupers, coords)]
         labels.append(str(value))
@@ -161,3 +171,64 @@ def spearman_rho(xs, ys):
     num = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
     den = (sum((a - mx) ** 2 for a in rx) * sum((b - my) ** 2 for b in ry)) ** 0.5
     return num / den if den else 0.0
+
+
+# ---------------------------------------------------------------------------
+# Code-level helpers
+# ---------------------------------------------------------------------------
+
+def cell_dict(cells):
+    """A CellSet as {coordinate tuple: Python number}."""
+    if not len(cells):
+        return {}
+    py = float if cells.values.dtype.kind == "f" else int
+    coords = zip(*(c.tolist() for c in cells.key_cols))
+    return {key: py(v) for key, v in zip(coords, cells.values.tolist())}
+
+
+def desc(dim, from_level, to_level, member):
+    """All codes at ``to_level`` whose ancestor at ``from_level`` is
+    ``member``, as a sorted int64 array.  Identity set at the same level."""
+    hi, lo = dim.level(from_level), dim.level(to_level)
+    if lo.depth > hi.depth:
+        raise LevelOrderViolation(f"desc goes from coarse to detailed, got {hi!r} -> {lo!r}")
+    return dim.desc_lists(hi.depth, lo.depth)[anc(dim, hi, hi, member)]
+
+
+def siblings_under_parent(dim, level, member):
+    """All members sharing ``member``'s parent (including member itself)."""
+    lv = dim.level(level)
+    parent = dim.parent_level(lv)  # raises NoParentLevel at ALL
+    return desc(dim, parent, lv, anc(dim, lv, parent, member))
+
+
+def filter_rows(cube, detailed_condition):
+    """Rows whose level-0 coordinate is in the code set of every constrained
+    dimension (bitset).  Unconstrained dimensions are unrestricted."""
+    atoms = []
+    for dim_name, codes in detailed_condition.items():
+        dim = cube.schema.dimension(dim_name)  # raises UnknownDimension
+        atoms.append((dim.detailed_level, tuple(sorted(int(c) for c in codes))))
+    return cube.condition_mask(atoms)
+
+
+def _descendants(dim, atom, depth):
+    """Union of the descendant sets of the atom's values at ``depth`` (sorted)."""
+    lists = dim.desc_lists(atom.level.depth, depth)
+    return np.unique(np.concatenate([lists[v] for v in atom.values]))
+
+
+def detailed_proxy(dim, atom):
+    """The atom re-expressed at level 0 of its dimension: the union of the
+    values' descendant sets.  Selects exactly the same detailed subspace."""
+    if atom.level.depth == 0:
+        return atom
+    return SelectionAtom(dim.detailed_level, tuple(_descendants(dim, atom, 0).tolist()))
+
+
+def grouper_domain(dim, atom, grouper_level):
+    """Grouper-level codes producible under the atom (sorted array)."""
+    g = dim.level(grouper_level)
+    if g.depth > atom.level.depth:
+        raise LevelOrderViolation(f"grouper level {g!r} is above the atom level {atom.level!r}")
+    return _descendants(dim, atom, g.depth)

@@ -15,7 +15,7 @@ from cubelens.analyze import build_facilitators, from_statement
 from cubelens.bench import WorkloadSpec, run_workload
 from cubelens.cube import load_cube
 from cubelens.errors import DegradedStructure
-from cubelens.hierarchy import anc, desc, siblings_under_parent
+from cubelens.hierarchy import anc
 from cubelens.mqo import build_all_encompassing, build_org_dd_merged, run_max_mqo, run_mid_mqo, run_min_mqo
 from cubelens.parser import parse
 from cubelens.query import (
@@ -24,10 +24,8 @@ from cubelens.query import (
     SelectionCondition,
     cell_sets_equal,
     cube_usable,
-    detailed_proxy,
-    grouper_domain,
 )
-from cubelens.selector import CostStats, choose_strategy, estimate_stats
+from cubelens.selector import CostStats, choose_plan, choose_strategy, estimate_stats
 from cubelens.synth import SynthSpec, generate
 
 from fixtures import (
@@ -37,7 +35,14 @@ from fixtures import (
     random_analyze,
     random_tables,
 )
-from oracles import HierarchyOracle, spearman_rho
+from oracles import (
+    HierarchyOracle,
+    desc,
+    detailed_proxy,
+    grouper_domain,
+    siblings_under_parent,
+    spearman_rho,
+)
 
 ROLES = ("org", "sibA", "sibB", "ddA", "ddB")
 AGGS = ("sum", "min", "max", "count")
@@ -401,6 +406,23 @@ def test_criterion_7_breakdown_dominance(sweep_bench):
         assert ratio >= 0.90, (label, strategy, ratio)
     report_pass(7, f"facilitator execution >= 90% of total for all "
                    f"{len(representative)} query/strategy pairs (worst {worst:.1%})")
+
+
+def test_cost_pick_near_fastest_plan(sweep_bench):
+    # the selector's pick, judged on the forced-plan timings already taken
+    cube, queries, rows = sweep_bench
+    best = _best_times(rows)
+    scans = cube.exec_stats.fact_scans
+    near = []
+    for i, (_, _, text) in enumerate(queries):
+        label = f"q{i + 1}"
+        fs = build_facilitators(from_statement(parse(text, cube.schema), cube))
+        pick = choose_plan(fs, estimate_stats(fs)).chosen
+        fastest = min(best[(label, s)] for s in ("min", "mid", "max"))
+        near.append(best[(label, pick)] <= 1.25 * fastest)
+    assert cube.exec_stats.fact_scans == scans  # choosing scanned nothing
+    assert sum(near) >= 9, near
+    print(f"\nACCEPTANCE cost pick: PASS (within 1.25x of the fastest plan on {sum(near)}/10)")
 
 
 # ---------------------------------------------------------------------------

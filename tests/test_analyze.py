@@ -33,6 +33,7 @@ from fixtures import (
     random_analyze,
     random_tables,
 )
+from oracles import cell_dict
 
 
 @pytest.fixture()
@@ -221,14 +222,14 @@ def test_sibling_contains_original_context(reference, foodmart_oracles):
     cust = reference.cube.schema.dimension("Customer")
 
     rolled = {}
-    for (month, region), value in execute_query(fs.org.query).items():
+    for (month, region), value in cell_dict(execute_query(fs.org.query)).items():
         quarter = date_oracle.anc("Month", "Quarter", date.member_label("Month", month))
         key = (quarter, cust.member_label("customerRegion", region))
         rolled[key] = rolled.get(key, 0.0) + value
 
     sib_cells = execute_query(fs.sib_a.query)
     sliced = {}
-    for (quarter, region), value in sib_cells.items():
+    for (quarter, region), value in cell_dict(sib_cells).items():
         q_label = date.member_label("Quarter", quarter)
         if q_label == "1997-Q3":
             sliced[(q_label, cust.member_label("customerRegion", region))] = value

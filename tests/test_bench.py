@@ -42,7 +42,7 @@ def test_auto_uses_selector(walkthrough_cube):
 
 
 def test_auto_with_forced_thresholds(walkthrough_cube):
-    force_max = SelectorConfig(coverage_threshold=0.0, imbalance_threshold=1.0)
+    force_max = SelectorConfig(coverage_threshold=0.0, imbalance_threshold=1.0, rule="paper")
     result = run_analyze(walkthrough_cube, WALKTHROUGH_QUERY, strategy="auto",
                          selector_config=force_max)
     assert result.selector.chosen == "max"
@@ -152,6 +152,29 @@ def test_report_written(foodmart_cube, tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 1 + len(rows)
     assert lines[0].startswith("label,strategy,rep,timed_out,parse_ns")
+
+
+def test_report_names_the_strategy_run_and_its_prediction(foodmart_cube, tmp_path):
+    spec = WorkloadSpec.from_dict({
+        "queries": [{"label": "ref", "text": REFERENCE_QUERY}]})
+    rows = run_workload(foodmart_cube, spec, strategies=("auto", "min", "mid", "max"))
+    auto = run_analyze(foodmart_cube, REFERENCE_QUERY)
+    for row in rows:
+        used = auto.strategy_used if row["strategy"] == "auto" else row["strategy"]
+        assert row["strategy_used"] == used
+        assert row["predicted_ms"] == round(auto.selector.predicted_ms[used], 3) > 0
+    path = tmp_path / "report.csv"
+    write_report(rows, path)
+    assert path.read_text().splitlines()[0].endswith(",chosen_ok,strategy_used,predicted_ms")
+
+
+def test_auto_header_appends_predicted_costs(foodmart_cube):
+    result = run_analyze(foodmart_cube, REFERENCE_QUERY)
+    first = render_result(foodmart_cube, result).splitlines()[0]
+    predicted = " ".join(f"{name}={ms:.2f}" for name, ms in result.selector.predicted_ms.items())
+    assert first.startswith(f"# strategy={result.strategy_used} (coverage=")
+    assert first.endswith(f") predicted_ms {predicted}")
+    assert set(result.selector.predicted_ms) == {"min", "mid", "max"}
 
 
 def test_bad_workload_rejected(tmp_path):

@@ -64,11 +64,32 @@ def test_query_stdout_sections(foodmart_dir, capsys):
 
 def test_query_auto_header(foodmart_dir, capsys):
     rc = main(["query", "--data-dir", str(foodmart_dir), "--query", REFERENCE_QUERY,
+               "--selector", "paper",
                "--coverage-threshold", "0.0", "--imbalance-threshold", "1.0"])
     assert rc == 0
     out = capsys.readouterr().out
     assert out.startswith("# strategy=max (coverage=")
     assert "imbalance=" in out.splitlines()[0]
+
+
+def test_query_selector_rules(foodmart_dir, capsys):
+    heads = {}
+    for rule in ("cost", "paper"):
+        rc = main(["query", "--data-dir", str(foodmart_dir), "--query", REFERENCE_QUERY,
+                   "--selector", rule])
+        assert rc == 0
+        heads[rule] = capsys.readouterr().out.splitlines()[0]
+        assert " predicted_ms min=" in heads[rule]
+    # the thresholds steer the paper rule only
+    for rule, expected in (("cost", heads["cost"].split()[1]), ("paper", "strategy=max")):
+        rc = main(["query", "--data-dir", str(foodmart_dir), "--query", REFERENCE_QUERY,
+                   "--selector", rule, "--coverage-threshold", "0.0",
+                   "--imbalance-threshold", "1.0"])
+        assert rc == 0
+        assert capsys.readouterr().out.split()[1] == expected
+    with pytest.raises(SystemExit):
+        main(["query", "--data-dir", str(foodmart_dir), "--query", REFERENCE_QUERY,
+              "--selector", "fastest"])
 
 
 def test_query_output_files(foodmart_dir, tmp_path, capsys):

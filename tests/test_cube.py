@@ -3,17 +3,16 @@ import random
 import numpy as np
 import pytest
 
-from cubelens.cube import load_cube, filter_rows
+from cubelens.cube import load_cube
 from cubelens.errors import (
     ParseError,
     SchemaMismatch,
     UnknownDimension,
     UnknownMemberLabel,
 )
-from cubelens.hierarchy import desc
 
 from fixtures import build_cube, foodmart_tables, random_tables, write_dataset
-from oracles import naive_filter
+from oracles import desc, filter_rows, naive_filter
 
 
 @pytest.fixture(scope="module")

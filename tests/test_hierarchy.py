@@ -12,15 +12,13 @@ from cubelens.errors import (
 )
 from cubelens.hierarchy import (
     anc,
-    desc,
     dimension_from_member_rows,
     dimension_from_tables,
-    siblings_under_parent,
     validate_hierarchy,
 )
 
 from fixtures import build_cube, random_tables
-from oracles import HierarchyOracle
+from oracles import HierarchyOracle, desc, siblings_under_parent
 
 
 def date_dim(foodmart):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubelens.analyze import build_facilitators, from_statement
+from cubelens.bench import run_analyze
 from cubelens.errors import DegradedStructure
 from cubelens.mqo import (
     build_all_encompassing,
@@ -24,7 +25,7 @@ from fixtures import (
     random_analyze,
     random_tables,
 )
-from oracles import ArityMismatch, ResultMap, update_map
+from oracles import ArityMismatch, ResultMap, cell_dict, update_map
 
 ROLES = ("org", "sibA", "sibB", "ddA", "ddB")
 
@@ -312,8 +313,10 @@ def test_strategy_equivalence_random_smoke():
         rmin = run_min_mqo(fs)
         rmid = run_mid_mqo(fs)
         rmax = run_max_mqo(fs)
+        rauto = run_analyze(cube, aq)
         assert results_equal(rmin, rmid)
         assert results_equal(rmin, rmax)
+        assert results_equal(rmin, rauto), rauto.strategy_used
         if rmax.strategy_used == "max":
             checked_max += 1
     assert checked_max >= 10  # the generator produces enough full structures
@@ -337,7 +340,7 @@ def test_distribution_completeness_with_count():
         stats = estimate_stats(fs)
         result = run_max_mqo(fs)
         assert result.strategy_used == "max"
-        totals = {role: sum(v for _, v in result.slots[role].cells.items())
+        totals = {role: sum(v for _, v in cell_dict(result.slots[role].cells).items())
                   for role in ROLES}
         assert totals["org"] == stats.facts_org
         assert totals["ddA"] == stats.facts_org
@@ -363,7 +366,7 @@ def _distribute_by_tuple(aq, merged, cells):
     dd_b = col[(g_b.dimension_name, g_b.depth - 1)]
     sig_a, sig_b = at(alpha.level), at(beta.level)
     maps = {role: ResultMap(2, aq.agg) for role in ROLES}
-    for coords, value in cells.items():
+    for coords, value in cell_dict(cells).items():
         pass_a = coords[sig_a] == alpha.values[0]
         pass_b = coords[sig_b] == beta.values[0]
         if pass_a and pass_b:
@@ -395,7 +398,7 @@ def test_max_matches_per_tuple_distribution_oracle(agg):
         result = run_max_mqo(fs)
         assert result.strategy_used == "max"
         for role in ROLES:
-            assert result.slots[role].cells.as_dict() == maps[role].as_dict(), role
+            assert cell_dict(result.slots[role].cells) == maps[role].as_dict(), role
         checked += 1
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cubelens.errors import DegradedStructure, LevelOrderViolation, UsabilityViolation
-from cubelens.hierarchy import desc
 from cubelens.mqo import build_all_encompassing, reaggregate
 from cubelens.analyze import build_facilitators
 from cubelens.query import (
@@ -13,13 +12,11 @@ from cubelens.query import (
     SelectionCondition,
     cell_sets_equal,
     cube_usable,
-    detailed_proxy,
     execute_query,
-    grouper_domain,
 )
 
 from fixtures import REFERENCE_QUERY, build_cube, random_analyze, random_tables
-from oracles import naive_execute
+from oracles import cell_dict, desc, detailed_proxy, filter_rows, grouper_domain, naive_execute
 
 
 def reference_aq(foodmart_cube):
@@ -32,7 +29,7 @@ def reference_aq(foodmart_cube):
 def decode_cells(cube, cells):
     dims = [cube.schema.dimension(g.dimension_name) for g in cells.schema.groupers]
     out = {}
-    for coords, value in cells.items():
+    for coords, value in cell_dict(cells).items():
         labels = tuple(dim.member_label(g, c)
                        for dim, g, c in zip(dims, cells.schema.groupers, coords))
         out[labels] = value
@@ -311,7 +308,6 @@ def test_distributivity_totals():
     rng = random.Random(59)
     tables = random_tables(rng, max_facts=500)
     cube = build_cube(tables)
-    from cubelens.cube import filter_rows
     for agg in ("sum", "count", "min", "max"):
         aq = random_analyze(rng, cube, aggs=(agg,))
         q = aq.original_query()
@@ -325,7 +321,7 @@ def test_distributivity_totals():
             assert len(cells) == 0
             continue
         raw = cube.measure_columns[q.measure_name][rows]
-        values = [v for _, v in cells.items()]
+        values = [v for _, v in cell_dict(cells).items()]
         if agg == "sum":
             assert sum(values) == raw.sum()
         elif agg == "count":

@@ -3,13 +3,18 @@ import random
 import numpy as np
 import pytest
 
+from cubelens import aggregate, mqo, query
 from cubelens.analyze import AnalyzeQuery, build_facilitators, from_statement
+from cubelens.cube import CubeSchema, DetailedCube, Measure
+from cubelens.hierarchy import dimension_from_member_rows
 from cubelens.parser import parse
 from cubelens.query import SelectionCondition
 from cubelens.selector import (
     CostStats,
     SelectorConfig,
+    choose_plan,
     choose_strategy,
+    estimate_plans,
     estimate_stats,
 )
 
@@ -178,3 +183,133 @@ def test_cached_regions_are_counted_without_a_popcount(monkeypatch):
     assert calls == []
     for key, (mask, count) in cube._condition_mask_cache.items():
         assert count == count_nonzero(mask), key
+
+
+# ---------------------------------------------------------------------------
+# The cost model
+# ---------------------------------------------------------------------------
+
+def wide_cube(seed, facts=40_000):
+    """Two dimensions whose level-0 cross product (4.8M keys) passes the
+    dense fold's key-space limit, over random facts."""
+    gen = np.random.default_rng(seed)
+    dims = []
+    for name, sizes in (("D0", (3000, 120, 8)), ("D1", (1600, 80, 5))):
+        levels = [f"{name}L{i}" for i in range(len(sizes))]
+        # equal blocks of leaves under each member of every level
+        paths = [np.arange(sizes[0]) * size // sizes[0] for size in sizes]
+        rows = [tuple(f"{name}_{levels[d]}_{int(paths[d][c])}" for d in range(len(sizes)))
+                for c in range(sizes[0])]
+        dims.append(dimension_from_member_rows(name, levels, rows))
+    coords = {d.name: gen.integers(0, d.detailed_level.member_count, facts) for d in dims}
+    schema = CubeSchema("wide", dims, [Measure("m", "integer")])
+    return DetailedCube(schema, coords, {"m": gen.integers(-50, 1000, facts)})
+
+
+@pytest.fixture()
+def scans(monkeypatch):
+    """Each fact scan the plan executor runs, with the (rows, path) of every
+    group_reduce fold it makes: dense, sort or lexsort."""
+    record, taken = [], []
+    execute, group_reduce = mqo.execute_query, query.group_reduce
+    dense, lexsort = aggregate._dense_reduce, np.lexsort
+
+    def spy_execute(q):
+        record.append((q, []))
+        return execute(q)
+
+    def spy_group_reduce(cols, sizes, values, op, **kwargs):
+        taken.clear()
+        out = group_reduce(cols, sizes, values, op, **kwargs)
+        record[-1][1].append((len(cols[0]), taken[0] if taken else "sort"))
+        return out
+
+    def spy_dense(*args):
+        taken.append("dense")
+        return dense(*args)
+
+    def spy_lexsort(*args, **kwargs):
+        taken.append("lexsort")
+        return lexsort(*args, **kwargs)
+
+    monkeypatch.setattr(mqo, "execute_query", spy_execute)
+    monkeypatch.setattr(query, "group_reduce", spy_group_reduce)
+    monkeypatch.setattr(aggregate, "_dense_reduce", spy_dense)
+    monkeypatch.setattr(np, "lexsort", spy_lexsort)
+    return record
+
+
+@pytest.mark.parametrize("chunk", [query.SCAN_CHUNK, 1024])
+def test_predicted_fold_paths_are_the_paths_taken(monkeypatch, scans, chunk):
+    # a small chunk splits the larger dense scans into several folds
+    monkeypatch.setattr(query, "SCAN_CHUNK", chunk)
+    rng = random.Random(211)
+    cube = wide_cube(chunk)
+    seen_paths, seen_chunks, level0 = set(), set(), 0
+    for _ in range(40):
+        fs = build_facilitators(random_analyze(rng, cube))
+        level0 += any(g.depth == 0 for slot in fs.slots().values() if not slot.empty
+                      for g in slot.query.groupers)
+        plans = estimate_plans(fs, estimate_stats(fs))
+        for name, plan in plans.items():
+            scans.clear()
+            result = mqo.run_strategy(name, fs)
+            assert result.strategy_used == name
+            assert len(scans) == len(plan.scans), name
+            for (q, folds), predicted in zip(scans, plan.scans):
+                assert q.groupers == predicted.query.groupers
+                assert [path for _, path in folds] == [predicted.path] * predicted.chunks, \
+                    (name, q.groupers, predicted)
+                assert sum(rows for rows, _ in folds) == predicted.rows
+                seen_paths.add(predicted.path)
+                seen_chunks.add(predicted.chunks)
+    assert {"dense", "sort"} <= seen_paths
+    assert level0 >= 10
+    if chunk < query.SCAN_CHUNK:
+        assert max(seen_chunks) > 1
+
+
+def test_degraded_requests_get_no_max_candidate():
+    rng = random.Random(223)
+    degraded = complete = 0
+    while degraded < 20 or complete < 20:
+        cube = build_cube(random_tables(rng, max_facts=300))
+        fs = build_facilitators(random_analyze(rng, cube, atom_probability=0.6))
+        stats = estimate_stats(fs)
+        choice = choose_plan(fs, stats)
+        assert set(choice.predicted_ms) == ({"min", "mid"} if fs.missing else {"min", "mid", "max"})
+        assert choice.chosen in choice.predicted_ms
+        assert choice.predicted_ms[choice.chosen] == min(choice.predicted_ms.values())
+        degraded += bool(fs.missing)
+        complete += not fs.missing
+
+
+def test_paper_rule_reproduces_choose_strategy():
+    rng = random.Random(227)
+    for _ in range(80):
+        cube = build_cube(random_tables(rng, max_facts=300))
+        fs = build_facilitators(random_analyze(rng, cube))
+        stats = estimate_stats(fs)
+        config = SelectorConfig(coverage_threshold=rng.random(),
+                                imbalance_threshold=rng.random(),
+                                enabled=rng.random() < 0.9, rule="paper")
+        paper = choose_strategy(stats, config)
+        choice = choose_plan(fs, stats, config)
+        assert (choice.chosen, choice.sibling_coverage, choice.sibling_imbalance,
+                choice.reason) == (paper.chosen, paper.sibling_coverage,
+                                   paper.sibling_imbalance, paper.reason)
+
+
+def test_cost_reason_names_winner_and_runner_up(foodmart_cube):
+    fs = build_facilitators(from_statement(parse(REFERENCE_QUERY, foodmart_cube.schema),
+                                           foodmart_cube))
+    choice = choose_plan(fs, estimate_stats(fs))
+    ranked = sorted(choice.predicted_ms, key=choice.predicted_ms.get)
+    assert choice.chosen == ranked[0]
+    assert choice.reason == (f"predicted {ranked[0]} {choice.predicted_ms[ranked[0]]:.2f} ms < "
+                             f"{ranked[1]} {choice.predicted_ms[ranked[1]]:.2f} ms")
+
+
+def test_unknown_rule_rejected():
+    with pytest.raises(ValueError):
+        SelectorConfig(rule="fastest")

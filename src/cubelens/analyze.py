@@ -18,6 +18,7 @@ pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .cube import DetailedCube
@@ -133,15 +134,15 @@ class FacilitatorSet:
         """Roles that could not be derived (empty slots)."""
         return tuple(role for role, slot in self.slots().items() if slot.empty)
 
+    @cached_property
     def widened_condition(self) -> SelectionCondition:
         """The original condition with the widened atom of every derived
         sibling: the region of the all-encompassing query."""
-        condition = self.request.condition
+        atoms = dict(self.request.condition.by_dimension)
         for g, slot in zip(self.request.groupers, (self.sib_a, self.sib_b)):
             if not slot.empty:
-                condition = condition.replacing(
-                    g.dimension_name, slot.query.condition.atom_for(g.dimension_name))
-        return condition
+                atoms[g.dimension_name] = slot.query.condition.atom_for(g.dimension_name)
+        return SelectionCondition(atoms.values())
 
 
 @dataclass

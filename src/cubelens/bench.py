@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,10 +32,10 @@ import numpy as np
 from .analyze import AnalyzeQuery, AnalyzeResult, ROLES, build_facilitators, from_statement
 from .cube import DetailedCube, load_cube
 from .errors import ParseError
-from .mqo import STRATEGIES, run_strategy
+from .mqo import STRATEGIES, build_plan, run_strategy
 from .parser import parse
 from .query import CellSet, cell_sets_equal
-from .selector import SelectorConfig, StrategyChoice, choose_plan, estimate_plans, estimate_stats
+from .selector import SelectorConfig, choose_plan, estimate_plans, estimate_stats
 
 
 @dataclass
@@ -57,7 +58,8 @@ def run_analyze(
 ) -> AnalyzeResult:
     """Drive one ANALYZE request.  ``request`` is statement text or an
     already-bound AnalyzeQuery.  strategy 'auto' runs the plan the selector
-    picks (selector.choose_plan); 'min'/'mid'/'max' force a strategy."""
+    picks (selector.choose_plan); 'min'/'mid'/'max' force a strategy, whose
+    plan alone is built."""
     timing = TimingBreakdown()
 
     t0 = time.perf_counter_ns()
@@ -70,16 +72,16 @@ def run_analyze(
 
     t1 = time.perf_counter_ns()
     fs = build_facilitators(aq)
-    choice: Optional[StrategyChoice] = None
-    stats = None
-    effective = strategy
+    choice = stats = None
     if strategy == "auto":
         stats = estimate_stats(fs)
         choice = choose_plan(fs, stats, selector_config)
-        effective = choice.chosen
+        plan = choice.plan
+    else:
+        plan = build_plan(strategy, fs)
     timing.construct_ns = time.perf_counter_ns() - t1
 
-    result = run_strategy(effective, fs)
+    result = run_strategy(plan)
     result.strategy_requested = strategy
     timing.facilitator_exec_ns = result.facilitator_exec_ns()
     timing.postprocess_ns = result.postprocess_ns
@@ -177,16 +179,25 @@ class WorkloadSpec:
     timeout_s: float = 300.0
 
     @staticmethod
-    def from_dict(raw: dict) -> "WorkloadSpec":
-        queries = [
-            WorkloadQuery(q.get("label", f"q{i}"), q["text"], int(q.get("repetitions", 1)))
-            for i, q in enumerate(raw.get("queries", []), start=1)
-        ]
-        spec = WorkloadSpec(queries,
-                            warmups=int(raw.get("warmups", 1)),
-                            timeout_s=float(raw.get("timeout_s", 300.0)))
-        if any(q.repetitions < 1 for q in queries):
+    def from_dict(raw) -> "WorkloadSpec":
+        """Raises ParseError unless ``raw`` is an object whose "queries" is a
+        list of objects with a "text" string, and whose counts are numbers."""
+        queries = raw.get("queries", []) if isinstance(raw, dict) else None
+        if not (isinstance(queries, list) and all(
+                isinstance(q, dict) and isinstance(q.get("text"), str) for q in queries)):
+            raise ParseError('a workload is {"queries": [{"text": <statement>, ...}, ...]}')
+        try:
+            spec = WorkloadSpec(
+                [WorkloadQuery(q.get("label", f"q{i}"), q["text"], int(q.get("repetitions", 1)))
+                 for i, q in enumerate(queries, start=1)],
+                warmups=int(raw.get("warmups", 1)),
+                timeout_s=float(raw.get("timeout_s", 300.0)))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"workload counts must be numbers: {exc}") from None
+        if any(q.repetitions < 1 for q in spec.queries):
             raise ParseError("workload repetitions must be >= 1")
+        if not math.isfinite(spec.timeout_s):
+            raise ParseError("workload timeout_s must be finite")
         return spec
 
     @staticmethod
@@ -223,7 +234,7 @@ def run_workload(
         aq = from_statement(stmt, cube)
         fs = build_facilitators(aq)
         stats = estimate_stats(fs)
-        predicted = {name: plan.ms for name, plan in estimate_plans(fs, stats).items()}
+        predicted = {name: estimate.ms for name, estimate in estimate_plans(fs).items()}
 
         # Oracle result for the equivalence flag (also warms the caches).
         oracle = run_analyze(cube, aq, strategy="min")

@@ -71,8 +71,6 @@ def _add_selector_args(p: argparse.ArgumentParser) -> None:
                    help="paper rule only")
     p.add_argument("--imbalance-threshold", type=float, default=DEFAULT_IMBALANCE_THRESHOLD,
                    help="paper rule only")
-    p.add_argument("--no-selector", action="store_true",
-                   help="disable the auto selector (falls back to mid)")
 
 
 def _schema_path(args) -> Path:
@@ -92,7 +90,6 @@ def _selector_config(args) -> SelectorConfig:
     return SelectorConfig(
         coverage_threshold=args.coverage_threshold,
         imbalance_threshold=args.imbalance_threshold,
-        enabled=not args.no_selector,
         rule=args.selector,
     )
 
@@ -109,15 +106,8 @@ def cmd_query(args) -> int:
         text = Path(args.query_file).read_text(encoding="utf-8")
     else:
         text = args.query
-    try:
-        result = run_analyze(cube, text, strategy=args.strategy,
-                             selector_config=_selector_config(args))
-    except _STATEMENT_ERRORS as exc:
-        if isinstance(exc, AnalyzeSyntaxError):
-            print(str(exc), file=sys.stderr)
-        else:
-            print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    result = run_analyze(cube, text, strategy=args.strategy,
+                         selector_config=_selector_config(args))
     if args.output:
         written = write_result_files(cube, result, args.output)
         print("\n".join(str(p) for p in written))
@@ -201,6 +191,10 @@ def main(argv=None) -> int:
     except _DATA_ERRORS as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except _STATEMENT_ERRORS as exc:
+        print(exc if isinstance(exc, AnalyzeSyntaxError) else f"parse error: {exc}",
+              file=sys.stderr)
+        return EXIT_PARSE
     except CubeLensError as exc:
         print(f"execution error: {exc}", file=sys.stderr)
         return EXIT_EXEC

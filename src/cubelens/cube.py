@@ -201,15 +201,32 @@ class DetailedCube:
                 key, (mask, int(np.count_nonzero(mask))))
         return cached[0]
 
-    def condition_count(self, atoms: Sequence[tuple[Level, Sequence[int]]]) -> int:
-        """Rows selected by a conjunction of atoms: the cached popcount."""
-        self.condition_mask(atoms)  # builds (and books) the mask on a miss
-        return self._condition_mask_cache[_condition_key(atoms)][1]
+    def condition_count(self, condition) -> int:
+        """Rows selected by a SelectionCondition: the cached popcount of its bitset."""
+        if condition.mask_key not in self._condition_mask_cache:
+            self.condition_mask(condition.mask_atoms())  # builds (and books) the mask
+        return self._condition_mask_cache[condition.mask_key][1]
 
 
 # ---------------------------------------------------------------------------
 # Loading
 # ---------------------------------------------------------------------------
+
+def _check_fields(where: str, obj, types: dict, required: Sequence[str]) -> None:
+    """Raise SchemaMismatch unless ``obj`` is a JSON object holding every
+    required field, each present field of its type in ``types``.  No string
+    may hold a NUL, which no file name can."""
+    if not isinstance(obj, dict):
+        raise SchemaMismatch(f"{where}: expected a JSON object")
+    for name, kind in types.items():
+        if name not in obj:
+            if name in required:
+                raise SchemaMismatch(f"{where}: missing {name!r}")
+        elif not isinstance(obj[name], kind):
+            raise SchemaMismatch(f"{where}: {name!r} has the wrong type")
+        elif isinstance(obj[name], str) and "\0" in obj[name]:
+            raise SchemaMismatch(f"{where}: {name!r} holds a NUL character")
+
 
 def _parse_schema_json(schema_file) -> dict:
     path = Path(schema_file)
@@ -217,9 +234,16 @@ def _parse_schema_json(schema_file) -> dict:
         spec = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
-    for field_name in ("cube", "dimensions", "measures"):
-        if field_name not in spec:
-            raise SchemaMismatch(f"{path}: schema file missing {field_name!r}")
+    _check_fields(f"{path}", spec, {"cube": str, "dimensions": list, "measures": list,
+                                    "facts": str}, ("cube", "dimensions", "measures"))
+    for i, dspec in enumerate(spec["dimensions"], start=1):
+        _check_fields(f"{path}: dimension {i}", dspec,
+                      {"name": str, "levels": list, "members": str}, ("name",))
+        if not all(isinstance(level, str) for level in dspec.get("levels", [])):
+            raise SchemaMismatch(f"{path}: dimension {i}: level names must be strings")
+    for i, mspec in enumerate(spec["measures"], start=1):
+        _check_fields(f"{path}: measure {i}", mspec, {"name": str, "kind": (str, type(None))},
+                      ("name",))
     return spec
 
 

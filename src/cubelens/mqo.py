@@ -1,12 +1,12 @@
 """Three provably-equivalent execution strategies for one ANALYZE request.
 
-A strategy is a plan: an optional merged base query plus the facilitator
-roles derived from its result.  run_strategy(name, fs) runs every plan.  It
-scans the base once, scans every other non-empty facilitator directly, and
-answers each derived role with reaggregate(), the rewrite of a query over a
-usable base (cube_usable is checked on every call).  Merged bases derive
-nothing themselves: they take their groupers and widened atoms from the
-facilitator set's slot queries.
+A strategy is a plan, built once per request by build_plan: an optional
+merged base query, the roles derived from it and the fact scans it runs.
+The selector prices those scans and run_strategy(plan) runs them: the base
+once, every other non-empty facilitator directly, then each derived role by
+reaggregate(), the rewrite of a query over a usable base (cube_usable is
+checked on every call).  Merged bases derive nothing themselves: they take
+their groupers and widened atoms from the facilitator set's slot queries.
 
 * Min-MQO has no base: the five facilitators are scanned directly (5 fact
   scans, no post-processing).
@@ -16,8 +16,8 @@ facilitator set's slot queries.
 * Max-MQO builds one all-encompassing base whose condition widens both
   grouper-dimension atoms to their parent values and whose groupers carry
   the drill-down, original and filter levels; all five roles derive from it
-  (1 fact scan).  It falls back to Mid-MQO when a facilitator is missing
-  (fs.missing).
+  (1 fact scan).  When a facilitator is missing (fs.missing) its plan is
+  Mid-MQO's, with the reason in Plan.fallback_reason.
 
 Deriving folds partial aggregates: sum/min/max fold with themselves, count
 adds partial counts.  Folds are order-independent, so all three strategies
@@ -36,6 +36,7 @@ partial aggregates to bound its sums.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .aggregate import group_reduce
@@ -73,7 +74,7 @@ def build_all_encompassing(fs: FacilitatorSet) -> CubeQuery:
     aq = fs.request
     g_a, g_b = aq.groupers
     filter_a, filter_b = fs.sib_a.query.groupers[0], fs.sib_b.query.groupers[1]
-    condition = fs.widened_condition()
+    condition = fs.widened_condition
     levels = [fs.dd_a.query.groupers[0], fs.dd_b.query.groupers[1],
               g_a, g_b, filter_a, filter_b]
     # When the filter sits at the grouper level itself, the widened filter's
@@ -134,8 +135,51 @@ def reaggregate(base_cells: CellSet, target: CubeQuery, base: CubeQuery) -> Cell
 
 
 # ---------------------------------------------------------------------------
-# The executor and the strategies
+# Plans, the executor and the strategies
 # ---------------------------------------------------------------------------
+
+STRATEGIES = ("min", "mid", "max")
+
+
+@dataclass
+class Plan:
+    """One strategy's plan for one request, built once by build_plan: the
+    selector prices its scans and run_strategy runs them."""
+
+    fs: FacilitatorSet
+    requested: str                  # the strategy asked for
+    name: str                       # the strategy that runs
+    base: Optional[CubeQuery]       # the merged base query (None: Min)
+    derived: tuple[str, ...]        # non-empty roles answered from the base
+    scanned: tuple[str, ...]        # non-empty roles scanned directly
+    scans: tuple[CubeQuery, ...]    # every fact scan in run order, the base first
+    fallback_reason: Optional[str] = None  # why Max runs Mid's plan
+
+
+def build_plan(name: str, fs: FacilitatorSet) -> Plan:
+    """The plan of strategy ``name`` over ``fs``.  Max's base needs all five
+    facilitators; without them Max runs Mid's plan and says why."""
+    if name == "min":
+        base, from_base = None, ()
+    elif name == "mid":
+        base, from_base = build_org_dd_merged(fs), ("org", "ddA", "ddB")
+    elif name == "max":
+        try:
+            base = build_all_encompassing(fs)  # all five facilitators exist
+        except DegradedStructure as exc:
+            return replace(build_plan("mid", fs), requested=name, fallback_reason=str(exc))
+        return Plan(fs, name, name, base, ROLES, (), (base,))
+    else:
+        raise ValueError(f"unknown strategy {name!r}")
+    derived, scanned, scans = [], [], [] if base is None else [base]
+    for role, slot in fs.slots().items():
+        if not slot.empty and role in from_base:
+            derived.append(role)
+        elif not slot.empty:
+            scanned.append(role)
+            scans.append(slot.query)
+    return Plan(fs, name, name, base, tuple(derived), tuple(scanned), tuple(scans))
+
 
 def _timed_execute(q: CubeQuery) -> SlotResult:
     t0 = time.perf_counter_ns()
@@ -143,77 +187,45 @@ def _timed_execute(q: CubeQuery) -> SlotResult:
     return SlotResult(cells=cells, exec_ns=time.perf_counter_ns() - t0)
 
 
-def _execute_plan(fs: FacilitatorSet, base: Optional[CubeQuery],
-                  derived: tuple[str, ...], strategy: str) -> AnalyzeResult:
-    """Scan the base (if any) and every non-empty facilitator outside
-    ``derived``, then answer each non-empty derived role from the base."""
-    slots = fs.slots()
+def run_strategy(plan: Plan) -> AnalyzeResult:
+    """Scan the plan's base (if any) and its directly scanned roles, then
+    answer each derived role from the base."""
+    slots = plan.fs.slots()
     results = {role: SlotResult(reason=slot.reason) for role, slot in slots.items() if slot.empty}
-    scanned = [role for role, slot in slots.items() if not slot.empty and role not in derived]
     try:
-        merged = _timed_execute(base) if base is not None else SlotResult()
+        merged = _timed_execute(plan.base) if plan.base is not None else SlotResult()
     except SumOverflow as exc:
         # A base cell's sum left int64, so its partial sums cannot be folded.
         # Direct scans overflow exactly when a facilitator's own sum does,
         # which keeps the answer the same under every strategy.
-        result = _execute_plan(fs, None, (), strategy)
-        result.strategy_used = "min"
+        result = run_strategy(build_plan("min", plan.fs))
+        result.strategy_requested = plan.requested
         result.fallback_reason = f"merged base query: {exc}"
         return result
-    for role in scanned:
+    for role in plan.scanned:
         results[role] = _timed_execute(slots[role].query)
 
-    post_ns = 0
-    if base is not None:
-        t0 = time.perf_counter_ns()
-        for role in derived:
-            if not slots[role].empty:
-                results[role] = SlotResult(cells=reaggregate(merged.cells, slots[role].query, base))
-        post_ns = time.perf_counter_ns() - t0
+    t0 = time.perf_counter_ns()
+    for role in plan.derived:
+        results[role] = SlotResult(cells=reaggregate(merged.cells, slots[role].query, plan.base))
+    post_ns = time.perf_counter_ns() - t0 if plan.derived else 0
 
     return AnalyzeResult(slots={role: results[role] for role in ROLES},
-                         strategy_requested=strategy, strategy_used=strategy,
-                         store_queries=len(scanned) + int(base is not None),
-                         postprocess_ns=post_ns, merged_exec_ns=merged.exec_ns)
-
-
-# Each plan: the builder of its merged base (None: no base) and the roles
-# answered from that base.  Max's base needs all five roles; without them
-# run_strategy falls back to Mid.
-_PLANS = {
-    "min": (None, ()),
-    "mid": (build_org_dd_merged, ("org", "ddA", "ddB")),
-    "max": (build_all_encompassing, ROLES),
-}
-STRATEGIES = tuple(_PLANS)
-
-
-def run_strategy(name: str, fs: FacilitatorSet) -> AnalyzeResult:
-    """Run the named strategy's plan over the facilitator set."""
-    if name not in _PLANS:
-        raise ValueError(f"unknown strategy {name!r}")
-    build, derived = _PLANS[name]
-    try:
-        base = build(fs) if build is not None else None
-    except DegradedStructure as exc:
-        result = run_strategy("mid", fs)
-        result.strategy_requested = name
-        result.fallback_reason = str(exc)
-        return result
-    return _execute_plan(fs, base, derived, name)
+                         strategy_requested=plan.requested, strategy_used=plan.name,
+                         store_queries=len(plan.scans), postprocess_ns=post_ns,
+                         merged_exec_ns=merged.exec_ns, fallback_reason=plan.fallback_reason)
 
 
 def run_min_mqo(fs: FacilitatorSet) -> AnalyzeResult:
     """Execute every derivable facilitator directly; no post-processing."""
-    return run_strategy("min", fs)
+    return run_strategy(build_plan("min", fs))
 
 
 def run_mid_mqo(fs: FacilitatorSet) -> AnalyzeResult:
     """One merged original-and-drill-down query plus the two siblings."""
-    return run_strategy("mid", fs)
+    return run_strategy(build_plan("mid", fs))
 
 
 def run_max_mqo(fs: FacilitatorSet) -> AnalyzeResult:
-    """Single all-encompassing query answering all five roles; Mid-MQO when
-    a facilitator is missing."""
-    return run_strategy("max", fs)
+    """One all-encompassing query answering all five roles (Mid's plan if fs.missing)."""
+    return run_strategy(build_plan("max", fs))

@@ -48,7 +48,7 @@ from .aggregate import (
     key_layout,
     unpack,
 )
-from .cube import DetailedCube
+from .cube import DetailedCube, _condition_key
 from .errors import InvalidQuery, UnknownMember
 from .hierarchy import Dimension, Level
 
@@ -101,6 +101,11 @@ class SelectionCondition:
 
     def mask_atoms(self) -> list[tuple[Level, tuple[int, ...]]]:
         return [(a.level, a.values) for a in self.atoms]
+
+    @cached_property
+    def mask_key(self) -> tuple:
+        """The key of this condition's bitset in the cube's mask cache."""
+        return _condition_key(self.mask_atoms())
 
     def __iter__(self):
         return iter(self.atoms)

@@ -8,21 +8,21 @@ subsequent execution reuses).  The regions are the slot conditions of the
 request's FacilitatorSet, and the sibling union is counted from the other
 three, without a union mask.
 
-The cost rule (the default) predicts the time of every plan in mqo._PLANS
-and runs the cheapest: Min-MQO is a candidate, Max-MQO only when all five
-facilitators exist (else it would fall back to Mid).  A plan's time is the
-sum over its scans (its merged base and every facilitator it scans
-directly) plus a constant per role it derives from the base.  A scan costs
-a constant, a pass over the cube's full bitset (row selection), its rows at
-the per-row cost of the fold path it will take (dense, or a sort at
+The cost rule (the default) builds each strategy's plan once
+(mqo.build_plan), predicts its time and returns the cheapest plan, which
+the executor then runs: Min-MQO is a candidate, Max-MQO only when all five
+facilitators exist (else its plan would be Mid's).  A plan's time is the
+sum over the fact scans it lists (its merged base and every facilitator it
+scans directly) plus a constant per role it derives from the base.  A scan
+costs a constant, a pass over the cube's full bitset (row selection), its
+rows at the per-row cost of the fold path it will take (dense, or a sort at
 rows * log2(rows)), a gather cost per row that grows as its region thins
 out, and its key space once per chunk for the dense buffers.  The fold path
 and the chunk count come from the functions the scan itself runs
 (aggregate.fold_path, query.scan_chunks), so the model cannot drift from
-the kernel.  The rows come from the region sizes: the original region
-for the original, the drill-downs and Mid's base, the sibling regions, and
-the all-encompassing region for Max's base.  No mask is built and no fact
-is read beyond what estimate_stats does.
+the kernel.  A scan's rows are the cached popcount of its own region, one
+of the four that estimate_stats counts: no mask is built and no fact is
+read beyond what estimate_stats does.
 
 The paper rule (choose_strategy, rule="paper") picks Max-MQO only when the
 sibling regions jointly cover a large share of the all-encompassing region
@@ -46,8 +46,7 @@ from typing import Optional
 
 from .aggregate import fold_path
 from .analyze import FacilitatorSet
-from .errors import DegradedStructure
-from .mqo import _PLANS
+from .mqo import STRATEGIES, Plan, build_plan
 from .query import CubeQuery, scan_chunks
 
 DEFAULT_COVERAGE_THRESHOLD = 0.40
@@ -72,11 +71,10 @@ DERIVE_NS = 111_000.0    # per role derived from the merged base
 @dataclass
 class SelectorConfig:
     """rule 'cost' runs the plan predicted cheapest; rule 'paper' applies
-    the coverage/imbalance thresholds.  Disabled, both run Mid-MQO."""
+    the coverage/imbalance thresholds."""
 
     coverage_threshold: float = DEFAULT_COVERAGE_THRESHOLD
     imbalance_threshold: float = DEFAULT_IMBALANCE_THRESHOLD
-    enabled: bool = True
     rule: str = "cost"
 
     def __post_init__(self):
@@ -108,6 +106,7 @@ class StrategyChoice:
     sibling_imbalance: float
     reason: str
     predicted_ms: dict[str, float] = field(default_factory=dict)  # per candidate plan
+    plan: Optional[Plan] = None  # the chosen plan (set by choose_plan)
 
 
 def estimate_stats(fs: FacilitatorSet) -> CostStats:
@@ -116,10 +115,7 @@ def estimate_stats(fs: FacilitatorSet) -> CostStats:
     cond_a = org if fs.sib_a.empty else fs.sib_a.query.condition
     cond_b = org if fs.sib_b.empty else fs.sib_b.query.condition
     cube = fs.request.cube
-
-    def count(condition) -> int:
-        return cube.condition_count(condition.mask_atoms())
-
+    count = cube.condition_count
     facts_org, facts_a, facts_b = count(org), count(cond_a), count(cond_b)
     missing = fs.missing
     degraded = tuple(role for role in ("sibA", "sibB") if role in missing)
@@ -127,7 +123,7 @@ def estimate_stats(fs: FacilitatorSet) -> CostStats:
         facts_org=facts_org,
         facts_sib_a=facts_a,
         facts_sib_b=facts_b,
-        facts_all=count(fs.widened_condition()),
+        facts_all=count(fs.widened_condition),
         # Each sibling widens one atom and keeps the other, so the two
         # regions intersect exactly in the original's region.
         sibling_union=facts_a + facts_b - facts_org,
@@ -138,11 +134,9 @@ def estimate_stats(fs: FacilitatorSet) -> CostStats:
 
 def choose_strategy(stats: CostStats, config: Optional[SelectorConfig] = None) -> StrategyChoice:
     """Max iff sibling coverage > threshold and sibling imbalance < threshold;
-    Mid otherwise (and always Mid when the selector is disabled, the merged
-    structure is missing, or the stats are degenerate)."""
+    Mid otherwise (and always Mid when the merged structure is missing or
+    the stats are degenerate)."""
     config = config or SelectorConfig()
-    if not config.enabled:
-        return StrategyChoice("mid", 0.0, 0.0, "selector disabled")
     if not stats.complete:
         return StrategyChoice("mid", 0.0, 0.0,
                               f"degraded structure ({', '.join(stats.degraded)})")
@@ -186,16 +180,17 @@ class ScanEstimate:
 
 @dataclass(frozen=True)
 class PlanEstimate:
-    scans: tuple[ScanEstimate, ...]
-    derived: int  # roles answered from the merged base
+    plan: Plan
+    scans: tuple[ScanEstimate, ...]  # one per plan.scans, in order
 
     @property
     def ms(self) -> float:
-        return (sum(scan.ns for scan in self.scans) + DERIVE_NS * self.derived) / 1e6
+        return (sum(scan.ns for scan in self.scans) + DERIVE_NS * len(self.plan.derived)) / 1e6
 
 
-def _estimate_scan(q: CubeQuery, rows: int) -> ScanEstimate:
-    """The predicted cost of execute_query(q) over ``rows`` selected rows."""
+def _estimate_scan(q: CubeQuery) -> ScanEstimate:
+    """The predicted cost of execute_query(q) over its region's cached popcount."""
+    rows = q.cube.condition_count(q.condition)
     ns = SCAN_NS + MASK_ROW_NS * q.cube.row_count
     if rows == 0:
         return ScanEstimate(q, 0, 0, None, ns)
@@ -211,39 +206,25 @@ def _estimate_scan(q: CubeQuery, rows: int) -> ScanEstimate:
     return ScanEstimate(q, rows, chunks, path, ns)
 
 
-def estimate_plans(fs: FacilitatorSet, stats: CostStats) -> dict[str, PlanEstimate]:
-    """The predicted scans and cost of every plan that runs as planned: Max
-    only when no facilitator is missing."""
-    rows = {"org": stats.facts_org, "sibA": stats.facts_sib_a, "sibB": stats.facts_sib_b,
-            "ddA": stats.facts_org, "ddB": stats.facts_org}
-    slots = fs.slots()
-    plans = {}
-    for name, (build, derived) in _PLANS.items():
-        try:
-            base = build(fs) if build is not None else None
-        except DegradedStructure:
-            continue
-        scans = []
-        if base is not None:
-            # A base answering a sibling covers the all-encompassing region;
-            # one answering the original and the drill-downs, their region.
-            covered = stats.facts_all if {"sibA", "sibB"} & set(derived) else stats.facts_org
-            scans.append(_estimate_scan(base, covered))
-        scans += [_estimate_scan(slot.query, rows[role]) for role, slot in slots.items()
-                  if not slot.empty and role not in derived]
-        plans[name] = PlanEstimate(tuple(scans),
-                                   sum(not slots[role].empty for role in derived))
-    return plans
+def estimate_plans(fs: FacilitatorSet) -> dict[str, PlanEstimate]:
+    """Every strategy's plan that runs as planned (Max only when no
+    facilitator is missing), priced over exactly the scans it lists."""
+    plans = [build_plan(name, fs) for name in (("min", "mid") if fs.missing else STRATEGIES)]
+    unique = {id(q): q for plan in plans for q in plan.scans}  # Min and Mid share siblings
+    scans = {key: _estimate_scan(q) for key, q in unique.items()}
+    return {plan.name: PlanEstimate(plan, tuple(scans[id(q)] for q in plan.scans))
+            for plan in plans}
 
 
 def choose_plan(fs: FacilitatorSet, stats: CostStats,
                 config: Optional[SelectorConfig] = None) -> StrategyChoice:
-    """The strategy 'auto' runs: under the cost rule the plan predicted
+    """The plan 'auto' runs: under the cost rule the plan predicted
     cheapest, under the paper rule choose_strategy's pick.  Either way the
-    choice carries every candidate plan's predicted time."""
+    choice carries the chosen plan and every candidate's predicted time."""
     config = config or SelectorConfig()
-    predicted = {name: plan.ms for name, plan in estimate_plans(fs, stats).items()}
-    if config.rule == "paper" or not config.enabled:
+    plans = estimate_plans(fs)
+    predicted = {name: estimate.ms for name, estimate in plans.items()}
+    if config.rule == "paper":
         choice = choose_strategy(stats, config)
     else:
         best, runner_up = sorted(predicted, key=predicted.get)[:2]
@@ -251,4 +232,5 @@ def choose_plan(fs: FacilitatorSet, stats: CostStats,
                                 f"predicted {best} {predicted[best]:.2f} ms < "
                                 f"{runner_up} {predicted[runner_up]:.2f} ms")
     choice.predicted_ms = predicted
+    choice.plan = plans[choice.chosen].plan
     return choice

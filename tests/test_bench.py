@@ -1,9 +1,11 @@
 import random
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from cubelens import mqo
 from cubelens.analyze import ROLES
 from cubelens.bench import (
     WorkloadSpec,
@@ -227,3 +229,66 @@ def test_concurrent_readers_match_serial():
                 assert (a is None) == (b is None), (key, role)
                 assert a is None or cell_sets_equal(a, b), (key, role)
     assert shared.exec_stats.fact_scans == 4 * serial_cube.exec_stats.fact_scans
+
+
+# ---------------------------------------------------------------------------
+# One plan per request
+# ---------------------------------------------------------------------------
+
+@pytest.fixture()
+def bases_built(monkeypatch):
+    """Counts the merged base queries built, by the strategy they serve:
+    every CubeQuery the mqo module constructs is a merged base."""
+    built = Counter()
+    real = mqo.CubeQuery
+
+    def spy(*args, **kwargs):
+        q = real(*args, **kwargs)
+        built["max" if q.measure_alias.endswith("_all") else "mid"] += 1
+        return q
+
+    monkeypatch.setattr(mqo, "CubeQuery", spy)
+    return built
+
+
+def _random_requests(seed, n):
+    """``n`` random requests over small random cubes, some of them degraded
+    (a missing sibling or drill-down)."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        cube = build_cube(random_tables(rng, max_facts=300))
+        yield cube, random_analyze(rng, cube, atom_probability=0.6)
+
+
+@pytest.mark.parametrize("rule", ["cost", "paper"])
+def test_auto_builds_each_merged_base_at_most_once(bases_built, rule):
+    degraded = 0
+    for cube, aq in _random_requests(241, 40):
+        bases_built.clear()
+        result = run_analyze(cube, aq, selector_config=SelectorConfig(rule=rule))
+        assert max(bases_built.values(), default=0) <= 1, (result.strategy_used, bases_built)
+        degraded += bool(result.stats.degraded)
+    assert degraded >= 5
+
+
+def test_forced_strategy_builds_only_its_own_plan(bases_built):
+    for cube, aq in _random_requests(251, 20):
+        for strategy in mqo.STRATEGIES:
+            bases_built.clear()
+            result = run_analyze(cube, aq, strategy=strategy)
+            assert dict(bases_built) == ({} if strategy == "min" else
+                                         {result.strategy_used: 1}), strategy
+
+
+def test_auto_runs_the_plan_it_chose():
+    degraded = 0
+    for cube, aq in _random_requests(257, 60):
+        before = cube.exec_stats.fact_scans
+        result = run_analyze(cube, aq)
+        plan = result.selector.plan
+        assert result.strategy_used == plan.name == result.selector.chosen
+        assert result.store_queries == len(plan.scans) == cube.exec_stats.fact_scans - before
+        assert set(result.selector.predicted_ms) == (
+            {"min", "mid"} if plan.fs.missing else set(mqo.STRATEGIES))
+        degraded += bool(plan.fs.missing)
+    assert degraded >= 5

@@ -1,8 +1,14 @@
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cubelens.bench import WorkloadSpec
 from cubelens.cli import main
+from cubelens.errors import ParseError
 
 from fixtures import REFERENCE_QUERY, foodmart_tables, write_dataset
 
@@ -261,3 +267,138 @@ def test_query_sum_beyond_int64_exits_4(tmp_path, capsys, strategy):
     assert rc == 4
     captured = capsys.readouterr()
     assert "int64" in captured.err and captured.out == ""
+
+
+# ---------------------------------------------------------------------------
+# Malformed workload and schema files
+# ---------------------------------------------------------------------------
+
+def _bench(foodmart_dir, workload_path, report_path):
+    return main(["bench", "--data-dir", str(foodmart_dir), "--workload", str(workload_path),
+                 "--report", str(report_path)])
+
+
+@pytest.mark.parametrize("workload", [
+    [{"text": REFERENCE_QUERY}],                                   # not an object
+    {"queries": [{"label": "q"}]},                                 # a query without text
+    {"queries": [{"text": REFERENCE_QUERY, "repetitions": "abc"}]},
+])
+def test_bench_malformed_workload_exits_2(foodmart_dir, tmp_path, capsys, workload):
+    path = tmp_path / "workload.json"
+    path.write_text(json.dumps(workload))
+    assert _bench(foodmart_dir, path, tmp_path / "r.csv") == 2
+    assert "workload" in capsys.readouterr().err
+
+
+def test_bench_statement_syntax_error_exits_3(foodmart_dir, tmp_path, capsys):
+    path = tmp_path / "workload.json"
+    path.write_text(json.dumps({"queries": [{"text": "ANALYZE bogus"}]}))
+    assert _bench(foodmart_dir, path, tmp_path / "r.csv") == 3
+    assert capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def data_copy(foodmart_dir, tmp_path_factory):
+    """A copy of the foodmart data files, beside which edited schemas go."""
+    out = tmp_path_factory.mktemp("copy")
+    for src in foodmart_dir.iterdir():
+        (out / src.name).write_bytes(src.read_bytes())
+    return out
+
+
+@pytest.mark.parametrize("edit", [
+    lambda s: s.update(dimensions="x"),
+    lambda s: s["dimensions"][0].pop("name"),
+    lambda s: s["dimensions"][0].update(levels=5),
+    lambda s: s.update(measures="amount"),
+    lambda s: s.update(facts=3),
+    lambda s: s["dimensions"][0].update(members="Date\0members.csv"),
+], ids=["dimensions-str", "dimension-no-name", "levels-int", "measures-str", "facts-int",
+        "members-nul"])
+def test_load_malformed_schema_exits_2(data_copy, capsys, edit):
+    schema = json.loads((data_copy / "schema.json").read_text())
+    edit(schema)
+    path = data_copy / "edited.json"
+    path.write_text(json.dumps(schema))
+    assert main(["load", "--schema", str(path)]) == 2
+    assert "edited.json" in capsys.readouterr().err
+
+
+KEYS = ["cube", "dimensions", "measures", "facts", "name", "levels", "members", "kind",
+        "queries", "text", "label", "repetitions", "warmups", "timeout_s"]
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=4), kids,
+                                    max_size=4)),
+    max_leaves=10)
+
+
+def _paths(value, path=()):
+    """Every position inside a JSON value, as a key path."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        items = ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def mutated(valid):
+    """``valid`` with one position replaced by an arbitrary JSON value, or
+    an arbitrary JSON value."""
+    def put(path_value):
+        path, value = path_value
+        if not path:
+            return value
+        out = copy.deepcopy(valid)
+        node = out
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return out
+
+    return JSON | st.tuples(st.sampled_from(list(_paths(valid))), JSON).map(put)
+
+
+def _quiet_main(argv):
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+        return main(argv)
+
+
+def test_any_schema_json_exits_0_or_2(data_copy):
+    valid = json.loads((data_copy / "schema.json").read_text())
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated(valid))
+    def check(schema):
+        path = data_copy / "fuzzed.json"
+        path.write_text(json.dumps(schema))
+        assert _quiet_main(["load", "--schema", str(path)]) in (0, 2)
+
+    check()
+
+
+def test_any_workload_json_exits_0_2_or_3(data_copy):
+    # a well-formed workload runs its statement, which is a syntax error (3)
+    valid = {"warmups": 1, "timeout_s": 5.0,
+             "queries": [{"label": "q", "text": "ANALYZE bogus", "repetitions": 2}]}
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated(valid))
+    def check(workload):
+        path = data_copy / "workload.json"
+        path.write_text(json.dumps(workload))
+        try:
+            spec = WorkloadSpec.from_dict(workload)
+        except ParseError:
+            expected = 2
+        else:
+            expected = 3 if spec.queries else 0
+        assert _quiet_main(["bench", "--data-dir", str(data_copy), "--workload", str(path),
+                            "--report", str(data_copy / "report.csv")]) == expected
+
+    check()

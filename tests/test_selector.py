@@ -53,12 +53,6 @@ def test_thresholds_are_configurable():
     assert choose_strategy(stats_for(False, False), loose).chosen == "max"
 
 
-def test_selector_disabled_yields_mid():
-    choice = choose_strategy(stats_for(True, True), SelectorConfig(enabled=False))
-    assert choice.chosen == "mid"
-    assert "disabled" in choice.reason
-
-
 def test_degenerate_stats_yield_mid():
     stats = CostStats(0, 0, 0, 0, 0, 100)
     choice = choose_strategy(stats)
@@ -250,10 +244,10 @@ def test_predicted_fold_paths_are_the_paths_taken(monkeypatch, scans, chunk):
         fs = build_facilitators(random_analyze(rng, cube))
         level0 += any(g.depth == 0 for slot in fs.slots().values() if not slot.empty
                       for g in slot.query.groupers)
-        plans = estimate_plans(fs, estimate_stats(fs))
+        plans = estimate_plans(fs)
         for name, plan in plans.items():
             scans.clear()
-            result = mqo.run_strategy(name, fs)
+            result = mqo.run_strategy(plan.plan)
             assert result.strategy_used == name
             assert len(scans) == len(plan.scans), name
             for (q, folds), predicted in zip(scans, plan.scans):
@@ -291,8 +285,7 @@ def test_paper_rule_reproduces_choose_strategy():
         fs = build_facilitators(random_analyze(rng, cube))
         stats = estimate_stats(fs)
         config = SelectorConfig(coverage_threshold=rng.random(),
-                                imbalance_threshold=rng.random(),
-                                enabled=rng.random() < 0.9, rule="paper")
+                                imbalance_threshold=rng.random(), rule="paper")
         paper = choose_strategy(stats, config)
         choice = choose_plan(fs, stats, config)
         assert (choice.chosen, choice.sibling_coverage, choice.sibling_imbalance,

@@ -27,16 +27,7 @@ from .hierarchy import (
     dimension_from_tables,
     validate_hierarchy,
 )
-from .mqo import (
-    build_all_encompassing,
-    build_org_dd_merged,
-    build_plan,
-    reaggregate,
-    run_max_mqo,
-    run_mid_mqo,
-    run_min_mqo,
-    run_strategy,
-)
+from .mqo import build_plan, reaggregate, run_strategy
 from .parser import AnalyzeStatement, parse, render
 from .query import (
     CellSet,
@@ -68,8 +59,7 @@ __all__ = [
     "CubeLensError",
     "Dimension", "Level", "anc", "dimension_from_member_rows",
     "dimension_from_tables", "validate_hierarchy",
-    "build_all_encompassing", "build_org_dd_merged", "build_plan", "reaggregate",
-    "run_max_mqo", "run_mid_mqo", "run_min_mqo", "run_strategy",
+    "build_plan", "reaggregate", "run_strategy",
     "AnalyzeStatement", "parse", "render",
     "CellSet", "CubeQuery", "SelectionAtom", "SelectionCondition",
     "cell_sets_equal", "cube_usable", "execute_query",

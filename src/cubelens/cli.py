@@ -33,6 +33,7 @@ from .errors import (
     UnknownMember,
     UnknownMemberLabel,
 )
+from .mqo import STRATEGIES
 from .selector import (
     DEFAULT_COVERAGE_THRESHOLD,
     DEFAULT_IMBALANCE_THRESHOLD,
@@ -48,6 +49,8 @@ EXIT_IO = 2
 EXIT_PARSE = 3
 EXIT_EXEC = 4
 EXIT_TIMEOUT_ALL = 5
+
+STRATEGY_NAMES = ("auto",) + STRATEGIES
 
 _DATA_ERRORS = (ParseError, SchemaMismatch, UnknownMemberLabel, InvalidSpec)
 _STATEMENT_ERRORS = (AnalyzeSyntaxError, ConstraintViolation, UnknownLevel,
@@ -71,6 +74,20 @@ def _add_selector_args(p: argparse.ArgumentParser) -> None:
                    help="paper rule only")
     p.add_argument("--imbalance-threshold", type=float, default=DEFAULT_IMBALANCE_THRESHOLD,
                    help="paper rule only")
+
+
+def _strategy_list(text: str) -> list[str]:
+    """The comma-separated names of --strategies: at least one, each one of
+    STRATEGY_NAMES."""
+    names = [s.strip() for s in text.split(",") if s.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError("no strategy named")
+    unknown = [name for name in names if name not in STRATEGY_NAMES]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown strategy {', '.join(map(repr, unknown))} "
+            f"(choose from {', '.join(STRATEGY_NAMES)})")
+    return names
 
 
 def _schema_path(args) -> Path:
@@ -121,8 +138,7 @@ def cmd_query(args) -> int:
 def cmd_bench(args) -> int:
     cube, _ = _load(args)
     spec = WorkloadSpec.load(args.workload)
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    rows = run_workload(cube, spec, strategies=strategies,
+    rows = run_workload(cube, spec, strategies=args.strategies,
                         selector_config=_selector_config(args),
                         timeout_s=args.timeout_s)
     write_report(rows, args.report)
@@ -155,7 +171,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     p.add_argument("--query", "-q", help="ANALYZE statement text")
     p.add_argument("--query-file", help="file containing the statement")
-    p.add_argument("--strategy", choices=["auto", "min", "mid", "max"], default="auto")
+    p.add_argument("--strategy", choices=STRATEGY_NAMES, default="auto")
     p.add_argument("--output", "-o", help="file prefix; writes <prefix>_<role>.csv per facilitator")
     _add_selector_args(p)
     p.set_defaults(func=cmd_query)
@@ -164,7 +180,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     p.add_argument("--workload", required=True, help="workload JSON")
     p.add_argument("--report", required=True, help="output CSV path")
-    p.add_argument("--strategies", default="min,mid,max")
+    p.add_argument("--strategies", type=_strategy_list, default=",".join(STRATEGIES),
+                   help="comma-separated, from: " + ", ".join(STRATEGY_NAMES))
     p.add_argument("--timeout-s", type=float, default=None,
                    help="per-query budget (default from the workload file, 300s)")
     _add_selector_args(p)

@@ -83,10 +83,6 @@ class NoFilterAtom(CubeLensError):
     """Sibling derivation needs a filter atom on the grouper dimension."""
 
 
-class DegradedStructure(CubeLensError):
-    """The all-encompassing merged query cannot be built for this request."""
-
-
 class InvalidSpec(CubeLensError):
     """Synthetic dataset specification is not sane."""
 

@@ -5,19 +5,19 @@ merged base query, the roles derived from it and the fact scans it runs.
 The selector prices those scans and run_strategy(plan) runs them: the base
 once, every other non-empty facilitator directly, then each derived role by
 reaggregate(), the rewrite of a query over a usable base (cube_usable is
-checked on every call).  Merged bases derive nothing themselves: they take
-their groupers and widened atoms from the facilitator set's slot queries.
+checked on every call).  One rule builds every merged base from the
+non-empty facilitators a strategy merges: the original condition, widened
+by each merged sibling (fs.widened_condition), grouped by the merged
+drill-downs' levels, the original groupers and the merged siblings' filter
+levels.  Merged facilitators answer the same as separate ones, so a missing
+facilitator only drops out of the base.
 
-* Min-MQO has no base: the five facilitators are scanned directly (5 fact
-  scans, no post-processing).
+* Min-MQO has no base: the facilitators are scanned directly (5 fact scans
+  when all exist, no post-processing).
 * Mid-MQO merges the original and the two drill-downs, which share a
   selection condition and therefore a fact region, into one base and scans
   the two siblings directly (3 fact scans).
-* Max-MQO builds one all-encompassing base whose condition widens both
-  grouper-dimension atoms to their parent values and whose groupers carry
-  the drill-down, original and filter levels; all five roles derive from it
-  (1 fact scan).  When a facilitator is missing (fs.missing) its plan is
-  Mid-MQO's, with the reason in Plan.fallback_reason.
+* Max-MQO merges all five into one all-encompassing base (1 fact scan).
 
 Deriving folds partial aggregates: sum/min/max fold with themselves, count
 adds partial counts.  Folds are order-independent, so all three strategies
@@ -36,12 +36,12 @@ partial aggregates to bound its sums.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .aggregate import group_reduce
 from .analyze import ROLES, AnalyzeResult, FacilitatorSet, SlotResult
-from .errors import DegradedStructure, SumOverflow, UsabilityViolation
+from .errors import SumOverflow, UsabilityViolation
 from .hierarchy import Level
 from .query import (
     CellSchema,
@@ -52,51 +52,6 @@ from .query import (
     empty_cell_set,
     execute_query,
 )
-
-# ---------------------------------------------------------------------------
-# Merged base queries
-# ---------------------------------------------------------------------------
-
-def _distinct_levels(levels: list[Level]) -> tuple[Level, ...]:
-    """Drop repeated (dimension, depth) levels, keeping first-seen order."""
-    seen: dict[tuple[str, int], Level] = {}
-    for level in levels:
-        seen.setdefault((level.dimension_name, level.depth), level)
-    return tuple(seen.values())
-
-
-def build_all_encompassing(fs: FacilitatorSet) -> CubeQuery:
-    """The single query that can answer all five facilitators: both siblings'
-    widened atoms, and groupers covering the drill-down levels, the original
-    grouper levels and both filter levels (the siblings' groupers)."""
-    if fs.missing:
-        raise DegradedStructure(f"missing facilitators: {', '.join(fs.missing)}")
-    aq = fs.request
-    g_a, g_b = aq.groupers
-    filter_a, filter_b = fs.sib_a.query.groupers[0], fs.sib_b.query.groupers[1]
-    condition = fs.widened_condition
-    levels = [fs.dd_a.query.groupers[0], fs.dd_b.query.groupers[1],
-              g_a, g_b, filter_a, filter_b]
-    # When the filter sits at the grouper level itself, the widened filter's
-    # level is carried as an extra (constant-valued) grouper, mirroring the
-    # merged query's published shape.
-    for g, level in ((g_a, filter_a), (g_b, filter_b)):
-        widened = condition.atom_for(g.dimension_name).level
-        if level.depth == g.depth and not widened.is_all:
-            levels.append(widened)
-    return CubeQuery(aq.cube, condition, _distinct_levels(levels), aq.measure_name,
-                     f"{aq.measure_alias}_all", aq.agg)
-
-
-def build_org_dd_merged(fs: FacilitatorSet) -> CubeQuery:
-    """The original-and-drill-down merged query: original condition, original
-    groupers plus the one-level-down grouper of each drillable side."""
-    aq = fs.request
-    drilled = [slot.query.groupers[i] for i, slot in enumerate((fs.dd_a, fs.dd_b))
-               if not slot.empty]
-    return CubeQuery(aq.cube, aq.condition, _distinct_levels(drilled + list(aq.groupers)),
-                     aq.measure_name, f"{aq.measure_alias}_orgdd", aq.agg)
-
 
 # ---------------------------------------------------------------------------
 # Answering a query from a usable base
@@ -138,7 +93,11 @@ def reaggregate(base_cells: CellSet, target: CubeQuery, base: CubeQuery) -> Cell
 # Plans, the executor and the strategies
 # ---------------------------------------------------------------------------
 
-STRATEGIES = ("min", "mid", "max")
+# The roles each strategy derives from its merged base, and the base's alias
+# suffix: Min merges nothing, Mid the roles sharing the original's region,
+# Max all five.
+_MERGES = {"min": ((), ""), "mid": (("org", "ddA", "ddB"), "orgdd"), "max": (ROLES, "all")}
+STRATEGIES = tuple(_MERGES)
 
 
 @dataclass
@@ -147,38 +106,58 @@ class Plan:
     selector prices its scans and run_strategy runs them."""
 
     fs: FacilitatorSet
-    requested: str                  # the strategy asked for
-    name: str                       # the strategy that runs
+    name: str                       # the strategy
     base: Optional[CubeQuery]       # the merged base query (None: Min)
     derived: tuple[str, ...]        # non-empty roles answered from the base
     scanned: tuple[str, ...]        # non-empty roles scanned directly
     scans: tuple[CubeQuery, ...]    # every fact scan in run order, the base first
-    fallback_reason: Optional[str] = None  # why Max runs Mid's plan
+
+
+def _distinct_levels(levels: list[Level]) -> tuple[Level, ...]:
+    """Drop repeated (dimension, depth) levels, keeping first-seen order."""
+    seen: dict[tuple[str, int], Level] = {}
+    for level in levels:
+        seen.setdefault((level.dimension_name, level.depth), level)
+    return tuple(seen.values())
+
+
+def _merged_base(fs: FacilitatorSet, roles: tuple[str, ...], suffix: str) -> CubeQuery:
+    """The one query the non-empty facilitators ``roles`` derive from: the
+    original condition, widened when a sibling is merged, grouped by each
+    merged drill-down's level, the original groupers and each merged
+    sibling's filter level."""
+    aq = fs.request
+    slots = fs.slots()
+    siblings = [(g, slots[role].query.groupers[i])
+                for i, (g, role) in enumerate(zip(aq.groupers, ("sibA", "sibB"))) if role in roles]
+    condition = fs.widened_condition if siblings else aq.condition
+    levels = [slots[role].query.groupers[i]
+              for i, role in enumerate(("ddA", "ddB")) if role in roles]
+    levels += [*aq.groupers, *(level for _, level in siblings)]
+    # When the filter sits at the grouper level itself, the widened filter's
+    # level is carried as an extra (constant-valued) grouper, mirroring the
+    # merged query's published shape.
+    for g, level in siblings:
+        widened = condition.atom_for(g.dimension_name).level
+        if level.depth == g.depth and not widened.is_all:
+            levels.append(widened)
+    return CubeQuery(aq.cube, condition, _distinct_levels(levels), aq.measure_name,
+                     f"{aq.measure_alias}_{suffix}", aq.agg)
 
 
 def build_plan(name: str, fs: FacilitatorSet) -> Plan:
-    """The plan of strategy ``name`` over ``fs``.  Max's base needs all five
-    facilitators; without them Max runs Mid's plan and says why."""
-    if name == "min":
-        base, from_base = None, ()
-    elif name == "mid":
-        base, from_base = build_org_dd_merged(fs), ("org", "ddA", "ddB")
-    elif name == "max":
-        try:
-            base = build_all_encompassing(fs)  # all five facilitators exist
-        except DegradedStructure as exc:
-            return replace(build_plan("mid", fs), requested=name, fallback_reason=str(exc))
-        return Plan(fs, name, name, base, ROLES, (), (base,))
-    else:
+    """The plan of strategy ``name`` over ``fs``: the non-empty roles it
+    merges derive from one base, the other non-empty roles are scanned."""
+    if name not in _MERGES:
         raise ValueError(f"unknown strategy {name!r}")
-    derived, scanned, scans = [], [], [] if base is None else [base]
-    for role, slot in fs.slots().items():
-        if not slot.empty and role in from_base:
-            derived.append(role)
-        elif not slot.empty:
-            scanned.append(role)
-            scans.append(slot.query)
-    return Plan(fs, name, name, base, tuple(derived), tuple(scanned), tuple(scans))
+    merges, suffix = _MERGES[name]
+    slots = fs.slots()
+    present = [role for role in ROLES if not slots[role].empty]
+    derived = tuple(role for role in present if role in merges)
+    scanned = tuple(role for role in present if role not in merges)
+    base = _merged_base(fs, derived, suffix) if derived else None
+    scans = ((base,) if base is not None else ()) + tuple(slots[role].query for role in scanned)
+    return Plan(fs, name, base, derived, scanned, scans)
 
 
 def _timed_execute(q: CubeQuery) -> SlotResult:
@@ -199,7 +178,7 @@ def run_strategy(plan: Plan) -> AnalyzeResult:
         # Direct scans overflow exactly when a facilitator's own sum does,
         # which keeps the answer the same under every strategy.
         result = run_strategy(build_plan("min", plan.fs))
-        result.strategy_requested = plan.requested
+        result.strategy_requested = plan.name
         result.fallback_reason = f"merged base query: {exc}"
         return result
     for role in plan.scanned:
@@ -211,21 +190,6 @@ def run_strategy(plan: Plan) -> AnalyzeResult:
     post_ns = time.perf_counter_ns() - t0 if plan.derived else 0
 
     return AnalyzeResult(slots={role: results[role] for role in ROLES},
-                         strategy_requested=plan.requested, strategy_used=plan.name,
+                         strategy_requested=plan.name, strategy_used=plan.name,
                          store_queries=len(plan.scans), postprocess_ns=post_ns,
-                         merged_exec_ns=merged.exec_ns, fallback_reason=plan.fallback_reason)
-
-
-def run_min_mqo(fs: FacilitatorSet) -> AnalyzeResult:
-    """Execute every derivable facilitator directly; no post-processing."""
-    return run_strategy(build_plan("min", fs))
-
-
-def run_mid_mqo(fs: FacilitatorSet) -> AnalyzeResult:
-    """One merged original-and-drill-down query plus the two siblings."""
-    return run_strategy(build_plan("mid", fs))
-
-
-def run_max_mqo(fs: FacilitatorSet) -> AnalyzeResult:
-    """One all-encompassing query answering all five roles (Mid's plan if fs.missing)."""
-    return run_strategy(build_plan("max", fs))
+                         merged_exec_ns=merged.exec_ns)

@@ -10,19 +10,18 @@ three, without a union mask.
 
 The cost rule (the default) builds each strategy's plan once
 (mqo.build_plan), predicts its time and returns the cheapest plan, which
-the executor then runs: Min-MQO is a candidate, Max-MQO only when all five
-facilitators exist (else its plan would be Mid's).  A plan's time is the
-sum over the fact scans it lists (its merged base and every facilitator it
-scans directly) plus a constant per role it derives from the base.  A scan
-costs a constant, a pass over the cube's full bitset (row selection), its
-rows at the per-row cost of the fold path it will take (dense, or a sort at
-rows * log2(rows)), a gather cost per row that grows as its region thins
-out, and its key space once per chunk for the dense buffers.  The fold path
-and the chunk count come from the functions the scan itself runs
-(aggregate.fold_path, query.scan_chunks), so the model cannot drift from
-the kernel.  A scan's rows are the cached popcount of its own region, one
-of the four that estimate_stats counts: no mask is built and no fact is
-read beyond what estimate_stats does.
+the executor then runs; all three plans are candidates on every request.
+A plan's time is the sum over the fact scans it lists (its merged base and
+every facilitator it scans directly) plus a constant per role it derives
+from the base.  A scan costs a constant, a pass over the cube's full bitset
+(row selection), its rows at the per-row cost of the fold path it will take
+(dense, or a sort at rows * log2(rows)), a gather cost per row that grows
+as its region thins out, and its key space once per chunk for the dense
+buffers.  The fold path and the chunk count come from the functions the
+scan itself runs (aggregate.fold_path, query.scan_chunks), so the model
+cannot drift from the kernel.  A scan's rows are the cached popcount of its
+own region, one of the four that estimate_stats counts: no mask is built
+and no fact is read beyond what estimate_stats does.
 
 The paper rule (choose_strategy, rule="paper") picks Max-MQO only when the
 sibling regions jointly cover a large share of the all-encompassing region
@@ -33,7 +32,8 @@ picks Min-MQO.
 When a sibling cannot be derived (no filter atom, or a filter at ALL), the
 widening is vacuous and that region falls back to the original condition's
 region; the slot is flagged as degraded, as is "all" whenever any
-facilitator is missing, and the paper rule then stays on Mid-MQO.  This
+facilitator is missing, and the paper rule then stays on Mid-MQO (Max-MQO
+would still run, on a base that merges the facilitators that exist).  This
 keeps the containment chain facts_org <= facts_sA/facts_sB <= facts_A <=
 row_count valid for every query.
 """
@@ -207,9 +207,8 @@ def _estimate_scan(q: CubeQuery) -> ScanEstimate:
 
 
 def estimate_plans(fs: FacilitatorSet) -> dict[str, PlanEstimate]:
-    """Every strategy's plan that runs as planned (Max only when no
-    facilitator is missing), priced over exactly the scans it lists."""
-    plans = [build_plan(name, fs) for name in (("min", "mid") if fs.missing else STRATEGIES)]
+    """Every strategy's plan, priced over exactly the scans it lists."""
+    plans = [build_plan(name, fs) for name in STRATEGIES]
     unique = {id(q): q for plan in plans for q in plan.scans}  # Min and Mid share siblings
     scans = {key: _estimate_scan(q) for key, q in unique.items()}
     return {plan.name: PlanEstimate(plan, tuple(scans[id(q)] for q in plan.scans))

@@ -79,6 +79,32 @@ def write_dataset(tables: DatasetTables, out_dir) -> Path:
 
 
 # ---------------------------------------------------------------------------
+# int64 sum overflow
+# ---------------------------------------------------------------------------
+
+INT64_MAX = (1 << 63) - 1
+OVERFLOW_QUERY = ("ANALYZE sum(m) FROM c FOR A.Grp = 'g1' AND B.Grp = 'h1' "
+                  "GROUP BY A.Grp, B.Grp")
+# Max-MQO's base covers g2 x h2, which no facilitator reads, and its cell sum
+# there leaves int64; every facilitator cell fits.
+OUTSIDE_OVERFLOW_FACTS = [("a3", "b3", INT64_MAX), ("a3", "b3", INT64_MAX), ("a1", "b1", 5),
+                          ("a2", "b2", 7), ("a3", "b1", 1), ("a1", "b3", 2)]
+
+
+def overflow_tables(facts) -> DatasetTables:
+    """A: a1, a2 under g1 and a3 under g2; B likewise with b/h.  ``facts`` is
+    a list of (a leaf, b leaf, value)."""
+    dims = {"A": (["Leaf", "Grp", "Top"], [("a1", "g1", "t"), ("a2", "g1", "t"),
+                                           ("a3", "g2", "t")]),
+            "B": (["Unit", "Grp", "Top"], [("b1", "h1", "u"), ("b2", "h1", "u"),
+                                           ("b3", "h2", "u")])}
+    # both dimensions name their middle level Grp, so statements qualify it
+    return DatasetTables("c", dims, [("m", "integer")],
+                         [{"A": a, "B": b} for a, b, _ in facts],
+                         {"m": [v for _, _, v in facts]})
+
+
+# ---------------------------------------------------------------------------
 # Mini retail schema (Sales cube, 5 dimensions)
 # ---------------------------------------------------------------------------
 

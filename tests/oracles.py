@@ -10,6 +10,7 @@ sort of the label rows.
 The helpers at the end (cell_dict, desc, siblings_under_parent, filter_rows,
 detailed_proxy, grouper_domain) read the engine's own encodings; the engine
 does not need them, and the tests check them against the oracles.
+run_forced runs one strategy's plan, as `--strategy` does without timing.
 """
 
 import operator
@@ -18,6 +19,7 @@ import numpy as np
 
 from cubelens.errors import LevelOrderViolation
 from cubelens.hierarchy import anc
+from cubelens.mqo import build_plan, run_strategy
 from cubelens.query import SelectionAtom
 
 ALL_LABEL = "All"
@@ -232,3 +234,8 @@ def grouper_domain(dim, atom, grouper_level):
     if g.depth > atom.level.depth:
         raise LevelOrderViolation(f"grouper level {g!r} is above the atom level {atom.level!r}")
     return _descendants(dim, atom, g.depth)
+
+
+def run_forced(name, fs):
+    """The AnalyzeResult of strategy ``name`` forced on facilitator set ``fs``."""
+    return run_strategy(build_plan(name, fs))

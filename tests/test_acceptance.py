@@ -14,9 +14,8 @@ import pytest
 from cubelens.analyze import build_facilitators, from_statement
 from cubelens.bench import WorkloadSpec, run_workload
 from cubelens.cube import load_cube
-from cubelens.errors import DegradedStructure
 from cubelens.hierarchy import anc
-from cubelens.mqo import build_all_encompassing, build_org_dd_merged, run_max_mqo, run_mid_mqo, run_min_mqo
+from cubelens.mqo import build_plan
 from cubelens.parser import parse
 from cubelens.query import (
     CubeQuery,
@@ -40,6 +39,7 @@ from oracles import (
     desc,
     detailed_proxy,
     grouper_domain,
+    run_forced,
     siblings_under_parent,
     spearman_rho,
 )
@@ -77,9 +77,9 @@ def test_criterion_1_strategy_equivalence():
             agg = AGGS[total % 4]
             aq = random_analyze(rng, cube, aggs=(agg,))
             fs = build_facilitators(aq)
-            rmin = run_min_mqo(fs)
-            rmid = run_mid_mqo(fs)
-            rmax = run_max_mqo(fs)
+            rmin = run_forced("min", fs)
+            rmid = run_forced("mid", fs)
+            rmax = run_forced("max", fs)
             assert results_equal_exact(rmin, rmid), f"mid diverged on {aq}"
             assert results_equal_exact(rmin, rmax), f"max diverged on {aq}"
             agg_seen[agg] += 1
@@ -116,7 +116,7 @@ def test_criterion_2_worked_examples(foodmart_cube, walkthrough_cube):
         assert atom(slot.query, "Promo") == ("Media", "Daily Paper")
 
     w_aq = from_statement(parse(WALKTHROUGH_QUERY, walkthrough_cube.schema), walkthrough_cube)
-    merged = build_all_encompassing(build_facilitators(w_aq))
+    merged = build_plan("max", build_facilitators(w_aq)).base
     w_atoms = {a.dimension_name: (a.level.name,
                                   walkthrough_cube.schema.dimension(a.dimension_name)
                                   .member_label(a.level, a.values[0]))
@@ -126,7 +126,7 @@ def test_criterion_2_worked_examples(foodmart_cube, walkthrough_cube):
     assert [g.name for g in merged.groupers] == [
         "City", "Month", "State", "Quarter", "Country", "Year"]
 
-    mid = build_org_dd_merged(build_facilitators(w_aq))
+    mid = build_plan("mid", build_facilitators(w_aq)).base
     m_atoms = {a.dimension_name: (a.level.name,
                                   walkthrough_cube.schema.dimension(a.dimension_name)
                                   .member_label(a.level, a.values[0]))
@@ -150,10 +150,9 @@ def test_criterion_3_usability_predicate():
         cube = build_cube(tables)
         aq = random_analyze(rng, cube)
         fs = build_facilitators(aq)
-        try:
-            merged = build_all_encompassing(fs)
-        except DegradedStructure:
+        if fs.missing:
             continue
+        merged = build_plan("max", fs).base
         base = merged
         for slot in fs.slots().values():
             report = cube_usable(base, slot.query)
@@ -205,11 +204,9 @@ def test_criterion_4_store_access_counts(foodmart_cube):
     aq = from_statement(parse(REFERENCE_QUERY, foodmart_cube.schema), foodmart_cube)
     fs = build_facilitators(aq)
     observed = {}
-    for name, run in (("min", lambda: run_min_mqo(fs)),
-                      ("mid", lambda: run_mid_mqo(fs)),
-                      ("max", lambda: run_max_mqo(fs))):
+    for name in ("min", "mid", "max"):
         before = foodmart_cube.exec_stats.fact_scans
-        result = run()
+        result = run_forced(name, fs)
         observed[name] = foodmart_cube.exec_stats.fact_scans - before
         assert result.store_queries == observed[name]
     assert observed == {"min": 5, "mid": 3, "max": 1}
@@ -221,15 +218,11 @@ def test_criterion_4_store_access_counts(foodmart_cube):
         cube = build_cube(tables)
         aq = random_analyze(rng, cube)
         fs = build_facilitators(aq)
-        try:
-            build_all_encompassing(fs)
-        except DegradedStructure:
+        if fs.missing:
             continue
-        for name, expected, run in (("min", 5, lambda: run_min_mqo(fs)),
-                                    ("mid", 3, lambda: run_mid_mqo(fs)),
-                                    ("max", 1, lambda: run_max_mqo(fs))):
+        for name, expected in (("min", 5), ("mid", 3), ("max", 1)):
             before = cube.exec_stats.fact_scans
-            run()
+            run_forced(name, fs)
             assert cube.exec_stats.fact_scans - before == expected, name
         checked += 1
     report_pass(4, f"foodmart reference + {checked} random non-degraded queries scan 5/3/1")

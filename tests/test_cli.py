@@ -10,7 +10,14 @@ from cubelens.bench import WorkloadSpec
 from cubelens.cli import main
 from cubelens.errors import ParseError
 
-from fixtures import REFERENCE_QUERY, foodmart_tables, write_dataset
+from fixtures import (
+    OUTSIDE_OVERFLOW_FACTS,
+    OVERFLOW_QUERY,
+    REFERENCE_QUERY,
+    foodmart_tables,
+    overflow_tables,
+    write_dataset,
+)
 
 SYNTH_SPEC = {
     "name": "bench",
@@ -118,16 +125,27 @@ def test_query_from_file(foodmart_dir, tmp_path, capsys):
     assert "# strategy=max" in capsys.readouterr().out
 
 
-def test_query_max_fallback_is_visible(foodmart_dir, capsys):
-    # no filter atoms: the all-encompassing query cannot be built
+def test_query_max_on_degraded_request_runs_max(foodmart_dir, capsys):
+    # no filter atom on either grouper dimension: Max merges what exists
     text = "ANALYZE sum(store_sales) FROM Sales FOR StoreCountry = 'USA' GROUP BY month, State"
     rc = main(["query", "--data-dir", str(foodmart_dir), "--query", text,
                "--strategy", "max"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert out.startswith("# strategy=mid")
-    assert "[fallback:" in out
+    assert out.startswith("# strategy=max")
+    assert "[fallback:" not in out
     assert "# facilitator: sibA (empty: no filter atom)" in out
+
+
+def test_query_overflow_fallback_is_visible(tmp_path, capsys):
+    # Max's base sums a cell past int64 that no facilitator reads: it runs Min
+    data_dir = write_dataset(overflow_tables(OUTSIDE_OVERFLOW_FACTS), tmp_path).parent
+    rc = main(["query", "--data-dir", str(data_dir), "--query", OVERFLOW_QUERY,
+               "--strategy", "max"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out.startswith("# strategy=min")
+    assert "[fallback: merged base query" in out
 
 
 def test_degraded_result_files_identical_across_strategies(foodmart_dir, tmp_path, capsys):
@@ -196,6 +214,29 @@ def test_bench_all_timeout_exits_5(foodmart_dir, tmp_path):
     rc = main(["bench", "--data-dir", str(foodmart_dir), "--workload", str(workload),
                "--report", str(report), "--strategies", "max,mid"])
     assert rc == 5
+
+
+@pytest.mark.parametrize("names, message", [("bogus", "unknown strategy 'bogus'"),
+                                            ("min,bogus", "unknown strategy 'bogus'"),
+                                            ("auto,Max", "unknown strategy 'Max'"),
+                                            (" , ", "no strategy named")])
+def test_bench_bad_strategy_list_is_a_usage_error(foodmart_dir, tmp_path, capsys, names, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--data-dir", str(foodmart_dir), "--workload", str(tmp_path / "w.json"),
+              "--report", str(tmp_path / "r.csv"), "--strategies", names])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and message in err
+
+
+def test_bench_strategies_accept_auto(foodmart_dir, tmp_path, capsys):
+    workload = tmp_path / "workload.json"
+    workload.write_text(json.dumps({"queries": [{"label": "ref", "text": REFERENCE_QUERY}]}))
+    report = tmp_path / "report.csv"
+    rc = main(["bench", "--data-dir", str(foodmart_dir), "--workload", str(workload),
+               "--report", str(report), "--strategies", "auto, min"])
+    assert rc == 0
+    assert [row.split(",")[1] for row in report.read_text().splitlines()[1:]] == ["auto", "min"]
 
 
 def test_bench_missing_workload_exits_2(foodmart_dir, tmp_path):

@@ -6,36 +6,33 @@ from hypothesis import given, settings, strategies as st
 
 from cubelens.analyze import build_facilitators, from_statement
 from cubelens.bench import run_analyze
-from cubelens.errors import DegradedStructure
-from cubelens.mqo import (
-    build_all_encompassing,
-    build_org_dd_merged,
-    run_max_mqo,
-    run_mid_mqo,
-    run_min_mqo,
-)
+from cubelens.mqo import build_plan
 from cubelens.parser import parse
-from cubelens.query import SelectionAtom, SelectionCondition, cell_sets_equal
+from cubelens.query import SelectionAtom, SelectionCondition, cell_sets_equal, cube_usable
 from cubelens.analyze import AnalyzeQuery
 
 from fixtures import (
+    INT64_MAX,
+    OUTSIDE_OVERFLOW_FACTS,
+    OVERFLOW_QUERY,
     REFERENCE_QUERY,
     WALKTHROUGH_QUERY,
     build_cube,
+    overflow_tables,
     random_analyze,
     random_tables,
 )
-from oracles import ArityMismatch, ResultMap, cell_dict, update_map
+from oracles import ArityMismatch, ResultMap, cell_dict, run_forced, update_map
 
 ROLES = ("org", "sibA", "sibB", "ddA", "ddB")
 
 
-def results_equal(a, b):
+def results_equal(a, b, rel_tol=1e-9):
     for role in ROLES:
         sa, sb = a.slots[role], b.slots[role]
         if (sa.cells is None) != (sb.cells is None):
             return False
-        if sa.cells is not None and not cell_sets_equal(sa.cells, sb.cells):
+        if sa.cells is not None and not cell_sets_equal(sa.cells, sb.cells, rel_tol=rel_tol):
             return False
     return True
 
@@ -104,7 +101,7 @@ def test_update_map_order_independent(values, agg, rnd):
 # ---------------------------------------------------------------------------
 
 def test_all_encompassing_walkthrough_shape(walkthrough_aq):
-    q = build_all_encompassing(build_facilitators(walkthrough_aq))
+    q = build_plan("max", build_facilitators(walkthrough_aq)).base
     atoms = {a.dimension_name: a for a in q.condition}
     geo = walkthrough_aq.cube.schema.dimension("Geo")
     date = walkthrough_aq.cube.schema.dimension("Date")
@@ -117,7 +114,7 @@ def test_all_encompassing_walkthrough_shape(walkthrough_aq):
 
 
 def test_all_encompassing_reference_shape(reference_aq):
-    q = build_all_encompassing(build_facilitators(reference_aq))
+    q = build_plan("max", build_facilitators(reference_aq)).base
     assert [g.name for g in q.groupers] == [
         "Day", "CustomerId", "Month", "customerRegion", "Quarter", "State"]
     atoms = {a.dimension_name: (a.level.name,) for a in q.condition}
@@ -127,7 +124,7 @@ def test_all_encompassing_reference_shape(reference_aq):
 
 
 def test_org_dd_merged_walkthrough_shape(walkthrough_aq):
-    q = build_org_dd_merged(build_facilitators(walkthrough_aq))
+    q = build_plan("mid", build_facilitators(walkthrough_aq)).base
     assert [g.name for g in q.groupers] == ["City", "Month", "State", "Quarter"]
     atoms = {a.dimension_name: a.level.name for a in q.condition}
     assert atoms == {"Geo": "State", "Date": "Quarter"}
@@ -139,30 +136,8 @@ def test_org_dd_merged_collapses_without_drilldowns(foodmart_cube):
     aq = AnalyzeQuery(foodmart_cube, SelectionCondition([]),
                       (date.level("Day"), store.level("StoreId")),
                       "unit_sales", "u", "sum")
-    merged = build_org_dd_merged(build_facilitators(aq))
+    merged = build_plan("mid", build_facilitators(aq)).base
     assert [g.name for g in merged.groupers] == ["Day", "StoreId"]
-
-
-def test_all_encompassing_degraded_cases(foodmart_cube):
-    date = foodmart_cube.schema.dimension("Date")
-    cust = foodmart_cube.schema.dimension("Customer")
-    # grouper at depth 0
-    aq = AnalyzeQuery(
-        foodmart_cube,
-        SelectionCondition([SelectionAtom(date.level("Quarter"), (0,)),
-                            SelectionAtom(cust.level("State"), (0,))]),
-        (date.level("Day"), cust.level("customerRegion")),
-        "unit_sales", "u", "sum")
-    with pytest.raises(DegradedStructure):
-        build_all_encompassing(build_facilitators(aq))
-    # missing atom
-    aq2 = AnalyzeQuery(
-        foodmart_cube,
-        SelectionCondition([SelectionAtom(date.level("Quarter"), (0,))]),
-        (date.level("Month"), cust.level("customerRegion")),
-        "unit_sales", "u", "sum")
-    with pytest.raises(DegradedStructure):
-        build_all_encompassing(build_facilitators(aq2))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +147,7 @@ def test_all_encompassing_degraded_cases(foodmart_cube):
 def test_min_is_direct_execution(reference_aq):
     from cubelens.query import execute_query
     fs = build_facilitators(reference_aq)
-    result = run_min_mqo(fs)
+    result = run_forced("min", fs)
     assert result.postprocess_ns == 0
     assert result.store_queries == 5
     for role, slot in fs.slots().items():
@@ -186,7 +161,7 @@ def test_degraded_slots_pass_through(foodmart_cube):
                       (date.level("Month"), cust.level("State")),
                       "unit_sales", "u", "sum")
     fs = build_facilitators(aq)
-    result = run_min_mqo(fs)
+    result = run_forced("min", fs)
     assert result.store_queries == 3
     assert result.slots["sibA"].cells is None and result.slots["sibA"].reason
     assert result.slots["sibB"].cells is None
@@ -195,19 +170,13 @@ def test_degraded_slots_pass_through(foodmart_cube):
 def test_store_query_counts(reference_aq):
     cube = reference_aq.cube
     fs = build_facilitators(reference_aq)
-    for runner, expected in ((run_min_mqo, 5),):
+    for name, expected in (("min", 5), ("mid", 3), ("max", 1)):
         before = cube.exec_stats.fact_scans
-        runner(fs)
-        assert cube.exec_stats.fact_scans - before == expected
-    before = cube.exec_stats.fact_scans
-    run_mid_mqo(fs)
-    assert cube.exec_stats.fact_scans - before == 3
-    before = cube.exec_stats.fact_scans
-    run_max_mqo(fs)
-    assert cube.exec_stats.fact_scans - before == 1
+        run_forced(name, fs)
+        assert cube.exec_stats.fact_scans - before == expected, name
 
 
-def test_max_falls_back_to_mid_on_degraded(foodmart_cube):
+def test_max_runs_one_scan_on_degraded(foodmart_cube):
     date = foodmart_cube.schema.dimension("Date")
     cust = foodmart_cube.schema.dimension("Customer")
     aq = AnalyzeQuery(foodmart_cube,
@@ -215,11 +184,13 @@ def test_max_falls_back_to_mid_on_degraded(foodmart_cube):
                       (date.level("Month"), cust.level("State")),
                       "unit_sales", "u", "sum")
     fs = build_facilitators(aq)
-    result = run_max_mqo(fs)
-    assert result.strategy_requested == "max"
-    assert result.strategy_used == "mid"
-    assert result.fallback_reason
-    assert results_equal(result, run_min_mqo(fs))
+    assert fs.missing == ("sibB",)
+    before = foodmart_cube.exec_stats.fact_scans
+    result = run_forced("max", fs)
+    assert foodmart_cube.exec_stats.fact_scans - before == result.store_queries == 1
+    assert result.strategy_requested == result.strategy_used == "max"
+    assert result.fallback_reason is None
+    assert results_equal(result, run_forced("min", fs))
 
 
 def test_empty_all_encompassing_gives_empty_results(walkthrough_cube):
@@ -247,11 +218,11 @@ def test_empty_all_encompassing_gives_empty_results(walkthrough_cube):
                       (d1.level("A1"), d2.level("B1")),
                       "m", "m", "sum")
     fs = build_facilitators(aq)
-    result = run_max_mqo(fs)
+    result = run_forced("max", fs)
     assert result.strategy_used == "max"
     assert len(result.slots["org"].cells) == 0
     assert len(result.slots["ddA"].cells) == 0
-    mn = run_min_mqo(fs)
+    mn = run_forced("min", fs)
     assert results_equal(result, mn)
 
 
@@ -264,9 +235,9 @@ def test_strategies_agree_on_empty_cube():
     cube = build_cube(tables)
     aq = random_analyze(rng, cube)
     fs = build_facilitators(aq)
-    rmin = run_min_mqo(fs)
-    assert results_equal(rmin, run_mid_mqo(fs))
-    assert results_equal(rmin, run_max_mqo(fs))
+    rmin = run_forced("min", fs)
+    assert results_equal(rmin, run_forced("mid", fs))
+    assert results_equal(rmin, run_forced("max", fs))
     assert all(s.cells is None or len(s.cells) == 0 for s in rmin.slots.values())
 
 
@@ -274,9 +245,9 @@ def test_walkthrough_equivalence_filter_at_grouper_level(walkthrough_aq):
     # sigma == gamma on both sides: the merged query carries the widened
     # filter levels as constant extra groupers
     fs = build_facilitators(walkthrough_aq)
-    rmin = run_min_mqo(fs)
-    assert results_equal(rmin, run_mid_mqo(fs))
-    rmax = run_max_mqo(fs)
+    rmin = run_forced("min", fs)
+    assert results_equal(rmin, run_forced("mid", fs))
+    rmax = run_forced("max", fs)
     assert rmax.strategy_used == "max"
     assert results_equal(rmin, rmax)
 
@@ -293,13 +264,39 @@ def test_org_dd_merged_reaggregates_to_each_slot():
         if aq.groupers[0].depth == 0 or aq.groupers[1].depth == 0:
             continue
         fs = build_facilitators(aq)
-        merged = build_org_dd_merged(fs)
+        merged = build_plan("mid", fs).base
         base_cells = execute_query(merged)
         for slot in (fs.org, fs.dd_a, fs.dd_b):
             direct = execute_query(slot.query)
             rebuilt = reaggregate(base_cells, slot.query, merged)
             assert cell_sets_equal(direct, rebuilt)
         done += 1
+
+
+def test_max_merges_what_exists_on_degraded_requests():
+    """Max's base merges every non-empty facilitator: one scan that answers
+    them all exactly as Min does, with no fallback."""
+    rng = random.Random(263)
+    missing_sets = set()
+    checked = 0
+    while checked < 150:
+        cube = build_cube(random_tables(rng, max_facts=300))
+        fs = build_facilitators(random_analyze(rng, cube, atom_probability=0.6))
+        if not fs.missing:
+            continue
+        plan = build_plan("max", fs)
+        for role, slot in fs.slots().items():
+            if not slot.empty:
+                report = cube_usable(plan.base, slot.query)
+                assert report.usable, (fs.missing, role, report.failed)
+        before = cube.exec_stats.fact_scans
+        result = run_forced("max", fs)
+        assert cube.exec_stats.fact_scans - before == result.store_queries == 1, fs.missing
+        assert result.strategy_used == "max" and result.fallback_reason is None
+        assert results_equal(result, run_forced("min", fs), rel_tol=0.0), fs.missing
+        missing_sets.add(fs.missing)
+        checked += 1
+    assert len(missing_sets) == 15, missing_sets  # every non-empty subset of sibA/sibB/ddA/ddB
 
 
 def test_strategy_equivalence_random_smoke():
@@ -310,9 +307,9 @@ def test_strategy_equivalence_random_smoke():
         cube = build_cube(tables)
         aq = random_analyze(rng, cube)
         fs = build_facilitators(aq)
-        rmin = run_min_mqo(fs)
-        rmid = run_mid_mqo(fs)
-        rmax = run_max_mqo(fs)
+        rmin = run_forced("min", fs)
+        rmid = run_forced("mid", fs)
+        rmax = run_forced("max", fs)
         rauto = run_analyze(cube, aq)
         assert results_equal(rmin, rmid)
         assert results_equal(rmin, rmax)
@@ -333,12 +330,10 @@ def test_distribution_completeness_with_count():
         cube = build_cube(tables)
         aq = random_analyze(rng, cube, aggs=("count",))
         fs = build_facilitators(aq)
-        try:
-            build_all_encompassing(fs)
-        except DegradedStructure:
+        if fs.missing:
             continue
         stats = estimate_stats(fs)
-        result = run_max_mqo(fs)
+        result = run_forced("max", fs)
         assert result.strategy_used == "max"
         totals = {role: sum(v for _, v in cell_dict(result.slots[role].cells).items())
                   for role in ROLES}
@@ -390,12 +385,11 @@ def test_max_matches_per_tuple_distribution_oracle(agg):
         cube = build_cube(tables)
         aq = random_analyze(rng, cube, aggs=(agg,))
         fs = build_facilitators(aq)
-        try:
-            merged = build_all_encompassing(fs)
-        except DegradedStructure:
+        if fs.missing:
             continue
+        merged = build_plan("max", fs).base
         maps = _distribute_by_tuple(aq, merged, execute_query(merged))
-        result = run_max_mqo(fs)
+        result = run_forced("max", fs)
         assert result.strategy_used == "max"
         for role in ROLES:
             assert cell_dict(result.slots[role].cells) == maps[role].as_dict(), role
@@ -406,38 +400,17 @@ def test_max_matches_per_tuple_distribution_oracle(agg):
 # int64 sum overflow: the same answer under every strategy
 # ---------------------------------------------------------------------------
 
-INT64_MAX = (1 << 63) - 1
-OVERFLOW_QUERY = ("ANALYZE sum(m) FROM c FOR A.Grp = 'g1' AND B.Grp = 'h1' "
-                  "GROUP BY A.Grp, B.Grp")
-
-
-def _overflow_tables(facts):
-    """A: a1, a2 under g1 and a3 under g2; B likewise with b/h.  ``facts`` is
-    a list of (a leaf, b leaf, value)."""
-    from fixtures import DatasetTables
-    dims = {"A": (["Leaf", "Grp", "Top"], [("a1", "g1", "t"), ("a2", "g1", "t"),
-                                           ("a3", "g2", "t")]),
-            "B": (["Unit", "Grp", "Top"], [("b1", "h1", "u"), ("b2", "h1", "u"),
-                                           ("b3", "h2", "u")])}
-    # both dimensions name their middle level Grp, so statements qualify it
-    return DatasetTables("c", dims, [("m", "integer")],
-                         [{"A": a, "B": b} for a, b, _ in facts],
-                         {"m": [v for _, _, v in facts]})
-
-
 def _run_all(facts):
-    cube = build_cube(_overflow_tables(facts))
+    cube = build_cube(overflow_tables(facts))
     aq = from_statement(parse(OVERFLOW_QUERY, cube.schema), cube)
     fs = build_facilitators(aq)
-    return run_min_mqo(fs), run_mid_mqo(fs), run_max_mqo(fs)
+    return run_forced("min", fs), run_forced("mid", fs), run_forced("max", fs)
 
 
 def test_overflow_only_outside_the_facilitators_is_no_error():
     # the Max base covers g2 x h2, which no facilitator reads; its cell sum
     # leaves int64, so Max answers by direct scans instead of raising
-    facts = [("a3", "b3", INT64_MAX), ("a3", "b3", INT64_MAX), ("a1", "b1", 5),
-             ("a2", "b2", 7), ("a3", "b1", 1), ("a1", "b3", 2)]
-    rmin, rmid, rmax = _run_all(facts)
+    rmin, rmid, rmax = _run_all(OUTSIDE_OVERFLOW_FACTS)
     assert results_equal(rmin, rmid) and results_equal(rmin, rmax)
     assert list(rmin.slots["org"].cells.values) == [12]
     assert rmid.strategy_used == "mid"
@@ -460,17 +433,16 @@ def test_overflow_cancelling_inside_facilitator_cells_is_no_error():
 def test_overflow_in_a_facilitator_raises_under_every_strategy():
     from cubelens.errors import SumOverflow
     facts = [("a1", "b1", INT64_MAX), ("a1", "b1", INT64_MAX), ("a2", "b2", 3)]
-    cube = build_cube(_overflow_tables(facts))
+    cube = build_cube(overflow_tables(facts))
     aq = from_statement(parse(OVERFLOW_QUERY, cube.schema), cube)
     fs = build_facilitators(aq)
-    for run in (lambda: run_min_mqo(fs), lambda: run_mid_mqo(fs),
-                lambda: run_max_mqo(fs)):
+    for name in ("min", "mid", "max"):
         with pytest.raises(SumOverflow):
-            run()
+            run_forced(name, fs)
     # the other aggregates are unaffected
     for agg in ("min", "max", "count"):
         aq_agg = from_statement(parse(OVERFLOW_QUERY.replace("sum(m)", f"{agg}(m)"),
                                       cube.schema), cube)
         fs_agg = build_facilitators(aq_agg)
-        rmin = run_min_mqo(fs_agg)
-        assert results_equal(rmin, run_max_mqo(fs_agg))
+        rmin = run_forced("min", fs_agg)
+        assert results_equal(rmin, run_forced("max", fs_agg))

@@ -3,8 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from cubelens.errors import DegradedStructure, LevelOrderViolation, UsabilityViolation
-from cubelens.mqo import build_all_encompassing, reaggregate
+from cubelens.errors import LevelOrderViolation, UsabilityViolation
+from cubelens.mqo import build_plan, reaggregate
 from cubelens.analyze import build_facilitators
 from cubelens.query import (
     CubeQuery,
@@ -162,7 +162,6 @@ def test_random_queries_match_naive_group_by():
 def test_merged_queries_match_naive_group_by(agg):
     # merged queries carry 4-6 groupers with several levels per dimension;
     # the scan groups on the finest level of each and maps the rest up
-    from cubelens.mqo import build_org_dd_merged
     from fixtures import build_oracles
     rng = random.Random(71)
     shapes = set()
@@ -174,11 +173,9 @@ def test_merged_queries_match_naive_group_by(agg):
         oracles = build_oracles(tables)
         aq = random_analyze(rng, cube, aggs=(agg,))
         fs = build_facilitators(aq)
-        queries = [build_org_dd_merged(fs)]
-        try:
-            queries.append(build_all_encompassing(fs))
-        except DegradedStructure:
-            pass
+        queries = [build_plan("mid", fs).base]
+        if not fs.missing:
+            queries.append(build_plan("max", fs).base)
         for q in queries:
             cells = execute_query(q)
             expect = naive_execute(
@@ -363,7 +360,7 @@ def test_usable_reflexive(foodmart_cube):
 def test_all_encompassing_usable_for_facilitators(foodmart_cube):
     aq = reference_aq(foodmart_cube)
     fs = build_facilitators(aq)
-    merged = build_all_encompassing(fs)
+    merged = build_plan("max", fs).base
     for role, slot in fs.slots().items():
         report = cube_usable(merged, slot.query)
         assert report.usable, (role, report.conditions)
@@ -449,10 +446,9 @@ def test_reaggregate_random_usable_pairs():
         cube = build_cube(tables)
         aq = random_analyze(rng, cube)
         fs = build_facilitators(aq)
-        try:
-            merged = build_all_encompassing(fs)
-        except Exception:
+        if fs.missing:
             continue
+        merged = build_plan("max", fs).base
         base_cells = execute_query(merged)
         for slot in fs.slots().values():
             if slot.query is None:

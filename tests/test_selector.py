@@ -263,7 +263,7 @@ def test_predicted_fold_paths_are_the_paths_taken(monkeypatch, scans, chunk):
         assert max(seen_chunks) > 1
 
 
-def test_degraded_requests_get_no_max_candidate():
+def test_degraded_requests_get_three_candidates():
     rng = random.Random(223)
     degraded = complete = 0
     while degraded < 20 or complete < 20:
@@ -271,7 +271,7 @@ def test_degraded_requests_get_no_max_candidate():
         fs = build_facilitators(random_analyze(rng, cube, atom_probability=0.6))
         stats = estimate_stats(fs)
         choice = choose_plan(fs, stats)
-        assert set(choice.predicted_ms) == ({"min", "mid"} if fs.missing else {"min", "mid", "max"})
+        assert set(choice.predicted_ms) == {"min", "mid", "max"}
         assert choice.chosen in choice.predicted_ms
         assert choice.predicted_ms[choice.chosen] == min(choice.predicted_ms.values())
         degraded += bool(fs.missing)

@@ -46,6 +46,7 @@ from .selector import (
     choose_strategy,
     estimate_plans,
     estimate_stats,
+    route_roles,
 )
 from .synth import SynthSpec, generate
 
@@ -64,6 +65,6 @@ __all__ = [
     "CellSet", "CubeQuery", "SelectionAtom", "SelectionCondition",
     "cell_sets_equal", "cube_usable", "execute_query",
     "CostStats", "SelectorConfig", "StrategyChoice", "choose_plan", "choose_strategy",
-    "estimate_plans", "estimate_stats",
+    "estimate_plans", "estimate_stats", "route_roles",
     "SynthSpec", "generate",
 ]

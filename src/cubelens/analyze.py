@@ -17,7 +17,7 @@ pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -167,6 +167,8 @@ class AnalyzeResult:
     timing: object = None
     selector: object = None
     stats: object = None
+    # Roles answered from a cuboid of the lattice, with the cuboid's levels.
+    cuboids: dict[str, tuple[Level, ...]] = field(default_factory=dict)
 
     def facilitator_exec_ns(self) -> int:
         return self.merged_exec_ns + sum(s.exec_ns for s in self.slots.values())

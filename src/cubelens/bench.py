@@ -35,7 +35,7 @@ from .errors import ParseError
 from .mqo import STRATEGIES, build_plan, run_strategy
 from .parser import parse
 from .query import CellSet, cell_sets_equal
-from .selector import SelectorConfig, choose_plan, estimate_plans, estimate_stats
+from .selector import SelectorConfig, choose_plan, estimate_plans, estimate_stats, route_roles
 
 
 @dataclass
@@ -75,7 +75,7 @@ def run_analyze(
     choice = stats = None
     if strategy == "auto":
         stats = estimate_stats(fs)
-        choice = choose_plan(fs, stats, selector_config)
+        choice = choose_plan(fs, stats, selector_config, route_roles(fs))
         plan = choice.plan
     else:
         plan = build_plan(strategy, fs)
@@ -123,6 +123,10 @@ def render_result(cube: DetailedCube, result: AnalyzeResult) -> str:
     if result.fallback_reason:
         header_bits.append(f"[fallback: {result.fallback_reason}]")
     out.write("# " + " ".join(header_bits) + "\n")
+    if result.cuboids:
+        out.write("# cuboids " + " ".join(
+            f"{role}=[{','.join(map(repr, levels))}]"
+            for role, levels in result.cuboids.items()) + "\n")
     if result.timing is not None:
         t = result.timing
         out.write(f"# timing parse={t.parse_ns} construct={t.construct_ns} "
@@ -282,7 +286,9 @@ def _report_row(label, strategy, rep, result, stats, oracle, timed_out, predicte
         "facts_sB": stats.facts_sib_b, "facts_A": stats.facts_all,
         "chosen_ok": _results_match(result, oracle),
         "strategy_used": result.strategy_used,
-        "predicted_ms": round(predicted[result.strategy_used], 3),
+        # auto names its own prediction, which prices its cuboid roles
+        "predicted_ms": round((result.selector.predicted_ms if result.selector else
+                               predicted)[result.strategy_used], 3),
     }
     for role in ROLES:
         row[f"exec_{role}_ns"] = result.slots[role].exec_ns
@@ -327,4 +333,5 @@ def load_session(schema_file, dimension_files=None, fact_file=None, delimiter=",
     for dim in cube.schema.dimensions:
         per_level = ", ".join(f"{lv.name}={lv.member_count}" for lv in dim.levels[:-1])
         lines.append(f"  {dim.name}: {per_level}")
+    lines.append(f"cuboids: {len(cube.lattice)}, {cube.lattice.nbytes} bytes")
     return cube, "\n".join(lines)

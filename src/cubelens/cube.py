@@ -12,7 +12,10 @@ so the strategy selector can combine and count regions cheaply.  An atom's
 bitset is a per-member table over the detailed level, gathered through the
 coordinate column.  Per-atom bitsets are cached after first use: the five
 facilitator queries of one request share atoms heavily.  A condition's
-bitset is cached with its popcount, so counting a cached region is free.
+bitset is cached, and so is its row count, so counting a region twice is
+free.  The count is read from a count cuboid of the cube's lattice
+(lattice.Lattice, built with the cube) when one can express its atoms, so
+counting it builds no bitset; else it is the popcount of the bitset.
 
 Scans read coordinates through per-member tables too: ``rolled_column``
 gathers the selected rows' codes through a cached int64 table holding each
@@ -68,9 +71,8 @@ class CubeSchema:
     """Named cube: ordered dimensions plus ordered measures."""
 
     def __init__(self, cube_name: str, dimensions: Sequence[Dimension], measures: Sequence[Measure]):
-        names = [d.name for d in dimensions]
-        if len(set(n.lower() for n in names)) != len(names):
-            raise SchemaMismatch(f"duplicate dimension in cube {cube_name}")
+        _check_distinct(f"cube {cube_name}", "dimension", [d.name for d in dimensions])
+        _check_distinct(f"cube {cube_name}", "measure", [m.name for m in measures])
         if not measures:
             raise SchemaMismatch(f"cube {cube_name} declares no measures")
         self.cube_name = cube_name
@@ -113,14 +115,26 @@ class CubeSchema:
 @dataclass
 class ExecStats:
     """Instrumentation: how many fact-scan query executions have run.
-    Concurrent scans count under a lock, so no increment is lost."""
+    Concurrent scans count under a lock, so no increment is lost.  The
+    passes over the facts that built the cuboid lattice count apart."""
 
     fact_scans: int = 0
+    build_scans: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def count_scan(self) -> None:
         with self._lock:
             self.fact_scans += 1
+
+
+def _check_distinct(where: str, what: str, names: Sequence[str]) -> None:
+    """Raise SchemaMismatch when two of ``names`` differ only in case: names
+    resolve case-insensitively."""
+    seen: dict[str, str] = {}
+    for name in names:
+        if name.lower() in seen:
+            raise SchemaMismatch(f"{where}: duplicate {what} {seen[name.lower()]!r} and {name!r}")
+        seen[name.lower()] = name
 
 
 def _condition_key(atoms: Sequence[tuple[Level, Sequence[int]]]) -> tuple:
@@ -152,8 +166,11 @@ class DetailedCube:
         self.measure_peaks = {name: abs_peak(col) for name, col in self.measure_columns.items()}
         self.exec_stats = ExecStats()
         self._atom_mask_cache: dict[tuple, np.ndarray] = {}
-        self._condition_mask_cache: dict[tuple, tuple[np.ndarray, int]] = {}
+        self._condition_masks: dict[tuple, np.ndarray] = {}
+        self._condition_counts: dict[tuple, int] = {}  # from a bitset or from a cuboid
         self._scaled_tables: dict[tuple[str, int, int], np.ndarray] = {}
+        from .lattice import Lattice  # lattice builds on query, which imports this module
+        self.lattice = Lattice(self)
 
     # -- scanning ---------------------------------------------------------
 
@@ -190,22 +207,29 @@ class DetailedCube:
 
     def condition_mask(self, atoms: Sequence[tuple[Level, Sequence[int]]]) -> np.ndarray:
         """Bitset for a conjunction of (level, codes) atoms; cached whole,
-        together with its popcount."""
+        and its popcount with the condition counts."""
         key = _condition_key(atoms)
-        cached = self._condition_mask_cache.get(key)
+        cached = self._condition_masks.get(key)
         if cached is None:
             mask = np.ones(self.row_count, dtype=bool)
             for level, codes in atoms:
                 mask = mask & self.atom_mask(level, codes)
-            cached = self._condition_mask_cache.setdefault(
-                key, (mask, int(np.count_nonzero(mask))))
-        return cached[0]
+            self._condition_counts.setdefault(key, int(np.count_nonzero(mask)))
+            cached = self._condition_masks.setdefault(key, mask)
+        return cached
 
     def condition_count(self, condition) -> int:
-        """Rows selected by a SelectionCondition: the cached popcount of its bitset."""
-        if condition.mask_key not in self._condition_mask_cache:
-            self.condition_mask(condition.mask_atoms())  # builds (and books) the mask
-        return self._condition_mask_cache[condition.mask_key][1]
+        """Rows selected by a SelectionCondition, cached: a count read from
+        the cuboid lattice, else the popcount of its bitset."""
+        key = condition.mask_key
+        count = self._condition_counts.get(key)
+        if count is None:
+            count = self.lattice.count(condition)
+            if count is None:
+                self.condition_mask(condition.mask_atoms())  # builds the mask, books its count
+                return self._condition_counts[key]
+            count = self._condition_counts.setdefault(key, count)
+        return count
 
 
 # ---------------------------------------------------------------------------
@@ -228,22 +252,43 @@ def _check_fields(where: str, obj, types: dict, required: Sequence[str]) -> None
             raise SchemaMismatch(f"{where}: {name!r} holds a NUL character")
 
 
+def check_schema_spec(spec, where: str) -> None:
+    """The checks a schema JSON object passes before any file it names is
+    read: field types, level lists ending with ALL, known measure kinds, and
+    names that stay apart under case-insensitive lookup: dimensions,
+    measures, the levels of each dimension (so ALL comes last only) and
+    the fact columns (detailed levels and measures).  Raises SchemaMismatch."""
+    _check_fields(where, spec, {"cube": str, "dimensions": list, "measures": list,
+                                "facts": str}, ("cube", "dimensions", "measures"))
+    for i, dspec in enumerate(spec["dimensions"], start=1):
+        _check_fields(f"{where}: dimension {i}", dspec,
+                      {"name": str, "levels": list, "members": str}, ("name",))
+        levels = dspec.get("levels", [])
+        if not all(isinstance(level, str) for level in levels):
+            raise SchemaMismatch(f"{where}: dimension {i}: level names must be strings")
+        if len(levels) < 2 or levels[-1] != ALL_LEVEL_NAME:
+            raise SchemaMismatch(f"{where}: dimension {dspec['name']}: level list must "
+                                 f"name a level and end with {ALL_LEVEL_NAME}")
+        _check_distinct(f"{where}: dimension {dspec['name']}", "level", levels)
+    for i, mspec in enumerate(spec["measures"], start=1):
+        _check_fields(f"{where}: measure {i}", mspec, {"name": str, "kind": (str, type(None))},
+                      ("name",))
+        kind = mspec.get("kind")
+        if kind is not None and kind not in MEASURE_KINDS:
+            raise SchemaMismatch(f"{where}: measure {mspec['name']}: unknown kind {kind!r}")
+    measures = [m["name"] for m in spec["measures"]]
+    _check_distinct(where, "dimension", [d["name"] for d in spec["dimensions"]])
+    _check_distinct(where, "measure", measures)
+    _check_distinct(where, "fact column", [d["levels"][0] for d in spec["dimensions"]] + measures)
+
+
 def _parse_schema_json(schema_file) -> dict:
     path = Path(schema_file)
     try:
         spec = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
-    _check_fields(f"{path}", spec, {"cube": str, "dimensions": list, "measures": list,
-                                    "facts": str}, ("cube", "dimensions", "measures"))
-    for i, dspec in enumerate(spec["dimensions"], start=1):
-        _check_fields(f"{path}: dimension {i}", dspec,
-                      {"name": str, "levels": list, "members": str}, ("name",))
-        if not all(isinstance(level, str) for level in dspec.get("levels", [])):
-            raise SchemaMismatch(f"{path}: dimension {i}: level names must be strings")
-    for i, mspec in enumerate(spec["measures"], start=1):
-        _check_fields(f"{path}: measure {i}", mspec, {"name": str, "kind": (str, type(None))},
-                      ("name",))
+    check_schema_spec(spec, f"{path}")
     return spec
 
 
@@ -289,24 +334,14 @@ def load_cube(
     dim_files = _resolve_dimension_files(spec, schema_dir, dimension_files)
     dimensions = []
     for dspec in spec["dimensions"]:
-        levels = list(dspec.get("levels", []))
-        if not levels or levels[-1] != ALL_LEVEL_NAME:
-            raise SchemaMismatch(
-                f"dimension {dspec.get('name')}: level list must end with {ALL_LEVEL_NAME}"
-            )
-        dim = read_members_csv(dspec["name"], levels, dim_files[dspec["name"].lower()],
+        dim = read_members_csv(dspec["name"], dspec["levels"], dim_files[dspec["name"].lower()],
                                delimiter=delimiter)
         problems = validate_hierarchy(dim)
         if problems:
             raise ParseError(f"dimension {dim.name} failed validation: {'; '.join(problems)}")
         dimensions.append(dim)
 
-    measures = []
-    for mspec in spec["measures"]:
-        kind = mspec.get("kind")
-        if kind is not None and kind not in MEASURE_KINDS:
-            raise SchemaMismatch(f"measure {mspec.get('name')}: unknown kind {kind!r}")
-        measures.append((mspec["name"], kind))
+    measures = [(mspec["name"], mspec.get("kind")) for mspec in spec["measures"]]
 
     schema = CubeSchema(spec["cube"], dimensions,
                         [Measure(name, kind or "decimal") for name, kind in measures])
@@ -323,15 +358,7 @@ def load_cube(
 
 
 def _read_facts(fact_file, dimensions, measures, delimiter=","):
-    dim_by_l0 = {}
-    for d in dimensions:
-        low = d.detailed_level.name.lower()
-        if low in dim_by_l0:
-            raise SchemaMismatch(
-                f"detailed level name {d.detailed_level.name!r} is shared by dimensions "
-                f"{dim_by_l0[low].name} and {d.name}; fact columns would be ambiguous"
-            )
-        dim_by_l0[low] = d
+    dim_by_l0 = {d.detailed_level.name.lower(): d for d in dimensions}  # distinct: checked
     measure_kinds = {name.lower(): kind for name, kind in measures}
     with open(fact_file, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)

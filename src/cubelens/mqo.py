@@ -19,6 +19,11 @@ facilitator only drops out of the base.
   the two siblings directly (3 fact scans).
 * Max-MQO merges all five into one all-encompassing base (1 fact scan).
 
+Under strategy 'auto' a plan may also answer some roles from cuboids of the
+cube's lattice (Plan.cuboids, chosen by selector.route_roles): each by
+reaggregate from its cuboid, with no fact scan.  The strategy then merges or
+scans only the remaining roles.  Forced strategies never read a cuboid.
+
 Deriving folds partial aggregates: sum/min/max fold with themselves, count
 adds partial counts.  Folds are order-independent, so all three strategies
 produce identical result sets; that equivalence is the central test of this
@@ -36,7 +41,7 @@ partial aggregates to bound its sums.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .aggregate import group_reduce
@@ -72,12 +77,10 @@ def reaggregate(base_cells: CellSet, target: CubeQuery, base: CubeQuery) -> Cell
         return empty_cell_set(schema, base_cells.values.dtype)
 
     cube_schema = base.cube.schema
-    mask = None  # base cells kept by the target atoms that differ from the base's
-    for dim_name, a_new in target.condition.by_dimension.items():
-        if a_new.level.is_all or _atoms_equal(base.condition.atom_for(dim_name), a_new):
-            continue
-        hit = base_cells.atom_hits(cube_schema.dimension(dim_name), a_new)
-        mask = hit if mask is None else mask & hit
+    # base cells kept by the target atoms that differ from the base's
+    mask = base_cells.inside(cube_schema, [
+        a_new for dim_name, a_new in target.condition.by_dimension.items()
+        if not _atoms_equal(base.condition.atom_for(dim_name), a_new)])
     if mask is None:
         mask = slice(None)
     cols = [base_cells.codes_at(cube_schema.dimension(g.dimension_name), g)[mask]
@@ -111,6 +114,7 @@ class Plan:
     derived: tuple[str, ...]        # non-empty roles answered from the base
     scanned: tuple[str, ...]        # non-empty roles scanned directly
     scans: tuple[CubeQuery, ...]    # every fact scan in run order, the base first
+    cuboids: dict = field(default_factory=dict)  # role -> lattice.Route it is answered from
 
 
 def _distinct_levels(levels: list[Level]) -> tuple[Level, ...]:
@@ -145,44 +149,49 @@ def _merged_base(fs: FacilitatorSet, roles: tuple[str, ...], suffix: str) -> Cub
                      f"{aq.measure_alias}_{suffix}", aq.agg)
 
 
-def build_plan(name: str, fs: FacilitatorSet) -> Plan:
-    """The plan of strategy ``name`` over ``fs``: the non-empty roles it
-    merges derive from one base, the other non-empty roles are scanned."""
+def build_plan(name: str, fs: FacilitatorSet, cuboids: Optional[dict] = None) -> Plan:
+    """The plan of strategy ``name`` over ``fs``: the roles in ``cuboids``
+    (role -> lattice.Route) are answered from their cuboid, the other
+    non-empty roles it merges derive from one base, the rest are scanned."""
     if name not in _MERGES:
         raise ValueError(f"unknown strategy {name!r}")
     merges, suffix = _MERGES[name]
+    cuboids = dict(cuboids or {})
     slots = fs.slots()
-    present = [role for role in ROLES if not slots[role].empty]
+    present = [role for role in ROLES if not slots[role].empty and role not in cuboids]
     derived = tuple(role for role in present if role in merges)
     scanned = tuple(role for role in present if role not in merges)
     base = _merged_base(fs, derived, suffix) if derived else None
     scans = ((base,) if base is not None else ()) + tuple(slots[role].query for role in scanned)
-    return Plan(fs, name, base, derived, scanned, scans)
+    return Plan(fs, name, base, derived, scanned, scans, cuboids)
 
 
-def _timed_execute(q: CubeQuery) -> SlotResult:
+def _timed(answer, *args) -> SlotResult:
     t0 = time.perf_counter_ns()
-    cells = execute_query(q)
+    cells = answer(*args)
     return SlotResult(cells=cells, exec_ns=time.perf_counter_ns() - t0)
 
 
 def run_strategy(plan: Plan) -> AnalyzeResult:
-    """Scan the plan's base (if any) and its directly scanned roles, then
-    answer each derived role from the base."""
+    """Answer the plan's cuboid roles from their cuboids, scan its base (if
+    any) and its directly scanned roles, then answer each derived role from
+    the base."""
     slots = plan.fs.slots()
     results = {role: SlotResult(reason=slot.reason) for role, slot in slots.items() if slot.empty}
+    for role, route in plan.cuboids.items():
+        results[role] = _timed(reaggregate, route.cells, slots[role].query, route.query)
     try:
-        merged = _timed_execute(plan.base) if plan.base is not None else SlotResult()
+        merged = _timed(execute_query, plan.base) if plan.base is not None else SlotResult()
     except SumOverflow as exc:
         # A base cell's sum left int64, so its partial sums cannot be folded.
         # Direct scans overflow exactly when a facilitator's own sum does,
         # which keeps the answer the same under every strategy.
-        result = run_strategy(build_plan("min", plan.fs))
+        result = run_strategy(build_plan("min", plan.fs, plan.cuboids))
         result.strategy_requested = plan.name
         result.fallback_reason = f"merged base query: {exc}"
         return result
     for role in plan.scanned:
-        results[role] = _timed_execute(slots[role].query)
+        results[role] = _timed(execute_query, slots[role].query)
 
     t0 = time.perf_counter_ns()
     for role in plan.derived:
@@ -192,4 +201,6 @@ def run_strategy(plan: Plan) -> AnalyzeResult:
     return AnalyzeResult(slots={role: results[role] for role in ROLES},
                          strategy_requested=plan.name, strategy_used=plan.name,
                          store_queries=len(plan.scans), postprocess_ns=post_ns,
-                         merged_exec_ns=merged.exec_ns)
+                         merged_exec_ns=merged.exec_ns,
+                         cuboids={role: route.query.groupers
+                                  for role, route in plan.cuboids.items()})

@@ -142,6 +142,13 @@ class CellSet:
     def __len__(self) -> int:
         return len(self.values)
 
+    def with_values(self, schema: CellSchema, values: np.ndarray, peak) -> "CellSet":
+        """Another aggregate over the same cells: it shares their key
+        columns, and the codes and atom hits read from them."""
+        other = CellSet(schema, self.key_cols, values, peak)
+        other._codes, other._hits = self._codes, self._hits
+        return other
+
     def codes_at(self, dim: Dimension, level: Level) -> np.ndarray:
         """The cells' codes at ``level``: the key column grouped at that
         level, else the finest key column on its dimension, rolled up."""
@@ -166,6 +173,18 @@ class CellSet:
             codes = self.codes_at(dim, atom.level)
             hits = self._hits.setdefault(atom, atom_contains(dim, atom, atom.level.depth, codes))
         return hits
+
+
+    def inside(self, schema, atoms) -> np.ndarray | None:
+        """Whether each cell lies inside every one of ``atoms`` (atoms at
+        ALL are skipped); None when no atom restricts the cells."""
+        mask = None
+        for atom in atoms:
+            if atom.level.is_all:
+                continue
+            hit = self.atom_hits(schema.dimension(atom.dimension_name), atom)
+            mask = hit if mask is None else mask & hit
+        return mask
 
 
 def empty_cell_set(schema: CellSchema, value_dtype=np.int64) -> CellSet:

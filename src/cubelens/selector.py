@@ -23,6 +23,13 @@ cannot drift from the kernel.  A scan's rows are the cached popcount of its
 own region, one of the four that estimate_stats counts: no mask is built
 and no fact is read beyond what estimate_stats does.
 
+Before either rule, 'auto' routes roles to the cube's cuboid lattice
+(route_roles): a role whose smallest usable cuboid is predicted cheaper than
+its own scan is answered from that cuboid, at DERIVE_NS plus a constant per
+cuboid cell, and every candidate plan covers only the remaining roles.
+Region sizes come from count cuboids too (DetailedCube.condition_count), so
+a request the lattice covers builds no bitset.
+
 The paper rule (choose_strategy, rule="paper") picks Max-MQO only when the
 sibling regions jointly cover a large share of the all-encompassing region
 (they overlap enough for the single scan to pay off) and the two sibling
@@ -66,6 +73,11 @@ SPACE_NS = 5.2           # per key of the key space, per chunk: dense buffers
 SPARSE_ROW_NS = 23.6     # per selected row times the share of facts outside the
                          # region: gathers from a sparse region miss the cache
 DERIVE_NS = 111_000.0    # per role derived from the merged base
+CUBOID_CELL_NS = 4.46    # per cell of the cuboid a role is answered from, on top
+                         # of DERIVE_NS: least squares on the absolute error of
+                         # 1050 reaggregate timings from cuboids, atom hits cold
+                         # (CHANGES.md), so large cuboids, where the slope
+                         # decides a route, weigh most
 
 
 @dataclass
@@ -185,7 +197,13 @@ class PlanEstimate:
 
     @property
     def ms(self) -> float:
-        return (sum(scan.ns for scan in self.scans) + DERIVE_NS * len(self.plan.derived)) / 1e6
+        return (sum(scan.ns for scan in self.scans) + DERIVE_NS * len(self.plan.derived)
+                + sum(_cuboid_ns(route) for route in self.plan.cuboids.values())) / 1e6
+
+
+def _cuboid_ns(route) -> float:
+    """The predicted cost of answering a role from the cuboid of ``route``."""
+    return DERIVE_NS + CUBOID_CELL_NS * len(route.cells)
 
 
 def _estimate_scan(q: CubeQuery) -> ScanEstimate:
@@ -206,9 +224,25 @@ def _estimate_scan(q: CubeQuery) -> ScanEstimate:
     return ScanEstimate(q, rows, chunks, path, ns)
 
 
-def estimate_plans(fs: FacilitatorSet) -> dict[str, PlanEstimate]:
-    """Every strategy's plan, priced over exactly the scans it lists."""
-    plans = [build_plan(name, fs) for name in STRATEGIES]
+def route_roles(fs: FacilitatorSet) -> dict:
+    """The roles 'auto' answers from the cube's lattice: each non-empty role
+    whose smallest usable cuboid is predicted cheaper than scanning it;
+    role -> lattice.Route."""
+    lattice = fs.request.cube.lattice
+    routed = {}
+    for role, slot in fs.slots().items():
+        if slot.empty:
+            continue
+        route = lattice.route(slot.query)
+        if route is not None and _cuboid_ns(route) < _estimate_scan(slot.query).ns:
+            routed[role] = route
+    return routed
+
+
+def estimate_plans(fs: FacilitatorSet, cuboids: Optional[dict] = None) -> dict[str, PlanEstimate]:
+    """Every strategy's plan over the roles not in ``cuboids`` (see
+    route_roles), priced over exactly the scans it lists."""
+    plans = [build_plan(name, fs, cuboids) for name in STRATEGIES]
     unique = {id(q): q for plan in plans for q in plan.scans}  # Min and Mid share siblings
     scans = {key: _estimate_scan(q) for key, q in unique.items()}
     return {plan.name: PlanEstimate(plan, tuple(scans[id(q)] for q in plan.scans))
@@ -216,20 +250,25 @@ def estimate_plans(fs: FacilitatorSet) -> dict[str, PlanEstimate]:
 
 
 def choose_plan(fs: FacilitatorSet, stats: CostStats,
-                config: Optional[SelectorConfig] = None) -> StrategyChoice:
+                config: Optional[SelectorConfig] = None,
+                cuboids: Optional[dict] = None) -> StrategyChoice:
     """The plan 'auto' runs: under the cost rule the plan predicted
     cheapest, under the paper rule choose_strategy's pick.  Either way the
-    choice carries the chosen plan and every candidate's predicted time."""
+    choice carries the chosen plan and every candidate's predicted time.
+    The roles in ``cuboids`` (route_roles) are answered from the lattice
+    by every candidate; without them the three fact plans are priced."""
     config = config or SelectorConfig()
-    plans = estimate_plans(fs)
+    plans = estimate_plans(fs, cuboids)
     predicted = {name: estimate.ms for name, estimate in plans.items()}
     if config.rule == "paper":
         choice = choose_strategy(stats, config)
     else:
         best, runner_up = sorted(predicted, key=predicted.get)[:2]
-        choice = StrategyChoice(best, *_overlap(stats),
-                                f"predicted {best} {predicted[best]:.2f} ms < "
-                                f"{runner_up} {predicted[runner_up]:.2f} ms")
+        reason = (f"predicted {best} {predicted[best]:.2f} ms < "
+                  f"{runner_up} {predicted[runner_up]:.2f} ms")
+        if not any(estimate.plan.scans for estimate in plans.values()):
+            reason = "every role from cuboids: no plan scans, so they tie"
+        choice = StrategyChoice(best, *_overlap(stats), reason)
     choice.predicted_ms = predicted
     choice.plan = plans[choice.chosen].plan
     return choice

@@ -17,7 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .cube import check_schema_spec
+from .errors import InvalidSpec, SchemaMismatch
+from .hierarchy import ALL_LEVEL_NAME
 
 
 @dataclass
@@ -153,35 +155,40 @@ def _labels(dim: DimensionSpec, level_name: str, count: int) -> np.ndarray:
 
 
 def generate(spec: SynthSpec, out_dir, seed: int | None = None) -> dict:
-    """Write the dataset files; returns a manifest of what was produced."""
+    """Write the dataset files; returns a manifest of what was produced.
+    A spec whose schema the loader would reject raises InvalidSpec before
+    any file is written."""
     spec.validate()
+    schema = {
+        "cube": spec.name,
+        "dimensions": [{"name": dim.name, "levels": dim.names() + [ALL_LEVEL_NAME],
+                        "members": f"{dim.name}_members.csv"} for dim in spec.dimensions],
+        "measures": [{"name": m.name, "kind": m.kind} for m in spec.measures],
+        "facts": "facts.csv",
+    }
+    try:
+        check_schema_spec(schema, "synthetic spec")
+    except SchemaMismatch as exc:
+        raise InvalidSpec(str(exc)) from None
     rng = np.random.default_rng(spec.seed if seed is None else seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     manifest = {"name": spec.name, "facts": spec.facts, "dimensions": {}, "files": []}
-    schema = {"cube": spec.name, "dimensions": [], "measures": [], "facts": "facts.csv"}
-
     detailed_labels = {}
-    for dim in spec.dimensions:
+    for dim, dspec in zip(spec.dimensions, schema["dimensions"]):
         names = dim.names()
         paths = _member_paths(dim)
         level_labels = [_labels(dim, nm, size) for nm, size in zip(names, dim.level_sizes)]
         detailed_labels[dim.name] = level_labels[0]
-        member_file = f"{dim.name}_members.csv"
+        member_file = dspec["members"]
         with open(out / member_file, "w", newline="\n", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(names)
             columns = [labels[path] for labels, path in zip(level_labels, paths)]
             writer.writerows(zip(*columns))
-        schema["dimensions"].append(
-            {"name": dim.name, "levels": names + ["ALL"], "members": member_file}
-        )
         manifest["dimensions"][dim.name] = dim.level_sizes[0]
         manifest["files"].append(member_file)
-
-    for m in spec.measures:
-        schema["measures"].append({"name": m.name, "kind": m.kind})
 
     coords = {dim.name: rng.integers(0, dim.level_sizes[0], spec.facts)
               for dim in spec.dimensions}

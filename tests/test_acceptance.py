@@ -12,8 +12,8 @@ import random
 import pytest
 
 from cubelens.analyze import build_facilitators, from_statement
-from cubelens.bench import WorkloadSpec, run_workload
-from cubelens.cube import load_cube
+from cubelens.bench import WorkloadSpec, run_analyze, run_workload
+from cubelens.cube import DetailedCube, load_cube
 from cubelens.hierarchy import anc
 from cubelens.mqo import build_plan
 from cubelens.parser import parse
@@ -416,6 +416,23 @@ def test_cost_pick_near_fastest_plan(sweep_bench):
     assert cube.exec_stats.fact_scans == scans  # choosing scanned nothing
     assert sum(near) >= 9, near
     print(f"\nACCEPTANCE cost pick: PASS (within 1.25x of the fastest plan on {sum(near)}/10)")
+
+
+def test_auto_answers_the_sweep_from_the_lattice(sweep_bench):
+    # a fresh cube over the same columns: no cached bitset, a new lattice
+    cube, queries, _ = sweep_bench
+    fresh = DetailedCube(cube.schema, cube.coordinates, cube.measure_columns)
+    for _, _, text in queries:
+        result = run_analyze(fresh, text)
+        assert set(result.cuboids) == set(ROLES) and result.store_queries == 0
+        assert result.selector.reason == "every role from cuboids: no plan scans, so they tie"
+        oracle = run_forced("min", build_facilitators(from_statement(parse(text, cube.schema),
+                                                                     cube)))
+        assert results_equal_exact(result, oracle)
+    assert fresh.exec_stats.fact_scans == 0
+    assert not fresh._condition_masks and not fresh._atom_mask_cache
+    print(f"\nACCEPTANCE lattice: PASS (ten sweep statements from {len(fresh.lattice)} cuboids, "
+          f"{fresh.lattice.nbytes / 1e6:.1f} MB, 0 fact scans, 0 bitsets)")
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,26 @@ def test_gensynth_deterministic_manifest(synth_dir, capsys):
     assert out.startswith("2 dimensions, 5K facts")
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda s: s["dimensions"][1].update(name="d1"), "duplicate dimension 'D1' and 'd1'"),
+    (lambda s: [d.update(level_names=["Leaf", "Mid", "Top"]) for d in s["dimensions"]],
+     "duplicate fact column 'Leaf' and 'Leaf'"),
+    (lambda s: s["dimensions"][0].update(level_names=["Amount", "Mid", "Top"]),
+     "duplicate fact column 'Amount' and 'amount'"),
+    (lambda s: s["dimensions"][0].update(level_names=["Leaf", "ALL", "Top"]),
+     "duplicate level 'ALL' and 'ALL'"),
+], ids=["dimensions-by-case", "shared-detailed-level", "level-named-like-a-measure",
+        "level-named-ALL"])
+def test_gensynth_rejects_what_load_would_reject(tmp_path, capsys, edit, message):
+    spec = copy.deepcopy(SYNTH_SPEC)
+    edit(spec)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["gensynth", "--spec", str(spec_path), "--out", str(tmp_path / "data")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
 def test_bench_report(foodmart_dir, tmp_path, capsys):
     workload = tmp_path / "workload.json"
     workload.write_text(json.dumps({

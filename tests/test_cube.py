@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from cubelens.cube import load_cube
+from cubelens.cube import CubeSchema, Measure, load_cube
 from cubelens.errors import (
     ParseError,
     SchemaMismatch,
@@ -164,6 +164,20 @@ def test_missing_fact_declaration(tmp_path, foodmart_on_disk):
         load_cube(stripped)
     cube = load_cube(stripped, fact_file=schema_path.parent / "facts.csv")
     assert cube.row_count > 0
+
+
+def test_measures_differing_only_in_case_rejected(tmp_path):
+    # measure lookup is case-insensitive: 'amount' would read Amount's column
+    tables = random_tables(random.Random(7), max_dims=2, max_facts=20)
+    tables.measures = [("amount", "integer"), ("Amount", "integer")]
+    tables.fact_measures = {"amount": [1] * len(tables.fact_rows),
+                            "Amount": [1000] * len(tables.fact_rows)}
+    schema_path = write_dataset(tables, tmp_path)
+    with pytest.raises(SchemaMismatch, match="duplicate measure 'amount' and 'Amount'"):
+        load_cube(schema_path)
+    dims = list(build_cube(random_tables(random.Random(7), max_dims=2)).schema.dimensions)
+    with pytest.raises(SchemaMismatch, match="duplicate measure"):
+        CubeSchema("c", dims, [Measure("amount", "integer"), Measure("AMOUNT", "decimal")])
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ def test_coverage_and_imbalance_ranges():
 
 
 def test_cached_regions_are_counted_without_a_popcount(monkeypatch):
-    # each condition's popcount is stored with its bitset: estimating a
+    # each condition's row count is cached with its bitset: estimating a
     # request again counts nothing, and the stored counts are the bitsets'
     rng = random.Random(167)
     cube = build_cube(random_tables(rng, max_facts=500))
@@ -175,8 +175,8 @@ def test_cached_regions_are_counted_without_a_popcount(monkeypatch):
     monkeypatch.setattr(np, "count_nonzero", lambda *a, **k: calls.append(1) or count_nonzero(*a, **k))
     assert estimate_stats(fs) == first
     assert calls == []
-    for key, (mask, count) in cube._condition_mask_cache.items():
-        assert count == count_nonzero(mask), key
+    for key, mask in cube._condition_masks.items():
+        assert cube._condition_counts[key] == count_nonzero(mask), key
 
 
 # ---------------------------------------------------------------------------

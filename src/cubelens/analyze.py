@@ -138,10 +138,16 @@ class FacilitatorSet:
     def widened_condition(self) -> SelectionCondition:
         """The original condition with the widened atom of every derived
         sibling: the region of the all-encompassing query."""
+        return self.widened(("sibA", "sibB"))
+
+    def widened(self, roles) -> SelectionCondition:
+        """The original condition with the widened atom of each derived
+        sibling among ``roles``."""
         atoms = dict(self.request.condition.by_dimension)
-        for g, slot in zip(self.request.groupers, (self.sib_a, self.sib_b)):
-            if not slot.empty:
-                atoms[g.dimension_name] = slot.query.condition.atom_for(g.dimension_name)
+        slots = self.slots()
+        for g, role in zip(self.request.groupers, ("sibA", "sibB")):
+            if role in roles and not slots[role].empty:
+                atoms[g.dimension_name] = slots[role].query.condition.atom_for(g.dimension_name)
         return SelectionCondition(atoms.values())
 
 
@@ -172,9 +178,6 @@ class AnalyzeResult:
 
     def facilitator_exec_ns(self) -> int:
         return self.merged_exec_ns + sum(s.exec_ns for s in self.slots.values())
-
-    def cells(self, role: str) -> Optional[CellSet]:
-        return self.slots[role].cells
 
 
 # ---------------------------------------------------------------------------

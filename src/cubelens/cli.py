@@ -29,7 +29,9 @@ from .errors import (
     InvalidSpec,
     ParseError,
     SchemaMismatch,
+    UnknownDimension,
     UnknownLevel,
+    UnknownMeasure,
     UnknownMember,
     UnknownMemberLabel,
 )
@@ -54,7 +56,7 @@ STRATEGY_NAMES = ("auto",) + STRATEGIES
 
 _DATA_ERRORS = (ParseError, SchemaMismatch, UnknownMemberLabel, InvalidSpec)
 _STATEMENT_ERRORS = (AnalyzeSyntaxError, ConstraintViolation, UnknownLevel,
-                     AmbiguousLevel, UnknownMember)
+                     AmbiguousLevel, UnknownMember, UnknownDimension, UnknownMeasure)
 
 
 def _add_data_args(p: argparse.ArgumentParser) -> None:

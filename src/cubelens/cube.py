@@ -385,9 +385,9 @@ def _read_facts(fact_file, dimensions, measures, delimiter=","):
         dim_order = [(d, dim_cols[d.name]) for d in dimensions]
         dicts = {d.name: d.dictionaries[0]._code_by_label for d, _ in dim_order}
         coord_acc = {d.name: array("q") for d, _ in dim_order}
-        m_int = {name.lower(): array("q") for name, _ in measures}
-        m_float = {name.lower(): array("d") for name, _ in measures}
-        is_int = {name.lower(): kind != "decimal" for name, kind in measures}
+        # One accumulator per measure: int64 until a value of an undeclared
+        # column is no int64 integer, then float64, converted once.
+        m_acc = {name.lower(): array("d" if kind == "decimal" else "q") for name, kind in measures}
         declared_int = {name.lower(): kind == "integer" for name, kind in measures}
         width = len(header)
 
@@ -409,27 +409,21 @@ def _read_facts(fact_file, dimensions, measures, delimiter=","):
                 text = row[idx].strip()
                 if not text:
                     raise ParseError(f"{fact_file}:{lineno}: null measure {low!r}")
-                if is_int[low]:
+                acc = m_acc[low]
+                if acc.typecode == "q":
                     try:
-                        m_int[low].append(int(text))
-                        m_float[low].append(float(text))
+                        acc.append(int(text))
                         continue
-                    except ValueError:
+                    except (ValueError, OverflowError) as exc:
                         if declared_int[low]:
+                            problem = (f"value {text!r} is outside the int64 range"
+                                       if isinstance(exc, OverflowError) else
+                                       f"declared integer but got {text!r}")
                             raise ParseError(
-                                f"{fact_file}:{lineno}: measure {low!r} declared integer "
-                                f"but got {text!r}"
-                            ) from None
-                        is_int[low] = False  # fall back to decimal inference
-                    except OverflowError:
-                        if declared_int[low]:
-                            raise ParseError(
-                                f"{fact_file}:{lineno}: measure {low!r} value {text!r} "
-                                f"is outside the int64 range"
-                            ) from None
-                        is_int[low] = False
+                                f"{fact_file}:{lineno}: measure {low!r} {problem}") from None
+                        m_acc[low] = acc = array("d", acc.tolist())  # decimal from here on
                 try:
-                    m_float[low].append(float(text))
+                    acc.append(float(text))
                 except ValueError:
                     raise ParseError(
                         f"{fact_file}:{lineno}: measure {low!r} is not numeric: {text!r}"
@@ -440,17 +434,16 @@ def _read_facts(fact_file, dimensions, measures, delimiter=","):
     out_measures = {}
     resolved = []
     for name, kind in measures:
-        low = name.lower()
-        if is_int[low]:
-            col = np.frombuffer(m_int[low], dtype=np.int64) if len(m_int[low]) else np.empty(0, np.int64)
+        acc = m_acc[name.lower()]  # typecode "q" is int64, "d" float64
+        col = np.frombuffer(acc, dtype=acc.typecode) if len(acc) else np.empty(0, acc.typecode)
+        if acc.typecode == "q":
             resolved.append(Measure(name, "integer"))
         else:
-            col = np.frombuffer(m_float[low], dtype=np.float64) if len(m_float[low]) else np.empty(0, np.float64)
             finite = np.isfinite(col)
             if not finite.all():
                 first = int(np.argmin(finite))
-                raise ParseError(f"{fact_file}:{first + 2}: measure {low!r} is not finite: "
-                                 f"{float(col[first])}")
+                raise ParseError(f"{fact_file}:{first + 2}: measure {name.lower()!r} is not "
+                                 f"finite: {float(col[first])}")
             resolved.append(Measure(name, "decimal"))
         out_measures[name] = col
     return coords, out_measures, resolved

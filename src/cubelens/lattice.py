@@ -23,10 +23,13 @@ smallest chosen ancestor (a finer vector), or from one pass over the facts
 when no ancestor was chosen.  A sum cuboid whose cells leave int64 is dropped;
 its queries scan the facts, which raise SumOverflow exactly as Min-MQO does.
 
-Lookups: a query's route is the smallest cuboid of its measure and
-aggregate that passes cube_usable, and a selection condition's row count is
-read from the smallest cuboid at or below its atoms' levels.  The selector
-decides whether a route is cheaper than a scan.  Everything is built in the
+Lookups follow the lattice order (HRU): an unfiltered cuboid grouping every
+dimension is usable for a query exactly when it holds the query's measure
+and aggregate and sits at or below its groupers and atoms, unless the query
+groups above its own filter level.  A route is the smallest such cuboid
+(reaggregate then checks usability once); a condition's row count is read
+from the smallest count cuboid at or below its atoms.  The selector decides
+whether a route is cheaper than a scan.  Everything is built in the
 constructor; the cell sets' code and atom caches fill idempotently, so
 concurrent readers are safe.
 """
@@ -43,7 +46,7 @@ import numpy as np
 from .aggregate import abs_peak, group_reduce, key_layout, unpack
 from .errors import SumOverflow
 from .mqo import reaggregate
-from .query import CellSchema, CellSet, CubeQuery, SelectionCondition, cube_usable
+from .query import CellSchema, CellSet, CubeQuery, SelectionCondition
 
 # The lattice may hold this share of the bytes of the fact columns.
 BUDGET_SHARE = 0.5
@@ -236,37 +239,30 @@ class Lattice:
         return CubeQuery(self.cube, SelectionCondition(), levels, measure,
                          f"{measure}_{agg}", agg)
 
-    def _covering(self, need: np.ndarray) -> np.ndarray:
-        """Indices of the cuboids at or below the depths ``need``, smallest first."""
-        return np.flatnonzero((self.depths <= need).all(axis=1))
-
-    def _atom_depths(self, condition) -> np.ndarray:
+    def _smallest(self, levels, key: tuple[str, str]) -> Optional[Route]:
+        """The smallest cuboid holding ``key`` (measure, aggregate) at or
+        below ``levels``: on each dimension, their finest level or ALL."""
         need = self._all_depths.copy()
-        for atom in condition:
-            i = self._dim_index[atom.dimension_name]
-            need[i] = min(need[i], atom.level.depth)
-        return need
+        for level in levels:
+            i = self._dim_index[level.dimension_name]
+            need[i] = min(need[i], level.depth)
+        for i in np.flatnonzero((self.depths <= need).all(axis=1)):
+            if key in self.cuboids[i]:
+                return self.cuboids[i][key]
+        return None
 
     def route(self, q: CubeQuery) -> Optional[Route]:
-        """The smallest cuboid of q's measure and aggregate that passes
-        cube_usable for q, or None."""
-        need = self._atom_depths(q.condition)
-        for g in q.groupers:
-            i = self._dim_index[g.dimension_name]
-            need[i] = min(need[i], g.depth)
-        key = (self.cube.schema.measure(q.measure_name).name, q.agg)
-        for i in self._covering(need):
-            route = self.cuboids[i].get(key)
-            if route is not None and cube_usable(route.query, q):
-                return route
-        return None
+        """The smallest cuboid usable for q (see the module note), or None."""
+        if q.filter_order_problem is not None:
+            return None
+        return self._smallest([*(atom.level for atom in q.condition), *q.groupers],
+                              (self.cube.schema.measure(q.measure_name).name, q.agg))
 
     def count(self, condition) -> Optional[int]:
         """The fact rows ``condition`` selects, summed from the smallest count
-        cuboid that can express its atoms; None when no cuboid can."""
-        hits = self._covering(self._atom_depths(condition))
-        if not len(hits):
+        cuboid at or below its atoms' levels; None when there is none."""
+        route = self._smallest([atom.level for atom in condition], self._first)
+        if route is None:
             return None
-        cells = self.cuboids[hits[0]][self._first].cells
-        mask = cells.inside(self.cube.schema, condition)
-        return int(cells.values.sum() if mask is None else cells.values[mask].sum())
+        mask = route.cells.inside(self.cube.schema, condition)
+        return int(route.cells.values.sum() if mask is None else route.cells.values[mask].sum())

@@ -7,7 +7,7 @@ once, every other non-empty facilitator directly, then each derived role by
 reaggregate(), the rewrite of a query over a usable base (cube_usable is
 checked on every call).  One rule builds every merged base from the
 non-empty facilitators a strategy merges: the original condition, widened
-by each merged sibling (fs.widened_condition), grouped by the merged
+by each merged sibling only (fs.widened), grouped by the merged
 drill-downs' levels, the original groupers and the merged siblings' filter
 levels.  Merged facilitators answer the same as separate ones, so a missing
 facilitator only drops out of the base.
@@ -127,14 +127,14 @@ def _distinct_levels(levels: list[Level]) -> tuple[Level, ...]:
 
 def _merged_base(fs: FacilitatorSet, roles: tuple[str, ...], suffix: str) -> CubeQuery:
     """The one query the non-empty facilitators ``roles`` derive from: the
-    original condition, widened when a sibling is merged, grouped by each
+    original condition, widened by each merged sibling, grouped by each
     merged drill-down's level, the original groupers and each merged
     sibling's filter level."""
     aq = fs.request
     slots = fs.slots()
     siblings = [(g, slots[role].query.groupers[i])
                 for i, (g, role) in enumerate(zip(aq.groupers, ("sibA", "sibB"))) if role in roles]
-    condition = fs.widened_condition if siblings else aq.condition
+    condition = fs.widened(roles) if siblings else aq.condition
     levels = [slots[role].query.groupers[i]
               for i, role in enumerate(("ddA", "ddB")) if role in roles]
     levels += [*aq.groupers, *(level for _, level in siblings)]

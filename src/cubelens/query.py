@@ -374,9 +374,6 @@ def _scan_chunk(q: CubeQuery, keys: list[Level], strides: list[int], space: int,
 # Cube usability (base query reusable to answer a new query)
 # ---------------------------------------------------------------------------
 
-CONDITION_IDS = ("i", "ii", "iii", "iv", "v", "vi")
-
-
 @dataclass(frozen=True)
 class UsabilityReport:
     usable: bool

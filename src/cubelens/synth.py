@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -83,10 +84,14 @@ class SynthSpec:
                 measures=measures,
                 seed=int(raw.get("seed", 0)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidSpec(f"bad synthetic spec: {exc}") from None
 
-    def validate(self) -> None:
+    def validate(self, seed: int | None = None) -> None:
+        """Raise InvalidSpec unless generate can write this spec; ``seed``
+        overrides the spec's seed."""
+        if (self.seed if seed is None else seed) < 0:
+            raise InvalidSpec("seed must be >= 0")
         if self.facts < 0:
             raise InvalidSpec("fact count must be >= 0")
         if not self.dimensions:
@@ -98,16 +103,34 @@ class SynthSpec:
                 raise InvalidSpec(f"dimension {d.name}: level sizes must be >= 1")
             if any(a < b for a, b in zip(d.level_sizes, d.level_sizes[1:])):
                 raise InvalidSpec(f"dimension {d.name}: level sizes must not grow upward")
-            if d.skew < 1.0 or any(s < 1.0 for s in d.skews):
-                raise InvalidSpec(f"dimension {d.name}: skew must be >= 1.0")
+            if not all(_finite(s) and s >= 1.0 for s in (d.skew, *d.skews)):
+                raise InvalidSpec(f"dimension {d.name}: skew must be finite and >= 1.0")
             if d.skews and len(d.skews) != len(d.level_sizes) - 1:
                 raise InvalidSpec(f"dimension {d.name}: need {len(d.level_sizes) - 1} skews")
+            # block_parents weighs a level's parents by skew**k, k < parents
+            if any(math.log(d.skew_for(i)) * (n - 1) + math.log(n) > 700
+                   for i, n in enumerate(d.level_sizes[1:])):
+                raise InvalidSpec(f"dimension {d.name}: skew is too large for its fanout")
             d.names()
         for m in self.measures:
             if m.kind not in ("integer", "decimal"):
                 raise InvalidSpec(f"measure {m.name}: unknown kind {m.kind!r}")
+            if not (_finite(m.low) and _finite(m.high)):
+                raise InvalidSpec(f"measure {m.name}: low and high must be finite numbers")
             if m.high < m.low:
                 raise InvalidSpec(f"measure {m.name}: empty value range")
+            if m.kind == "integer" and not -2**63 <= int(m.low) <= int(m.high) < 2**63:
+                raise InvalidSpec(f"measure {m.name}: integer bounds must lie in int64")
+            if m.kind == "decimal" and not math.isfinite(float(m.high) - float(m.low)):
+                raise InvalidSpec(f"measure {m.name}: the value range is too wide")
+
+
+def _finite(x) -> bool:
+    """Whether ``x`` is a number (not a bool) that converts to a finite float."""
+    try:
+        return not isinstance(x, bool) and math.isfinite(x)
+    except (TypeError, OverflowError):
+        return False
 
 
 def block_parents(n_children: int, n_parents: int, skew: float,
@@ -158,7 +181,7 @@ def generate(spec: SynthSpec, out_dir, seed: int | None = None) -> dict:
     """Write the dataset files; returns a manifest of what was produced.
     A spec whose schema the loader would reject raises InvalidSpec before
     any file is written."""
-    spec.validate()
+    spec.validate(seed)
     schema = {
         "cube": spec.name,
         "dimensions": [{"name": dim.name, "levels": dim.names() + [ALL_LEVEL_NAME],

@@ -11,6 +11,7 @@ The helpers at the end (cell_dict, desc, siblings_under_parent, filter_rows,
 detailed_proxy, grouper_domain) read the engine's own encodings; the engine
 does not need them, and the tests check them against the oracles.
 run_forced runs one strategy's plan, as `--strategy` does without timing.
+usable_route is the definition Lattice.route answers by the lattice order.
 """
 
 import operator
@@ -20,7 +21,7 @@ import numpy as np
 from cubelens.errors import LevelOrderViolation
 from cubelens.hierarchy import anc
 from cubelens.mqo import build_plan, run_strategy
-from cubelens.query import SelectionAtom
+from cubelens.query import SelectionAtom, cube_usable
 
 ALL_LABEL = "All"
 
@@ -239,3 +240,14 @@ def grouper_domain(dim, atom, grouper_level):
 def run_forced(name, fs):
     """The AnalyzeResult of strategy ``name`` forced on facilitator set ``fs``."""
     return run_strategy(build_plan(name, fs))
+
+
+def usable_route(lattice, q):
+    """The smallest cuboid of ``lattice`` that holds q's (measure, aggregate)
+    and passes cube_usable for q, or None."""
+    key = (q.cube.schema.measure(q.measure_name).name, q.agg)
+    for routes in lattice.cuboids:  # smallest first
+        route = routes.get(key)
+        if route is not None and cube_usable(route.query, q):
+            return route
+    return None

@@ -8,6 +8,7 @@ few minutes of wall time.
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -433,6 +434,28 @@ def test_auto_answers_the_sweep_from_the_lattice(sweep_bench):
     assert not fresh._condition_masks and not fresh._atom_mask_cache
     print(f"\nACCEPTANCE lattice: PASS (ten sweep statements from {len(fresh.lattice)} cuboids, "
           f"{fresh.lattice.nbytes / 1e6:.1f} MB, 0 fact scans, 0 bitsets)")
+
+
+def test_hot_sweep_request_checks_usability_once_per_role(sweep_bench, monkeypatch):
+    # a role answered from a cuboid is checked by reaggregate alone: the
+    # route itself follows the lattice order
+    cube, queries, _ = sweep_bench
+    calls = []
+
+    def spy(base, target):
+        calls.append(target)
+        return cube_usable(base, target)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("cubelens") and \
+                getattr(module, "cube_usable", None) is cube_usable:
+            monkeypatch.setattr(module, "cube_usable", spy)
+    for _, _, text in queries:
+        run_analyze(cube, text)  # warm: masks, counts and atom hits cached
+        calls.clear()
+        result = run_analyze(cube, text)
+        assert set(result.cuboids) == set(ROLES)
+        assert len(calls) == 5, (text, len(calls))
 
 
 # ---------------------------------------------------------------------------

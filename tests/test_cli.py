@@ -3,6 +3,7 @@ import copy
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -162,11 +163,27 @@ def test_degraded_result_files_identical_across_strategies(foodmart_dir, tmp_pat
     assert contents["min"] == contents["mid"] == contents["max"]
 
 
-def test_query_unknown_measure_exits_4(foodmart_dir, capsys):
+def test_query_unknown_measure_exits_3(foodmart_dir, capsys):
     rc = main(["query", "--data-dir", str(foodmart_dir),
                "--query", "ANALYZE sum(profit) FROM Sales FOR State = 'CA' GROUP BY month, customerRegion"])
-    assert rc == 4
+    assert rc == 3
     assert capsys.readouterr().err
+
+
+# The reference statement naming a measure or a dimension the cube lacks.
+UNKNOWN_NAME_STATEMENTS = [
+    (REFERENCE_QUERY.replace("sum(store_sales)", "sum(bogus)"), "no measure 'bogus'"),
+    (REFERENCE_QUERY.replace("Promo.Media", "Bogus.Media"), "no dimension 'Bogus'"),
+    (REFERENCE_QUERY.replace("GROUP BY month", "GROUP BY Bogus.month"), "no dimension 'Bogus'"),
+]
+UNKNOWN_NAME_IDS = ["measure", "filter-dimension", "grouper-dimension"]
+
+
+@pytest.mark.parametrize("text, message", UNKNOWN_NAME_STATEMENTS, ids=UNKNOWN_NAME_IDS)
+def test_query_naming_an_unknown_name_exits_3(foodmart_dir, capsys, text, message):
+    assert main(["query", "--data-dir", str(foodmart_dir), "--query", text]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"parse error: cube Sales has {message}" in captured.err
 
 
 def test_query_parse_error_exits_3(foodmart_dir, capsys):
@@ -208,6 +225,39 @@ def test_gensynth_rejects_what_load_would_reject(tmp_path, capsys, edit, message
     assert main(["gensynth", "--spec", str(spec_path), "--out", str(tmp_path / "data")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "data").exists()
+
+
+def _measure(**fields):
+    return lambda s: s["measures"][0].update(fields)
+
+
+@pytest.mark.parametrize("edit, argv, message", [
+    (_measure(low="x"), [], "low and high must be finite numbers"),
+    (_measure(high="x"), [], "low and high must be finite numbers"),
+    (_measure(low=float("nan")), [], "low and high must be finite numbers"),
+    (_measure(kind="decimal", high=float("inf")), [], "low and high must be finite numbers"),
+    (_measure(kind="decimal", low=-1e308, high=1e308), [], "the value range is too wide"),
+    (_measure(low=1e30, high=2e30), [], "integer bounds must lie in int64"),
+    (_measure(low=-2**63 - 1), [], "integer bounds must lie in int64"),
+    (lambda s: s.update(seed=-1), [], "seed must be >= 0"),
+    (lambda s: None, ["--seed", "-1"], "seed must be >= 0"),
+    (lambda s: s["dimensions"][0].update(skew=float("nan")), [], "skew must be finite"),
+    (lambda s: s["dimensions"][0].update(skew=float("inf")), [], "skew must be finite"),
+    (lambda s: s["dimensions"][0].update(skews=[2.0, float("inf")]), [], "skew must be finite"),
+    (lambda s: s["dimensions"][0].update(skew=1e300), [], "skew is too large"),
+], ids=["low-text", "high-text", "low-nan", "decimal-high-inf", "decimal-width-inf",
+        "integer-beyond-int64", "integer-below-int64", "seed-negative", "seed-override-negative",
+        "skew-nan", "skew-inf", "skews-inf", "skew-overflows"])
+def test_gensynth_rejects_malformed_numbers(tmp_path, capsys, edit, argv, message):
+    spec = copy.deepcopy(SYNTH_SPEC)
+    edit(spec)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "data"
+    assert main(["gensynth", "--spec", str(spec_path), "--out", str(out), *argv]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_bench_report(foodmart_dir, tmp_path, capsys):
@@ -310,6 +360,17 @@ def test_load_undeclared_integer_beyond_int64_is_decimal(tmp_path, capsys):
     assert cube.measure_columns["m"].tolist() == [1.0, 1e20]
 
 
+@pytest.mark.parametrize("switch", ["2.5", str(1 << 64)], ids=["decimal-text", "beyond-int64"])
+def test_load_undeclared_column_turning_decimal_keeps_every_value(tmp_path, switch):
+    from cubelens.cube import load_cube
+    texts = ["-0", "7", str((1 << 53) + 1), str(-(1 << 63)), switch,
+             str((1 << 53) + 1), str(1 << 70), "-0", "0.1"]
+    cube = load_cube(_tiny_dataset(tmp_path, texts, None))
+    col = cube.measure_columns["m"]
+    assert cube.schema.measure("m").kind == "decimal" and col.dtype == np.float64
+    assert col.tolist() == [float(text) for text in texts]  # -0 == 0.0 too
+
+
 @pytest.mark.parametrize("kind", ["decimal", None])
 @pytest.mark.parametrize("text", ["nan", "inf", "-Infinity", "1e400"])
 def test_load_non_finite_decimal_exits_2(tmp_path, capsys, kind, text):
@@ -356,6 +417,15 @@ def test_bench_statement_syntax_error_exits_3(foodmart_dir, tmp_path, capsys):
     path.write_text(json.dumps({"queries": [{"text": "ANALYZE bogus"}]}))
     assert _bench(foodmart_dir, path, tmp_path / "r.csv") == 3
     assert capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", UNKNOWN_NAME_STATEMENTS, ids=UNKNOWN_NAME_IDS)
+def test_bench_statement_naming_an_unknown_name_exits_3(foodmart_dir, tmp_path, capsys,
+                                                          text, message):
+    path = tmp_path / "workload.json"
+    path.write_text(json.dumps({"queries": [{"text": REFERENCE_QUERY}, {"text": text}]}))
+    assert _bench(foodmart_dir, path, tmp_path / "r.csv") == 3
+    assert message in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

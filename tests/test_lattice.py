@@ -20,7 +20,13 @@ from cubelens.errors import SumOverflow
 from cubelens.hierarchy import dimension_from_member_rows
 from cubelens.lattice import Lattice, estimated_cells, select_vectors
 from cubelens.parser import parse
-from cubelens.query import SelectionAtom, SelectionCondition, cell_sets_equal
+from cubelens.query import (
+    CubeQuery,
+    SelectionAtom,
+    SelectionCondition,
+    cell_sets_equal,
+    cube_usable,
+)
 
 from fixtures import (
     INT64_MAX,
@@ -33,7 +39,7 @@ from fixtures import (
     random_tables,
     write_dataset,
 )
-from oracles import run_forced
+from oracles import run_forced, usable_route
 
 
 def _same_answer(a, b, rel_tol):
@@ -292,6 +298,52 @@ def test_counts_from_cuboids_build_no_bitset():
         assert n == int(np.count_nonzero(cube.condition_mask(top.mask_atoms())))
         counted += 1
     assert counted >= 10
+
+
+# ---------------------------------------------------------------------------
+# Routes by the lattice order
+# ---------------------------------------------------------------------------
+
+def _random_target(rng, cube):
+    """A CubeQuery over random levels, ALL included: atoms (several values
+    at most levels) often sit below a grouper of their own dimension, and
+    the measure name's case and the aggregate vary."""
+    groupers, atoms = [], []
+    for dim in cube.schema.dimensions:
+        for level in rng.sample(dim.levels, rng.choice([0, 1, 1, 2])):
+            groupers.append(level)
+        if rng.random() < 0.6:
+            level = rng.choice(dim.levels)
+            atoms.append(SelectionAtom(level, rng.sample(range(level.member_count),
+                                                         rng.randint(1, min(3, level.member_count)))))
+    measure = rng.choice(["m", "M"])
+    return CubeQuery(cube, SelectionCondition(atoms), tuple(groupers), measure, measure,
+                     rng.choice(lattice_mod.AGGS + ("avg",)))
+
+
+@pytest.mark.parametrize("share", [0.5, 8.0])
+def test_route_is_the_smallest_usable_cuboid(monkeypatch, share):
+    monkeypatch.setattr(lattice_mod, "BUDGET_SHARE", share)
+    rng = random.Random(461)
+    routed = facilitators = above_filter = 0
+    for _ in range(40):
+        cube = build_cube(random_tables(rng, max_facts=800))
+        targets = [_random_target(rng, cube) for _ in range(15)]
+        for _ in range(4):
+            fs = build_facilitators(random_analyze(rng, cube, atom_probability=0.6))
+            slots = [slot.query for slot in fs.slots().values() if not slot.empty]
+            facilitators += len(slots)
+            targets += slots
+        for q in targets:
+            route = cube.lattice.route(q)
+            assert route is usable_route(cube.lattice, q), (q.groupers, q.condition.mask_key)
+            if route is not None:
+                routed += 1
+                assert cube_usable(route.query, q)
+            elif q.filter_order_problem is not None and q.agg != "avg" and len(cube.lattice):
+                above_filter += 1
+    assert routed >= 100 and facilitators >= 400 and above_filter >= 150, \
+        (routed, facilitators, above_filter)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from cubelens.analyze import build_facilitators, from_statement
 from cubelens.bench import run_analyze
-from cubelens.mqo import build_plan
+from cubelens import lattice as lattice_mod
+from cubelens.mqo import build_plan, run_strategy
 from cubelens.parser import parse
 from cubelens.query import SelectionAtom, SelectionCondition, cell_sets_equal, cube_usable
 from cubelens.analyze import AnalyzeQuery
@@ -297,6 +298,31 @@ def test_max_merges_what_exists_on_degraded_requests():
         missing_sets.add(fs.missing)
         checked += 1
     assert len(missing_sets) == 15, missing_sets  # every non-empty subset of sibA/sibB/ddA/ddB
+
+
+def test_max_base_widens_only_the_siblings_it_merges(monkeypatch):
+    # one sibling answered from a cuboid: Max's base keeps the original
+    # atom on that sibling's dimension, so it covers the merged roles only
+    monkeypatch.setattr(lattice_mod, "BUDGET_SHARE", 8.0)
+    rng = random.Random(467)
+    checked = narrower = 0
+    for _ in range(80):
+        cube = build_cube(random_tables(rng, max_facts=800))
+        fs = build_facilitators(random_analyze(rng, cube, atom_probability=1.0))
+        if fs.sib_a.empty or fs.sib_b.empty:
+            continue
+        routed, merged = rng.choice([("sibA", fs.sib_b), ("sibB", fs.sib_a)])
+        route = cube.lattice.route(fs.slots()[routed].query)
+        if route is None:
+            continue
+        plan = build_plan("max", fs, {routed: route})
+        count = cube.condition_count
+        # the merged sibling's own region is the original widened for it alone
+        assert count(plan.base.condition) == count(merged.query.condition)
+        assert results_equal(run_strategy(plan), run_forced("min", fs), rel_tol=0.0)
+        checked += 1
+        narrower += count(merged.query.condition) < count(fs.widened_condition)
+    assert checked >= 20 and narrower >= 5, (checked, narrower)
 
 
 def test_strategy_equivalence_random_smoke():

@@ -7,6 +7,12 @@ as int64 so aggregate comparisons can be exact; anything else is float64.
 An integer-declared value outside int64, and NaN or infinity in any decimal
 measure, is a ParseError naming file and line.
 
+The fact CSV is read in chunks of whole lines.  A plain chunk (no quotes, no
+CRs, the header's field count on every line) is decoded a column at a time;
+any other chunk is read record by record with csv.reader, and that row loop
+is the only place load errors are worded, each with the physical line its
+record starts on.  A leading UTF-8 byte order mark is ignored in every file.
+
 Filter evaluation produces row bitsets (boolean arrays over 0..row_count-1)
 so the strategy selector can combine and count regions cheaply.  An atom's
 bitset is a per-member table over the detailed level, gathered through the
@@ -29,7 +35,9 @@ concurrent readers are fine.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import threading
 from array import array
 from dataclasses import dataclass, field
@@ -59,6 +67,7 @@ from .hierarchy import (
 )
 
 MEASURE_KINDS = ("integer", "decimal")
+FACT_CHUNK_CHARS = 1 << 17  # the fact loader reads whole lines in chunks of about this size
 
 
 @dataclass(frozen=True)
@@ -285,7 +294,7 @@ def check_schema_spec(spec, where: str) -> None:
 def _parse_schema_json(schema_file) -> dict:
     path = Path(schema_file)
     try:
-        spec = json.loads(path.read_text(encoding="utf-8"))
+        spec = json.loads(path.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
     check_schema_spec(spec, f"{path}")
@@ -358,92 +367,167 @@ def load_cube(
 
 
 def _read_facts(fact_file, dimensions, measures, delimiter=","):
-    dim_by_l0 = {d.detailed_level.name.lower(): d for d in dimensions}  # distinct: checked
-    measure_kinds = {name.lower(): kind for name, kind in measures}
-    with open(fact_file, newline="", encoding="utf-8") as fh:
+    with open(fact_file, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ParseError(f"{fact_file}: missing header row") from None
+        facts = _FactColumns(fact_file, header, dimensions, measures, delimiter)
+        line = reader.line_num + 1  # the physical line the next record starts on
+        while lines := fh.readlines(FACT_CHUNK_CHARS):
+            line += facts.add_chunk(lines, fh, line)
+    return facts.finish()
 
+
+class _FactColumns:
+    """The fact file's columns, filled a chunk of whole lines at a time.
+
+    A chunk without quotes or CRs, whose every line holds exactly ``width``
+    fields, is split once and decoded a column at a time: labels through the
+    level dictionary, measures through the same int/float the row loop
+    calls.  Any other chunk, or one whose decoding raises, goes to the row
+    loop from its first line, which is the only place errors are worded.
+    """
+
+    def __init__(self, fact_file, header, dimensions, measures, delimiter):
+        dim_by_l0 = {d.detailed_level.name.lower(): d for d in dimensions}  # distinct: checked
+        measure_kinds = {name.lower(): kind for name, kind in measures}
         dim_cols: dict[str, int] = {}
-        measure_cols_idx: dict[str, int] = {}
+        self.measure_cols: dict[str, int] = {}
         for idx, name in enumerate(header):
             low = name.lower()
             if low in dim_by_l0:
                 dim_cols[dim_by_l0[low].name] = idx
             elif low in measure_kinds:
-                measure_cols_idx[low] = idx
+                self.measure_cols[low] = idx
             else:
                 raise SchemaMismatch(f"{fact_file}: unexpected column {name!r}")
         missing = [d.name for d in dimensions if d.name not in dim_cols]
-        missing += [name for name, _ in measures if name.lower() not in measure_cols_idx]
+        missing += [name for name, _ in measures if name.lower() not in self.measure_cols]
         if missing:
             raise SchemaMismatch(f"{fact_file}: missing columns: {', '.join(missing)}")
 
-        dim_order = [(d, dim_cols[d.name]) for d in dimensions]
-        dicts = {d.name: d.dictionaries[0]._code_by_label for d, _ in dim_order}
-        coord_acc = {d.name: array("q") for d, _ in dim_order}
+        self.fact_file = fact_file
+        self.delimiter = delimiter
+        self.width = len(header)
+        self.measures = measures
+        self.dim_order = [(d, dim_cols[d.name]) for d in dimensions]
+        self.dicts = {d.name: d.dictionaries[0]._code_by_label for d in dimensions}
+        # The column path looks fields up unstripped: only labels a stripped,
+        # non-empty field can equal, so any other field falls to the row loop.
+        self.lookups = {name: {label: code for label, code in codes.items()
+                               if label and label == label.strip()}
+                        for name, codes in self.dicts.items()}
+        self.coord_acc = {d.name: array("q") for d in dimensions}
         # One accumulator per measure: int64 until a value of an undeclared
         # column is no int64 integer, then float64, converted once.
-        m_acc = {name.lower(): array("d" if kind == "decimal" else "q") for name, kind in measures}
-        declared_int = {name.lower(): kind == "integer" for name, kind in measures}
-        width = len(header)
+        self.m_acc = {name.lower(): array("d" if kind == "decimal" else "q")
+                      for name, kind in measures}
+        self.declared_int = {name.lower(): kind == "integer" for name, kind in measures}
 
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width:
-                raise ParseError(f"{fact_file}:{lineno}: expected {width} fields, got {len(row)}")
-            for dim, idx in dim_order:
-                label = row[idx].strip()
-                if not label:
-                    raise ParseError(f"{fact_file}:{lineno}: empty coordinate for {dim.name}")
-                try:
-                    coord_acc[dim.name].append(dicts[dim.name][label])
-                except KeyError:
-                    raise UnknownMemberLabel(
-                        f"{fact_file}:{lineno}: unknown member {label!r} "
-                        f"for dimension {dim.name}"
-                    ) from None
-            for low, idx in measure_cols_idx.items():
-                text = row[idx].strip()
-                if not text:
-                    raise ParseError(f"{fact_file}:{lineno}: null measure {low!r}")
-                acc = m_acc[low]
-                if acc.typecode == "q":
-                    try:
-                        acc.append(int(text))
-                        continue
-                    except (ValueError, OverflowError) as exc:
-                        if declared_int[low]:
-                            problem = (f"value {text!r} is outside the int64 range"
-                                       if isinstance(exc, OverflowError) else
-                                       f"declared integer but got {text!r}")
-                            raise ParseError(
-                                f"{fact_file}:{lineno}: measure {low!r} {problem}") from None
-                        m_acc[low] = acc = array("d", acc.tolist())  # decimal from here on
-                try:
-                    acc.append(float(text))
-                except ValueError:
-                    raise ParseError(
-                        f"{fact_file}:{lineno}: measure {low!r} is not numeric: {text!r}"
-                    ) from None
+    def add_chunk(self, lines: list[str], more, first_line: int) -> int:
+        """Decode the records that start in ``lines``, whose first line is
+        physical line ``first_line``; a record may run on into the lines of
+        ``more``.  Returns how many physical lines were consumed."""
+        if self._add_columns(lines):
+            return len(lines)
+        reader = csv.reader(itertools.chain(lines, more), delimiter=self.delimiter)
+        consumed = 0
+        for row in reader:
+            self._add_row(row, first_line + consumed)
+            consumed = reader.line_num
+            if consumed >= len(lines):
+                break
+        return consumed
 
-    coords = {name: np.frombuffer(acc, dtype=np.int64) if len(acc) else np.empty(0, np.int64)
-              for name, acc in coord_acc.items()}
-    out_measures = {}
-    resolved = []
-    for name, kind in measures:
-        acc = m_acc[name.lower()]  # typecode "q" is int64, "d" float64
-        col = np.frombuffer(acc, dtype=acc.typecode) if len(acc) else np.empty(0, acc.typecode)
-        if acc.typecode == "q":
-            resolved.append(Measure(name, "integer"))
-        else:
-            finite = np.isfinite(col)
-            if not finite.all():
-                first = int(np.argmin(finite))
-                raise ParseError(f"{fact_file}:{first + 2}: measure {name.lower()!r} is not "
-                                 f"finite: {float(col[first])}")
-            resolved.append(Measure(name, "decimal"))
-        out_measures[name] = col
-    return coords, out_measures, resolved
+    def _add_columns(self, lines: list[str]) -> bool:
+        """The column path: True when the chunk was decoded and appended,
+        False, with nothing appended, when the row loop must decide it."""
+        text = "".join(lines)
+        if not text.endswith("\n"):
+            text += "\n"  # the file's last line
+        # Left to the row loop: csv quoting, CRs, and any line that could hold
+        # a field over csv's size limit, which csv.reader rejects.
+        if '"' in text or "\r" in text or max(map(len, lines)) > csv.field_size_limit():
+            return False
+        # Each newline becomes a field of its own, so every line holds
+        # exactly ``width`` fields when the newlines sit ``stride`` apart.
+        d, n, width, stride = self.delimiter, len(lines), self.width, self.width + 1
+        fields = text.replace("\n", d + "\n" + d).split(d)
+        end = n * stride
+        if len(fields) != end + 1 or fields[width:end:stride].count("\n") != n:
+            return False
+        try:
+            parts = [(self.coord_acc[dim.name],
+                      np.fromiter(map(self.lookups[dim.name].__getitem__,
+                                      fields[idx:end:stride]), np.int64, n))
+                     for dim, idx in self.dim_order]
+            for low, idx in self.measure_cols.items():
+                acc = self.m_acc[low]
+                parse, dtype = (int, np.int64) if acc.typecode == "q" else (float, np.float64)
+                part = np.fromiter(map(parse, fields[idx:end:stride]), dtype, n)
+                if dtype is np.float64 and not np.isfinite(part).all():
+                    return False
+                parts.append((acc, part))
+        except (KeyError, ValueError, OverflowError):
+            return False
+        for acc, part in parts:
+            acc.frombytes(part.tobytes())
+        return True
+
+    def _add_row(self, row: list[str], lineno: int) -> None:
+        fact_file = self.fact_file
+        if len(row) != self.width:
+            raise ParseError(f"{fact_file}:{lineno}: expected {self.width} fields, got {len(row)}")
+        for dim, idx in self.dim_order:
+            label = row[idx].strip()
+            if not label:
+                raise ParseError(f"{fact_file}:{lineno}: empty coordinate for {dim.name}")
+            try:
+                self.coord_acc[dim.name].append(self.dicts[dim.name][label])
+            except KeyError:
+                raise UnknownMemberLabel(
+                    f"{fact_file}:{lineno}: unknown member {label!r} "
+                    f"for dimension {dim.name}"
+                ) from None
+        for low, idx in self.measure_cols.items():
+            text = row[idx].strip()
+            if not text:
+                raise ParseError(f"{fact_file}:{lineno}: null measure {low!r}")
+            acc = self.m_acc[low]
+            if acc.typecode == "q":
+                try:
+                    acc.append(int(text))
+                    continue
+                except (ValueError, OverflowError) as exc:
+                    if self.declared_int[low]:
+                        problem = (f"value {text!r} is outside the int64 range"
+                                   if isinstance(exc, OverflowError) else
+                                   f"declared integer but got {text!r}")
+                        raise ParseError(
+                            f"{fact_file}:{lineno}: measure {low!r} {problem}") from None
+                    self.m_acc[low] = acc = array("d", acc.tolist())  # decimal from here on
+            try:
+                value = float(text)
+            except ValueError:
+                raise ParseError(
+                    f"{fact_file}:{lineno}: measure {low!r} is not numeric: {text!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise ParseError(f"{fact_file}:{lineno}: measure {low!r} is not finite: {value}")
+            acc.append(value)
+
+    def finish(self):
+        """The columns, as views of the accumulators (int64 codes; int64 or
+        float64 measures), and each measure with the kind its values took."""
+        coords = {name: np.frombuffer(acc, dtype=np.int64) if len(acc) else np.empty(0, np.int64)
+                  for name, acc in self.coord_acc.items()}
+        out_measures = {}
+        resolved = []
+        for name, _ in self.measures:
+            acc = self.m_acc[name.lower()]  # typecode "q" is int64, "d" float64
+            out_measures[name] = (np.frombuffer(acc, dtype=acc.typecode) if len(acc)
+                                  else np.empty(0, acc.typecode))
+            resolved.append(Measure(name, "integer" if acc.typecode == "q" else "decimal"))
+        return coords, out_measures, resolved

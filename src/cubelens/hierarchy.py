@@ -355,7 +355,7 @@ def read_members_csv(
 ) -> Dimension:
     """Load a dimension from its member CSV (header row = level names)."""
     expected = [n for n in level_names if n != ALL_LEVEL_NAME]
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = next(reader)

@@ -12,16 +12,25 @@ detailed_proxy, grouper_domain) read the engine's own encodings; the engine
 does not need them, and the tests check them against the oracles.
 run_forced runs one strategy's plan, as `--strategy` does without timing.
 usable_route is the definition Lattice.route answers by the lattice order.
+
+read_facts_rowwise is the reference fact loader (one csv.reader record at a
+time) and generate_rowwise the reference dataset writer (csv.writer rows);
+the engine's column-at-a-time loader and writer must match them exactly.
 """
 
+import csv
+import json
+import math
 import operator
+from pathlib import Path
 
 import numpy as np
 
-from cubelens.errors import LevelOrderViolation
+from cubelens.errors import LevelOrderViolation, ParseError, UnknownMemberLabel
 from cubelens.hierarchy import anc
 from cubelens.mqo import build_plan, run_strategy
 from cubelens.query import SelectionAtom, cube_usable
+from cubelens.synth import _labels, _member_paths
 
 ALL_LABEL = "All"
 
@@ -251,3 +260,116 @@ def usable_route(lattice, q):
         if route is not None and cube_usable(route.query, q):
             return route
     return None
+
+
+# ---------------------------------------------------------------------------
+# Reference CSV reader and writer
+# ---------------------------------------------------------------------------
+
+def read_facts_rowwise(fact_file, dimensions, measures, delimiter=","):
+    """Load a fact CSV one csv.reader record at a time, each numbered by its
+    first physical line.  Returns (coordinate columns, measure columns,
+    {measure: kind}) with the engine loader's dtypes, or raises the error
+    the engine must raise for the first bad record.  Dimensions are checked
+    in schema order, then measures in header order, as the engine does."""
+    with open(fact_file, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        header = [h.strip().lower() for h in next(reader)]
+        dim_idx = [(d, header.index(d.detailed_level.name.lower())) for d in dimensions]
+        codes = {d.name: {label: code for code, label in enumerate(d.dictionaries[0].labels)}
+                 for d in dimensions}
+        kinds = {name.lower(): kind for name, kind in measures}
+        measure_idx = [(low, header.index(low)) for low in header if low in kinds]
+        coords = {d.name: [] for d in dimensions}
+        values = {low: [] for low in kinds}
+        is_float = {low: kind == "decimal" for low, kind in kinds.items()}
+        before = reader.line_num
+        for row in reader:
+            line, before = before + 1, reader.line_num
+            where = f"{fact_file}:{line}"
+            if len(row) != len(header):
+                raise ParseError(f"{where}: expected {len(header)} fields, got {len(row)}")
+            for dim, idx in dim_idx:
+                label = row[idx].strip()
+                if not label:
+                    raise ParseError(f"{where}: empty coordinate for {dim.name}")
+                if label not in codes[dim.name]:
+                    raise UnknownMemberLabel(
+                        f"{where}: unknown member {label!r} for dimension {dim.name}")
+                coords[dim.name].append(codes[dim.name][label])
+            for low, idx in measure_idx:
+                text = row[idx].strip()
+                if not text:
+                    raise ParseError(f"{where}: null measure {low!r}")
+                if not is_float[low]:
+                    try:
+                        value = int(text)
+                    except ValueError:
+                        value = None
+                    if value is not None and -2**63 <= value < 2**63:
+                        values[low].append(value)
+                        continue
+                    if kinds[low] == "integer":
+                        problem = (f"declared integer but got {text!r}" if value is None
+                                   else f"value {text!r} is outside the int64 range")
+                        raise ParseError(f"{where}: measure {low!r} {problem}")
+                    is_float[low] = True
+                try:
+                    value = float(text)
+                except ValueError:
+                    raise ParseError(f"{where}: measure {low!r} is not numeric: {text!r}") from None
+                if not math.isfinite(value):
+                    raise ParseError(f"{where}: measure {low!r} is not finite: {value}")
+                values[low].append(value)
+    coord_cols = {name: np.asarray(col, dtype=np.int64) for name, col in coords.items()}
+    measure_cols = {name: np.asarray([float(v) for v in values[name.lower()]]
+                                     if is_float[name.lower()] else values[name.lower()],
+                                     dtype=np.float64 if is_float[name.lower()] else np.int64)
+                    for name, _ in measures}
+    return coord_cols, measure_cols, {name: "decimal" if is_float[name.lower()] else "integer"
+                                      for name, _ in measures}
+
+
+def generate_rowwise(spec, out_dir, seed=None):
+    """Write spec's dataset with csv.writer, one row per writerow, drawing
+    the same values as synth.generate."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(spec.seed if seed is None else seed)
+    detailed_labels = {}
+    for dim in spec.dimensions:
+        names = dim.names()
+        paths = _member_paths(dim)
+        level_labels = [_labels(dim, nm, size) for nm, size in zip(names, dim.level_sizes)]
+        detailed_labels[dim.name] = level_labels[0]
+        with open(out / f"{dim.name}_members.csv", "w", newline="\n", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(names)
+            for member in range(dim.level_sizes[0]):
+                writer.writerow([labels[path[member]] for labels, path in zip(level_labels, paths)])
+    coords = {dim.name: rng.integers(0, dim.level_sizes[0], spec.facts)
+              for dim in spec.dimensions}
+    values = {}
+    for m in spec.measures:
+        if m.kind == "integer":
+            values[m.name] = [str(int(v)) for v in
+                              rng.integers(int(m.low), int(m.high) + 1, spec.facts)]
+        else:
+            values[m.name] = [f"{v:.2f}" for v in
+                              np.round(rng.uniform(m.low, m.high, spec.facts), 2)]
+    with open(out / "facts.csv", "w", newline="\n", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([d.names()[0] for d in spec.dimensions] + [m.name for m in spec.measures])
+        for i in range(spec.facts):
+            writer.writerow([detailed_labels[d.name][coords[d.name][i]] for d in spec.dimensions]
+                            + [values[m.name][i] for m in spec.measures])
+    schema = {
+        "cube": spec.name,
+        "dimensions": [{"name": dim.name, "levels": dim.names() + ["ALL"],
+                        "members": f"{dim.name}_members.csv"} for dim in spec.dimensions],
+        "measures": [{"name": m.name, "kind": m.kind} for m in spec.measures],
+        "facts": "facts.csv",
+    }
+    with open(out / "schema.json", "w", newline="\n", encoding="utf-8") as fh:
+        json.dump(schema, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -1,8 +1,10 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cubelens import cube as cube_mod
 from cubelens.cube import CubeSchema, Measure, load_cube
 from cubelens.errors import (
     ParseError,
@@ -11,8 +13,11 @@ from cubelens.errors import (
     UnknownMemberLabel,
 )
 
+from cubelens.hierarchy import dimension_from_member_rows, dimension_from_tables
+from cubelens.synth import SynthSpec, generate
+
 from fixtures import build_cube, foodmart_tables, random_tables, write_dataset
-from oracles import desc, filter_rows, naive_filter
+from oracles import desc, filter_rows, naive_filter, read_facts_rowwise
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +185,180 @@ def test_measures_differing_only_in_case_rejected(tmp_path):
         CubeSchema("c", dims, [Measure("amount", "integer"), Measure("AMOUNT", "decimal")])
 
 
+def test_error_after_multiline_label_names_its_physical_line(tmp_path):
+    # the quoted label spans lines 2-3, so the 5th record starts on line 7
+    (tmp_path / "A.csv").write_text('Leaf,Grp\n"a\n1",g1\na2,g1\n')
+    (tmp_path / "B.csv").write_text("Unit,Band\nb1,h1\n")
+    (tmp_path / "facts.csv").write_text(
+        'Leaf,Unit,m\n"a\n1",b1,5\na2,b1,6\na2,b1,7\na2,b1,8\na2,b1,x\n')
+    (tmp_path / "schema.json").write_text(
+        '{"cube": "c", "facts": "facts.csv", "measures": [{"name": "m", "kind": "integer"}], '
+        '"dimensions": [{"name": "A", "levels": ["Leaf", "Grp", "ALL"], "members": "A.csv"}, '
+        '{"name": "B", "levels": ["Unit", "Band", "ALL"], "members": "B.csv"}]}')
+    with pytest.raises(ParseError) as err:
+        load_cube(tmp_path / "schema.json")
+    assert str(err.value) == \
+        f"{tmp_path / 'facts.csv'}:7: measure 'm' declared integer but got 'x'"
+
+
+def _same_cube(a, b):
+    assert [(m.name, m.kind) for m in a.schema.measures] == \
+        [(m.name, m.kind) for m in b.schema.measures]
+    for name in a.coordinates:
+        assert np.array_equal(a.coordinates[name], b.coordinates[name])
+    for name, col in a.measure_columns.items():
+        assert col.dtype == b.measure_columns[name].dtype
+        assert np.array_equal(col, b.measure_columns[name])
+
+
+@pytest.mark.parametrize("file_name", ["schema.json", "Date_members.csv", "facts.csv"])
+def test_utf8_bom_is_accepted(tmp_path, file_name):
+    # Excel's "CSV UTF-8" starts every file with a byte order mark
+    schema_path = write_dataset(foodmart_tables(n_facts=40), tmp_path)
+    plain = load_cube(schema_path)
+    path = tmp_path / file_name
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    _same_cube(load_cube(schema_path), plain)
+
+
+# -- the column path against the row-at-a-time reference ---------------------
+
+FACT_DIMS = [
+    # An empty field must not decode to the member "", a padded field must
+    # not decode to " a3", and a quoted "a2" is a2, not the member '"a2"'.
+    dimension_from_tables("A", ["Leaf", "Grp"], [
+        ["a1", "a2", "", "a b", "a,c", 'a"q', "a\nn", " a3", '"a2"'], ["g1", "g2"]],
+        [[0, 0, 0, 1, 1, 1, 0, 1, 1]]),
+    dimension_from_member_rows("B", ["Unit", "Band"], [("b1", "h1"), ("b2", "h1"), ("b3", "h2")]),
+]
+FACT_MEASURES = [("i", "integer"), ("d", "decimal"), ("u", None)]
+
+
+def _field(text):
+    """``text`` as csv.writer quotes it, except that " a3" stays padded."""
+    return f'"{text.replace(chr(34), 2 * chr(34))}"' if any(c in text for c in ',"\n\r') else text
+
+
+def _random_fact_file(rng, path):
+    """A fact file of plain rows with a few hazards mixed in: padding,
+    quoting, CRLF, blank lines, no final newline, a short row next to a
+    long one, empty fields, odd integer spellings, values beyond int64,
+    non-finite decimals, unknown labels, and an undeclared column turning
+    decimal late in the file."""
+    hazards = set(rng.sample([
+        "pad", "quote", "crlf", "blank", "no_final_newline", "short_long", "empty",
+        "spelling", "beyond_int64", "non_finite", "unknown", "turns_decimal",
+        "beyond_undeclared", "odd_label"], k=rng.choice([0, 1, 1, 1, 2, 3])))
+    n = rng.randint(0, 40)
+    rows = []
+    for _ in range(n):
+        odd = ["a,c", 'a"q', "a\nn", " a3", '"a2"'] if "odd_label" in hazards else []
+        a = rng.choice(["a1", "a2", "a b"] + odd)
+        rows.append([a, rng.choice(["b1", "b2", "b3"]), str(rng.randint(-1000, 1000)),
+                     f"{rng.uniform(-100, 100):.3f}", str(rng.randint(0, 99))])
+    hit = lambda: rng.randrange(n)  # noqa: E731
+    if n:
+        if "pad" in hazards:
+            for _ in range(3):
+                row = rows[hit()]
+                col = rng.randrange(5)
+                row[col] = rng.choice([" ", "\t", "\xa0"]) + row[col] + " "
+        if "empty" in hazards:
+            rows[hit()][rng.randrange(5)] = rng.choice(["", "  "])
+        if "spelling" in hazards:
+            rows[hit()][rng.choice([2, 4])] = rng.choice(["1_000", "+5", "-0", "0x10", "1e3"])
+        if "beyond_int64" in hazards:
+            rows[hit()][2] = str(rng.choice([1 << 63, -(1 << 63) - 1, 1 << 70]))
+        if "beyond_undeclared" in hazards:
+            rows[hit()][4] = str(1 << 64)
+        if "non_finite" in hazards:
+            rows[hit()][3] = rng.choice(["nan", "inf", "-Infinity", "1e400"])
+        if "unknown" in hazards:
+            rows[hit()][rng.randrange(2)] = "zz"
+        if "turns_decimal" in hazards:
+            rows[rng.randrange(n // 2, n)][4] = "2.5"
+    lines = [",".join(_field(f) for f in row) for row in rows]
+    if "quote" in hazards and n:  # quote one plain field, the label most often
+        i, col = hit(), rng.choice([0, 0, 0, 1, 2, 3, 4])
+        if not any(c in rows[i][col] for c in ',"\n'):
+            lines[i] = ",".join(f'"{f}"' if j == col else _field(f) for j, f in enumerate(rows[i]))
+    if "short_long" in hazards and n >= 2:
+        i = rng.randrange(n - 1)
+        lines[i] = lines[i].rsplit(",", 1)[0]
+        lines[i + 1] += ",7"
+    ends = ["\r\n" if "crlf" in hazards and rng.random() < 0.5 else "\n" for _ in lines]
+    if "blank" in hazards and n:
+        ends[hit()] += "\n"
+    text = "Leaf,Unit,i,d,u\n" + "".join(line + end for line, end in zip(lines, ends))
+    if "no_final_newline" in hazards and text.endswith("\n"):
+        text = text[:-1]
+    path.write_bytes(text.encode("utf-8"))
+
+
+def _load_outcome(load, path):
+    try:
+        return load(path, FACT_DIMS, FACT_MEASURES)
+    except Exception as exc:  # the error is part of the outcome
+        return type(exc), str(exc)
+
+
+def test_column_path_matches_rowwise_reference(tmp_path, monkeypatch):
+    decided = []
+    add_columns = cube_mod._FactColumns._add_columns
+
+    def spy(self, lines):
+        decided.append(add_columns(self, lines))
+        return decided[-1]
+
+    monkeypatch.setattr(cube_mod._FactColumns, "_add_columns", spy)
+    rng = random.Random(13)
+    path = tmp_path / "facts.csv"
+    for case in range(1000):
+        _random_fact_file(rng, path)
+        # chunks of one to a few rows, so chunk boundaries fall inside every hazard
+        monkeypatch.setattr(cube_mod, "FACT_CHUNK_CHARS", rng.choice([1, 30, 80, 200]))
+        got = _load_outcome(cube_mod._read_facts, path)
+        want = _load_outcome(read_facts_rowwise, path)
+        if isinstance(want[0], type):
+            assert got == want, (case, path.read_bytes())
+            continue
+        assert isinstance(got[0], dict), (case, got)
+        coords, measures, kinds = got
+        assert {m.name: m.kind for m in kinds} == want[2], case
+        for name, col in list(coords.items()) + list(measures.items()):
+            ref = want[0].get(name, want[1].get(name))
+            assert col.dtype == ref.dtype and col.tobytes() == ref.tobytes(), (case, name)
+    assert True in decided and False in decided  # both paths ran
+
+
+def test_fact_load_memory_is_bounded(tmp_path):
+    # the loader holds the columns plus one chunk: neither the whole file nor
+    # a second copy of the columns
+    generate(SynthSpec.from_dict({
+        "name": "mem", "facts": 300_000, "seed": 5,
+        "dimensions": [{"name": "A", "level_sizes": [500, 20]},
+                       {"name": "B", "level_sizes": [300, 10]}],
+        "measures": [{"name": "m", "kind": "integer"}],
+    }), tmp_path)
+    dims = [dimension_from_member_rows(name, [f"{name}L0", f"{name}L1"],
+                                       _member_rows(tmp_path / f"{name}_members.csv"))
+            for name in ("A", "B")]
+    tracemalloc.start()
+    try:
+        coords, measures, _ = cube_mod._read_facts(tmp_path / "facts.csv", dims,
+                                                   [("m", "integer")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = sum(col.nbytes for col in list(coords.values()) + list(measures.values()))
+    assert columns == 300_000 * 3 * 8
+    assert peak < columns + (4 << 20), peak - columns
+
+
+def _member_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
 # ---------------------------------------------------------------------------
 # filter_rows
 # ---------------------------------------------------------------------------
@@ -264,7 +443,7 @@ def test_filter_rows_monotone_and_conjunctive():
 def test_measure_peaks_recorded_at_build():
     # the peak |value| is a Python number, so -2**63 does not wrap
     from cubelens.cube import CubeSchema, DetailedCube, Measure
-    from cubelens.hierarchy import dimension_from_member_rows
+    from cubelens.hierarchy import dimension_from_member_rows, dimension_from_tables
     dim = dimension_from_member_rows("A", ["Leaf"], [("a1",)])
     cube = DetailedCube(
         CubeSchema("c", [dim], [Measure("i", "integer"), Measure("f", "decimal"),

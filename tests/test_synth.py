@@ -3,10 +3,13 @@ import hashlib
 import numpy as np
 import pytest
 
+from cubelens import synth
 from cubelens.cube import load_cube
 from cubelens.errors import InvalidSpec
 from cubelens.hierarchy import validate_hierarchy
 from cubelens.synth import SynthSpec, block_parents, generate
+
+from oracles import generate_rowwise
 
 SEED42_SPEC = {
     "name": "synth42",
@@ -45,6 +48,36 @@ def test_seed42_checksum_frozen(tmp_path):
     manifest = generate(spec, tmp_path)
     digest = dataset_digest([tmp_path / name for name in manifest["files"]])
     assert digest == SEED42_CHECKSUM
+
+
+# Names holding a comma and a quote, so csv quotes labels and headers, and a
+# decimal measure with negative values.
+QUOTING_SPEC = {
+    "name": "quoting",
+    "facts": 5000,
+    "seed": 9,
+    "dimensions": [
+        {"name": "Re,gion", "level_sizes": [60, 6, 2], "level_names": ['Ci"ty', "St,ate", "Zone"],
+         "skew": 1.5},
+        {"name": "Item", "level_sizes": [25, 5]},
+    ],
+    "measures": [{"name": "qty", "kind": "integer", "low": -50, "high": 50},
+                 {"name": 'pr"ice', "kind": "decimal", "low": -3.5, "high": 999.99}],
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 333, synth.WRITE_CHUNK_ROWS])
+def test_writer_matches_rowwise_reference(tmp_path, monkeypatch, chunk_rows):
+    monkeypatch.setattr(synth, "WRITE_CHUNK_ROWS", chunk_rows)
+    spec = SynthSpec.from_dict(QUOTING_SPEC)
+    manifest = generate(spec, tmp_path / "columns")
+    generate_rowwise(spec, tmp_path / "rows")
+    for name in manifest["files"]:
+        assert (tmp_path / "columns" / name).read_bytes() == \
+            (tmp_path / "rows" / name).read_bytes(), name
+    facts = (tmp_path / "columns" / "facts.csv").read_bytes()
+    assert facts.startswith(b'"Ci""ty",ItemL0,qty,"pr""ice"\n')
+    assert b'"Re,gion_Ci""ty_000' in facts and b",-" in facts
 
 
 def test_generated_dataset_loads_and_validates(tmp_path):

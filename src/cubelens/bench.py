@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -32,6 +31,7 @@ import numpy as np
 from .analyze import AnalyzeQuery, AnalyzeResult, ROLES, build_facilitators, from_statement
 from .cube import DetailedCube, load_cube
 from .errors import ParseError
+from .hierarchy import coded_column, formatted_column, read_json, write_columns
 from .mqo import STRATEGIES, build_plan, run_strategy
 from .parser import parse
 from .query import CellSet, cell_sets_equal
@@ -95,20 +95,17 @@ def run_analyze(
 # Result rendering
 # ---------------------------------------------------------------------------
 
-def decode_cells(cube: DetailedCube, cells: CellSet) -> tuple[list[str], list[list[str]]]:
-    """Decoded label rows, sorted lexicographically by the grouper labels."""
+def write_cells(fh, cube: DetailedCube, cells: CellSet) -> None:
+    """One facilitator result as CSV on the text stream ``fh``: the header,
+    then the rows sorted lexicographically by the grouper labels."""
     groupers = cells.schema.groupers
-    header = [f"{g.dimension_name}.{g.name}" for g in groupers]
-    header.append(cells.schema.measure_alias)
-    if not len(cells):
-        return header, []
     dicts = [cube.schema.dimension(g.dimension_name).dictionary(g) for g in groupers]
     # Labels are unique within a level, so ordering by label ranks (first
     # grouper most significant) orders by the label tuples.
     order = np.lexsort([d.label_ranks[c] for d, c in zip(dicts[::-1], cells.key_cols[::-1])])
-    cols = [d.label_array[c[order]].tolist() for d, c in zip(dicts, cells.key_cols)]
-    cols.append([str(v) for v in cells.values[order].tolist()])
-    return header, [list(row) for row in zip(*cols)]
+    header = [f"{g.dimension_name}.{g.name}" for g in groupers] + [cells.schema.measure_alias]
+    columns = [coded_column(d.quoted_labels, c[order]) for d, c in zip(dicts, cells.key_cols)]
+    write_columns(fh, header, len(cells), columns + [formatted_column(str, cells.values[order])])
 
 
 def render_result(cube: DetailedCube, result: AnalyzeResult) -> str:
@@ -137,10 +134,7 @@ def render_result(cube: DetailedCube, result: AnalyzeResult) -> str:
             out.write(f"# facilitator: {role} (empty: {slot.reason})\n\n")
             continue
         out.write(f"# facilitator: {role}\n")
-        header, rows = decode_cells(cube, slot.cells)
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        write_cells(out, cube, slot.cells)
         out.write("\n")
     return out.getvalue()
 
@@ -154,13 +148,10 @@ def write_result_files(cube: DetailedCube, result: AnalyzeResult, prefix) -> lis
         slot = result.slots[role]
         path = prefix.parent / f"{prefix.name}_{role}.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
             if slot.cells is None:
                 fh.write(f"# empty: {slot.reason}\n")
             else:
-                header, rows = decode_cells(cube, slot.cells)
-                writer.writerow(header)
-                writer.writerows(rows)
+                write_cells(fh, cube, slot.cells)
         written.append(path)
     return written
 
@@ -182,6 +173,12 @@ class WorkloadSpec:
     warmups: int = 1
     timeout_s: float = 300.0
 
+    def __post_init__(self):
+        if any(q.repetitions < 1 for q in self.queries):
+            raise ParseError("workload repetitions must be >= 1")
+        if not math.isfinite(self.timeout_s):
+            raise ParseError("workload timeout_s must be finite")
+
     @staticmethod
     def from_dict(raw) -> "WorkloadSpec":
         """Raises ParseError unless ``raw`` is an object whose "queries" is a
@@ -191,26 +188,17 @@ class WorkloadSpec:
                 isinstance(q, dict) and isinstance(q.get("text"), str) for q in queries)):
             raise ParseError('a workload is {"queries": [{"text": <statement>, ...}, ...]}')
         try:
-            spec = WorkloadSpec(
+            return WorkloadSpec(
                 [WorkloadQuery(q.get("label", f"q{i}"), q["text"], int(q.get("repetitions", 1)))
                  for i, q in enumerate(queries, start=1)],
                 warmups=int(raw.get("warmups", 1)),
                 timeout_s=float(raw.get("timeout_s", 300.0)))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"workload counts must be numbers: {exc}") from None
-        if any(q.repetitions < 1 for q in spec.queries):
-            raise ParseError("workload repetitions must be >= 1")
-        if not math.isfinite(spec.timeout_s):
-            raise ParseError("workload timeout_s must be finite")
-        return spec
 
     @staticmethod
     def load(path) -> "WorkloadSpec":
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid workload JSON: {exc}") from None
-        return WorkloadSpec.from_dict(raw)
+        return WorkloadSpec.from_dict(read_json(path))
 
 
 REPORT_COLUMNS = [
@@ -230,8 +218,11 @@ def run_workload(
     selector_config: Optional[SelectorConfig] = None,
     timeout_s: Optional[float] = None,
 ) -> list[dict]:
-    """Measure every query x strategy x repetition; returns report rows."""
-    budget_ns = int((timeout_s if timeout_s is not None else spec.timeout_s) * 1e9)
+    """Measure every query x strategy x repetition; returns report rows.
+    ``timeout_s`` overrides the spec's budget and is checked as it is."""
+    if timeout_s is not None:
+        spec = replace(spec, timeout_s=timeout_s)
+    budget_ns = spec.timeout_s * 1e9
     rows: list[dict] = []
     for wq in spec.queries:
         stmt = parse(wq.text, cube.schema)

@@ -35,6 +35,7 @@ from .errors import (
     UnknownMember,
     UnknownMemberLabel,
 )
+from .hierarchy import decoding, read_json
 from .mqo import STRATEGIES
 from .selector import (
     DEFAULT_COVERAGE_THRESHOLD,
@@ -122,7 +123,8 @@ def cmd_load(args) -> int:
 def cmd_query(args) -> int:
     cube, _ = _load(args)
     if args.query_file:
-        text = Path(args.query_file).read_text(encoding="utf-8")
+        with decoding(args.query_file):
+            text = Path(args.query_file).read_text(encoding="utf-8")
     else:
         text = args.query
     result = run_analyze(cube, text, strategy=args.strategy,
@@ -151,8 +153,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gensynth(args) -> int:
-    raw = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-    spec = SynthSpec.from_dict(raw)
+    spec = SynthSpec.from_dict(read_json(args.spec))
     manifest = generate(spec, args.out, seed=args.seed)
     print(json.dumps(manifest, indent=2, sort_keys=True))
     return EXIT_OK
@@ -204,7 +205,7 @@ def main(argv=None) -> int:
         parser.error("query needs --query or --query-file")
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except _DATA_ERRORS as exc:

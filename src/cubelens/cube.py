@@ -11,7 +11,8 @@ The fact CSV is read in chunks of whole lines.  A plain chunk (no quotes, no
 CRs, the header's field count on every line) is decoded a column at a time;
 any other chunk is read record by record with csv.reader, and that row loop
 is the only place load errors are worded, each with the physical line its
-record starts on.  A leading UTF-8 byte order mark is ignored in every file.
+record starts on.  A leading UTF-8 byte order mark is ignored in every file;
+bytes that are not UTF-8, and a field over csv's size limit, are ParseErrors.
 
 Filter evaluation produces row bitsets (boolean arrays over 0..row_count-1)
 so the strategy selector can combine and count regions cheaply.  An atom's
@@ -36,7 +37,6 @@ concurrent readers are fine.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import threading
 from array import array
@@ -62,6 +62,8 @@ from .hierarchy import (
     ALL_LEVEL_NAME,
     Dimension,
     Level,
+    decoding,
+    read_json,
     read_members_csv,
     validate_hierarchy,
 )
@@ -292,12 +294,8 @@ def check_schema_spec(spec, where: str) -> None:
 
 
 def _parse_schema_json(schema_file) -> dict:
-    path = Path(schema_file)
-    try:
-        spec = json.loads(path.read_text(encoding="utf-8-sig"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from None
-    check_schema_spec(spec, f"{path}")
+    spec = read_json(schema_file)
+    check_schema_spec(spec, f"{schema_file}")
     return spec
 
 
@@ -337,6 +335,10 @@ def load_cube(
     delimiter: str = ",",
 ) -> DetailedCube:
     """Load schema JSON + member CSVs + fact CSV into a DetailedCube."""
+    try:
+        csv.reader((), delimiter=delimiter)
+    except TypeError as exc:
+        raise ParseError(f"bad delimiter {delimiter!r}: {exc}") from None
     spec = _parse_schema_json(schema_file)
     schema_dir = Path(schema_file).parent
 
@@ -367,12 +369,14 @@ def load_cube(
 
 
 def _read_facts(fact_file, dimensions, measures, delimiter=","):
-    with open(fact_file, newline="", encoding="utf-8-sig") as fh:
+    with decoding(fact_file), open(fact_file, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ParseError(f"{fact_file}: missing header row") from None
+        except csv.Error as exc:  # a field over csv's size limit
+            raise ParseError(f"{fact_file}:{reader.line_num}: {exc}") from None
         facts = _FactColumns(fact_file, header, dimensions, measures, delimiter)
         line = reader.line_num + 1  # the physical line the next record starts on
         while lines := fh.readlines(FACT_CHUNK_CHARS):
@@ -434,11 +438,14 @@ class _FactColumns:
             return len(lines)
         reader = csv.reader(itertools.chain(lines, more), delimiter=self.delimiter)
         consumed = 0
-        for row in reader:
-            self._add_row(row, first_line + consumed)
-            consumed = reader.line_num
-            if consumed >= len(lines):
-                break
+        try:
+            for row in reader:
+                self._add_row(row, first_line + consumed)
+                consumed = reader.line_num
+                if consumed >= len(lines):
+                    break
+        except csv.Error as exc:  # a field over csv's size limit
+            raise ParseError(f"{self.fact_file}:{first_line + consumed}: {exc}") from None
         return consumed
 
     def _add_columns(self, lines: list[str]) -> bool:

@@ -5,7 +5,8 @@ detailed level (depth 0) up to the single-member ALL level.  Members are
 dictionary-encoded per level as dense integer codes, so ancestor lookup is an
 array index and descendant expansion is a cached, pre-grouped code list.
 Labels appear only at the I/O boundary; everything engine-internal speaks
-codes.
+codes.  Every label-coded CSV the program writes goes through write_columns,
+a column at a time, with each level's labels quoted once.
 
 Dimensions are immutable after construction.  The ancestor/descendant caches
 fill idempotently (same key always maps to the same value), which makes
@@ -15,8 +16,12 @@ concurrent readers safe without locking.
 from __future__ import annotations
 
 import csv
+import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,6 +36,7 @@ from .errors import (
 
 ALL_LEVEL_NAME = "ALL"
 ALL_MEMBER_LABEL = "All"
+WRITE_CHUNK_ROWS = 65_536  # rows formatted and written at once
 
 
 @dataclass(frozen=True)
@@ -75,9 +81,9 @@ class MemberDictionary:
         return self.labels[code]
 
     @cached_property
-    def label_array(self) -> np.ndarray:
-        """The labels as an object array, gathered by code when decoding."""
-        return np.array(self.labels, dtype=object)
+    def quoted_labels(self) -> np.ndarray:
+        """The labels as CSV fields, gathered by code when writing."""
+        return quote_labels(self.labels)
 
     @cached_property
     def label_ranks(self) -> np.ndarray:
@@ -355,17 +361,70 @@ def read_members_csv(
 ) -> Dimension:
     """Load a dimension from its member CSV (header row = level names)."""
     expected = [n for n in level_names if n != ALL_LEVEL_NAME]
-    with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
+    with decoding(path), open(path, newline="", encoding="utf-8-sig") as fh:  # BOM dropped
         reader = csv.reader(fh, delimiter=delimiter)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty member file for dimension {name}") from None
-        header = [h.strip() for h in header]
-        if len(header) == len(expected) + 1 and header[-1].lower() == ALL_LEVEL_NAME.lower():
-            header = header[:-1]
-        if [h.lower() for h in header] != [n.lower() for n in expected]:
-            raise ParseError(
-                f"{path}: header {header} does not match levels {expected} of dimension {name}"
-            )
-        return dimension_from_member_rows(name, expected, reader)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: empty member file for dimension {name}")
+            header = [h.strip() for h in header]
+            if len(header) == len(expected) + 1 and header[-1].lower() == ALL_LEVEL_NAME.lower():
+                header = header[:-1]
+            if [h.lower() for h in header] != [n.lower() for n in expected]:
+                raise ParseError(f"{path}: header {header} does not match levels {expected} "
+                                 f"of dimension {name}")
+            return dimension_from_member_rows(name, expected, reader)
+        except csv.Error as exc:  # a field over csv's size limit
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+@contextmanager
+def decoding(path):
+    """Reads of ``path`` inside this block that meet bytes which are not
+    UTF-8 raise ParseError naming the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
+
+
+def read_json(path):
+    """The JSON value in the file ``path``, a leading byte order mark
+    dropped; ParseError naming the file unless it is UTF-8 JSON."""
+    try:
+        with decoding(path):
+            return json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
+        raise ParseError(f"{path}: invalid JSON: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# Writing
+# ---------------------------------------------------------------------------
+
+def quote_labels(labels) -> np.ndarray:
+    """Each label as csv.writer writes it as a field of a row, as an object
+    array to gather by code.  The field does not depend on its row, except
+    that an empty label alone in a row would be quoted."""
+    echo = csv.writer(SimpleNamespace(write=str), lineterminator="\n")  # writerow returns the line
+    return np.asarray([echo.writerow((label, ""))[:-2] for label in labels], dtype=object)
+
+
+def coded_column(quoted: np.ndarray, codes: np.ndarray):
+    """Labels given by code: a chunk of rows is a gather of the quoted labels."""
+    return lambda start, stop: quoted[codes[start:stop]].tolist()
+
+
+def formatted_column(fmt, values: np.ndarray):
+    """Numbers, each chunk formatted by one map."""
+    return lambda start, stop: list(map(fmt, values[start:stop].tolist()))
+
+
+def write_columns(fh, header: Sequence[str], rows: int, columns) -> None:
+    """Write a header and ``rows`` rows to the text stream ``fh``,
+    WRITE_CHUNK_ROWS at a time: each column gives a chunk's fields as text,
+    and a row is their ",".join, as csv.writer would write it."""
+    csv.writer(fh, lineterminator="\n").writerow(header)
+    for start in range(0, rows, WRITE_CHUNK_ROWS):
+        fields = [column(start, start + WRITE_CHUNK_ROWS) for column in columns]
+        fh.write("\n".join(map(",".join, zip(*fields))) + "\n")

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -147,7 +148,10 @@ class Lattice:
     """The cuboids of one cube, chosen and built when the cube is built."""
 
     def __init__(self, cube):
-        self.cube = cube
+        # Weak, so that a cube and its lattice, whose routes name the cube,
+        # form no reference cycle: a dropped cube is freed at once, with its
+        # filter caches, not at some later full garbage collection.
+        self.cube = weakref.proxy(cube)
         dims = cube.schema.dimensions
         measures = [m.name for m in cube.schema.measures]
         self._dim_index = {d.name: i for i, d in enumerate(dims)}

@@ -399,7 +399,7 @@ def cube_usable(q_base: CubeQuery, q_new: CubeQuery):
     with ids (i)-(vi)."""
     checks: list[tuple[str, bool, str]] = []
 
-    same_cube = q_base.cube is q_new.cube
+    same_cube = q_base.cube == q_new.cube  # a cuboid's query holds a proxy of its cube
     checks.append(("i", same_cube, "same detailed cube" if same_cube else "different detailed cubes"))
 
     problems = []

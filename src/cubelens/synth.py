@@ -7,15 +7,14 @@ workload can pick filter values with very different selectivities.  Fact
 coordinates are drawn uniformly over the detailed members.  The same spec and
 seed always produce byte-identical files.
 
-CSVs are written a column at a time: each level's labels are quoted once by
-csv.writer, each measure column is formatted by one map, and each chunk of
-rows is joined with ",".join, so the bytes are csv.writer's.
+CSVs are written a column at a time by hierarchy.write_columns: each level's
+labels are quoted once by csv.writer, each measure column is formatted by one
+map, and each chunk of rows is joined with ",".join, so the bytes are
+csv.writer's.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -25,9 +24,13 @@ import numpy as np
 
 from .cube import check_schema_spec
 from .errors import InvalidSpec, SchemaMismatch
-from .hierarchy import ALL_LEVEL_NAME
-
-WRITE_CHUNK_ROWS = 65_536  # rows formatted and written at once
+from .hierarchy import (
+    ALL_LEVEL_NAME,
+    coded_column,
+    formatted_column,
+    quote_labels,
+    write_columns,
+)
 
 
 @dataclass
@@ -184,42 +187,6 @@ def _labels(dim: DimensionSpec, level_name: str, count: int) -> np.ndarray:
     return np.asarray([f"{dim.name}_{level_name}_{i:05d}" for i in range(count)])
 
 
-def _quoted(labels) -> list[str]:
-    """Each label as csv.writer writes it as one field of a longer row; a
-    one-field row is written the same, since no generated label is empty."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    out = []
-    for label in labels:
-        buf.seek(0)
-        buf.truncate()
-        writer.writerow((label, ""))
-        out.append(buf.getvalue()[:-2])  # drop the empty field's "," and the "\n"
-    return out
-
-
-def _coded(labels, codes):
-    """A column of labels given by code: each label is quoted once, and a
-    chunk of rows is a gather of the quoted table."""
-    table = np.asarray(_quoted(labels), dtype=object)
-    return lambda start, stop: table[codes[start:stop]].tolist()
-
-
-def _formatted(fmt, values):
-    """A column of numbers, each chunk formatted by one map."""
-    return lambda start, stop: list(map(fmt, values[start:stop].tolist()))
-
-
-def _write_csv(path, header, rows: int, columns) -> None:
-    """Write a header and ``rows`` rows, WRITE_CHUNK_ROWS at a time: each
-    column gives a chunk's fields as text, and a row is their ",".join."""
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        for start in range(0, rows, WRITE_CHUNK_ROWS):
-            fields = [column(start, start + WRITE_CHUNK_ROWS) for column in columns]
-            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
-
-
 def generate(spec: SynthSpec, out_dir, seed: int | None = None) -> dict:
     """Write the dataset files; returns a manifest of what was produced.
     A spec whose schema the loader would reject raises InvalidSpec before
@@ -241,15 +208,15 @@ def generate(spec: SynthSpec, out_dir, seed: int | None = None) -> dict:
     out.mkdir(parents=True, exist_ok=True)
 
     manifest = {"name": spec.name, "facts": spec.facts, "dimensions": {}, "files": []}
-    detailed_labels = {}
+    detailed = {}  # each dimension's quoted detailed labels
     for dim, dspec in zip(spec.dimensions, schema["dimensions"]):
         names = dim.names()
-        paths = _member_paths(dim)
-        level_labels = [_labels(dim, nm, size) for nm, size in zip(names, dim.level_sizes)]
-        detailed_labels[dim.name] = level_labels[0]
+        quoted = [quote_labels(_labels(dim, nm, size)) for nm, size in zip(names, dim.level_sizes)]
+        detailed[dim.name] = quoted[0]
         member_file = dspec["members"]
-        _write_csv(out / member_file, names, dim.level_sizes[0],
-                   [_coded(labels, path) for labels, path in zip(level_labels, paths)])
+        with open(out / member_file, "w", newline="\n", encoding="utf-8") as fh:
+            write_columns(fh, names, dim.level_sizes[0],
+                          list(map(coded_column, quoted, _member_paths(dim))))
         manifest["dimensions"][dim.name] = dim.level_sizes[0]
         manifest["files"].append(member_file)
 
@@ -262,12 +229,12 @@ def generate(spec: SynthSpec, out_dir, seed: int | None = None) -> dict:
         else:
             measure_values[m.name] = np.round(rng.uniform(m.low, m.high, spec.facts), 2)
 
-    columns = [_coded(detailed_labels[d.name], coords[d.name]) for d in spec.dimensions]
-    columns += [_formatted(str if m.kind == "integer" else "{:.2f}".format,
-                           measure_values[m.name]) for m in spec.measures]
-    _write_csv(out / "facts.csv",
-               [d.names()[0] for d in spec.dimensions] + [m.name for m in spec.measures],
-               spec.facts, columns)
+    columns = [coded_column(detailed[d.name], coords[d.name]) for d in spec.dimensions]
+    columns += [formatted_column(str if m.kind == "integer" else "{:.2f}".format,
+                                 measure_values[m.name]) for m in spec.measures]
+    with open(out / "facts.csv", "w", newline="\n", encoding="utf-8") as fh:
+        write_columns(fh, [d.names()[0] for d in spec.dimensions] + [m.name for m in spec.measures],
+                      spec.facts, columns)
     manifest["files"].append("facts.csv")
 
     with open(out / "schema.json", "w", newline="\n", encoding="utf-8") as fh:

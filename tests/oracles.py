@@ -5,7 +5,7 @@ no code with the engine.  The engine's dictionary-encoded, vectorized
 results are compared against these after decoding.  ResultMap/update_map is
 the reference fold: merged tuples folded one at a time into per-role maps.
 decode_cells is the reference renderer: one label lookup per cell, then a
-sort of the label rows.
+sort of the label rows; cells_csv writes those rows through csv.writer.
 
 The helpers at the end (cell_dict, desc, siblings_under_parent, filter_rows,
 detailed_proxy, grouper_domain) read the engine's own encodings; the engine
@@ -19,6 +19,7 @@ the engine's column-at-a-time loader and writer must match them exactly.
 """
 
 import csv
+import io
 import json
 import math
 import operator
@@ -80,6 +81,16 @@ def decode_cells(cube, cells):
         rows.append(labels)
     rows.sort(key=lambda r: r[:-1])
     return header, rows
+
+
+def cells_csv(cube, cells):
+    """decode_cells' header and rows as csv.writer writes them."""
+    header, rows = decode_cells(cube, cells)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 class HierarchyOracle:

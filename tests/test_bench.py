@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 import sys
 from collections import Counter
@@ -9,7 +11,6 @@ from cubelens import mqo
 from cubelens.analyze import ROLES
 from cubelens.bench import (
     WorkloadSpec,
-    decode_cells,
     render_result,
     run_analyze,
     run_workload,
@@ -51,30 +52,43 @@ def test_auto_with_forced_thresholds(walkthrough_cube):
     assert result.strategy_used == "max"
 
 
-def test_decoded_rows_sorted(foodmart_cube):
+def sections(text):
+    """A rendered result without its comment header: the five facilitator
+    sections."""
+    return text[text.index("# facilitator: "):]
+
+
+def test_rendered_rows_sorted(foodmart_cube):
     result = run_analyze(foodmart_cube, REFERENCE_QUERY, strategy="min")
-    header, rows = decode_cells(foodmart_cube, result.slots["org"].cells)
-    assert header[-1] == "SumSales_org"
+    org = sections(render_result(foodmart_cube, result)).split("\n\n")[0]
+    header, *rows = csv.reader(io.StringIO(org.split("\n", 1)[1]))
+    assert header[-1] == "SumSales_org" and len(rows) > 1
     assert rows == sorted(rows, key=lambda r: r[:-1])
 
 
 def _relabelled(rng, tables):
     """The same dataset with random labels, so label order differs from code
-    order at every level."""
+    order at every level.  Labels hold commas, quotes, newlines and
+    non-ASCII text, and one member of D0's top level is the empty label."""
     names = {}
 
     def fresh(label):
         if label not in names:
-            names[label] = "".join(rng.choice("abcxyz") for _ in range(6)) + f"#{len(names)}"
+            names[label] = ("x" + "".join(rng.choice('ab,"\né€') for _ in range(6))
+                            + f"#{len(names)}")
         return names[label]
 
     tables.dims = {name: (levels, [tuple(fresh(x) for x in row) for row in rows])
                    for name, (levels, rows) in tables.dims.items()}
     tables.fact_rows = [{d: fresh(x) for d, x in row.items()} for row in tables.fact_rows]
+    levels, rows = tables.dims["D0"]
+    empty = rows[0][-1]
+    tables.dims["D0"] = (levels, [row[:-1] + ("" if row[-1] == empty else row[-1],)
+                                  for row in rows])
     return tables
 
 
-def test_decode_cells_matches_reference_renderer():
+def test_render_matches_reference_renderer(tmp_path):
     rng = random.Random(163)
     checked = set()
     for i in range(40):
@@ -84,11 +98,24 @@ def test_decode_cells_matches_reference_renderer():
             tables.fact_measures["m"] = [v / 7 for v in tables.fact_measures["m"]]
         cube = build_cube(tables)
         result = run_analyze(cube, random_analyze(rng, cube), strategy="max")
-        for slot in result.slots.values():
-            if slot.cells is not None:
-                assert decode_cells(cube, slot.cells) == oracles.decode_cells(cube, slot.cells)
-                checked.add((len(slot.cells) > 1, i % 2))
-    assert checked == {(True, 0), (True, 1), (False, 0), (False, 1)}
+        expect = []
+        for role in ROLES:
+            cells = result.slots[role].cells
+            if cells is None:
+                expect.append((f"# facilitator: {role} (empty: {result.slots[role].reason})\n\n",
+                               f"# empty: {result.slots[role].reason}\n"))
+                continue
+            text = oracles.cells_csv(cube, cells)
+            expect.append((f"# facilitator: {role}\n{text}\n", text))
+            labels = {cube.schema.dimension(g.dimension_name).member_label(g, code)
+                      for g, col in zip(cells.schema.groupers, cells.key_cols)
+                      for code in col.tolist()}
+            checked.add((len(cells) > 1, i % 2, "" in labels, any('"' in x for x in labels)))
+        assert sections(render_result(cube, result)) == "".join(s for s, _ in expect)
+        files = write_result_files(cube, result, tmp_path / f"r{i}" / "out")
+        assert [f.read_bytes() for f in files] == [t.encode() for _, t in expect]
+    assert {c[:2] for c in checked} == {(True, 0), (True, 1), (False, 0), (False, 1)}
+    assert any(c[2] for c in checked) and any(c[3] for c in checked)
 
 
 def test_render_sections_order(foodmart_cube):
@@ -189,8 +216,9 @@ def test_bad_workload_rejected(tmp_path):
 
 def test_concurrent_readers_match_serial():
     """Four threads run the same requests on one fresh cube, racing to fill
-    its mask, descendant, scaled-table and label caches; every result equals
-    the serial one, and no fact scan goes uncounted."""
+    its mask, descendant, scaled-table, label-rank and quoted-label caches;
+    every result and its rendered text equal the serial ones, and no fact
+    scan goes uncounted."""
     tables = random_tables(random.Random(151), max_facts=2000)
     strategies = ("auto", "min", "mid", "max")
 
@@ -202,8 +230,7 @@ def test_concurrent_readers_match_serial():
         out = {}
         for i, s in jobs:
             result = run_analyze(cube, requests[i], strategy=s)
-            out[i, s] = result, [decode_cells(cube, result.slots[role].cells) for role in ROLES
-                                 if result.slots[role].cells is not None]
+            out[i, s] = result, sections(render_result(cube, result))
         return out
 
     serial_cube = build_cube(tables)
@@ -220,9 +247,9 @@ def test_concurrent_readers_match_serial():
 
     for results in threaded:
         assert results.keys() == serial.keys()
-        for key, (result, decoded) in results.items():
-            expect, expect_decoded = serial[key]
-            assert decoded == expect_decoded, key
+        for key, (result, rendered) in results.items():
+            expect, expect_rendered = serial[key]
+            assert rendered == expect_rendered, key
             assert result.strategy_used == expect.strategy_used, key
             for role in ROLES:
                 a, b = result.slots[role].cells, expect.slots[role].cells

@@ -533,3 +533,109 @@ def test_any_workload_json_exits_0_2_or_3(data_copy):
                             "--report", str(data_copy / "report.csv")]) == expected
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# Malformed bytes, oversized fields and bad options
+# ---------------------------------------------------------------------------
+
+def _own_copy(foodmart_dir, out):
+    for src in foodmart_dir.iterdir():
+        (out / src.name).write_bytes(src.read_bytes())
+    return out / "schema.json"
+
+
+def _append(path, data: bytes):
+    path.write_bytes(path.read_bytes() + data)
+    return path
+
+
+@pytest.mark.parametrize("target", ["schema.json", "Store_members.csv", "facts.csv",
+                                    "workload", "spec", "query-file"])
+def test_bytes_that_are_not_utf8_exit_2(foodmart_dir, tmp_path, capsys, target):
+    schema = _own_copy(foodmart_dir, tmp_path)
+    workload = tmp_path / "w.json"
+    workload.write_text(json.dumps({"queries": [{"text": REFERENCE_QUERY}]}))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SYNTH_SPEC))
+    query = tmp_path / "q.txt"
+    query.write_text(REFERENCE_QUERY)
+    argv = {
+        "workload": ["bench", "--schema", str(schema), "--workload", str(workload),
+                     "--report", str(tmp_path / "r.csv")],
+        "spec": ["gensynth", "--spec", str(spec), "--out", str(tmp_path / "gen")],
+        "query-file": ["query", "--schema", str(schema), "--query-file", str(query)],
+    }.get(target, ["load", "--schema", str(schema)])
+    name = {"workload": workload, "spec": spec, "query-file": query}.get(target, tmp_path / target)
+    _append(name, b"\xff")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{name}: not UTF-8 text" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("target, line", [("Store_members.csv", 6), ("facts.csv", 242)])
+def test_field_over_csv_size_limit_exits_2(foodmart_dir, tmp_path, capsys, target, line):
+    schema = _own_copy(foodmart_dir, tmp_path)
+    path = tmp_path / target
+    assert path.read_text().count("\n") == line - 1
+    _append(path, b"S9," + b" " * 200_000 + b"5\n")
+    assert main(["load", "--schema", str(schema)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:{line}: field larger than field limit" in err
+
+
+@pytest.mark.parametrize("delimiter", [";;", ""])
+def test_bad_delimiter_exits_2_before_any_file_is_read(tmp_path, capsys, delimiter):
+    missing = tmp_path / "none" / "schema.json"
+    assert main(["load", "--schema", str(missing), "--delimiter", delimiter]) == 2
+    assert "bad delimiter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_bench_non_finite_timeout_exits_2(foodmart_dir, tmp_path, capsys, value):
+    workload = tmp_path / "w.json"
+    workload.write_text(json.dumps({"queries": [{"text": REFERENCE_QUERY}]}))
+    rc = main(["bench", "--data-dir", str(foodmart_dir), "--workload", str(workload),
+               "--report", str(tmp_path / "r.csv"), "--timeout-s", value])
+    assert rc == 2
+    assert "timeout_s must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+FUZZ_BYTES = [b",", b'"', b"\r", b"\n", b"\x00", b"\xff", b"\xef\xbb\xbf", b"9" * 25,
+              b"7" * 131_073]  # the last is one field over csv's default size limit
+
+
+def test_any_data_file_bytes_exit_0_2_3_or_4(foodmart_dir, tmp_path_factory):
+    """Byte-level edits of the schema JSON, a member CSV or the fact CSV:
+    load and one query end in an exit code, never a traceback."""
+    work = tmp_path_factory.mktemp("bytes")
+    originals = {p.name: p.read_bytes() for p in foodmart_dir.iterdir()}
+
+    @st.composite
+    def edited(draw):
+        name = draw(st.sampled_from(sorted(originals)))
+        data = bytearray(originals[name])
+        for _ in range(draw(st.integers(1, 4))):
+            at = draw(st.integers(0, len(data)))
+            chunk = draw(st.sampled_from(FUZZ_BYTES))
+            op = draw(st.sampled_from(["insert", "delete", "replace"]))
+            if op == "insert":
+                data[at:at] = chunk
+            elif op == "delete":
+                del data[at:at + draw(st.integers(1, 8))]
+            else:
+                data[at:at + len(chunk)] = chunk
+        return name, bytes(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(edited())
+    def check(edit):
+        for name, data in originals.items():
+            (work / name).write_bytes(edit[1] if name == edit[0] else data)
+        schema = str(work / "schema.json")
+        assert _quiet_main(["load", "--schema", schema]) in (0, 2, 3, 4)
+        query = ["query", "--schema", schema, "--query", REFERENCE_QUERY]
+        assert _quiet_main(query) in (0, 2, 3, 4)
+
+    check()

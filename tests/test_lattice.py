@@ -2,11 +2,13 @@
 answering roles from cuboids exactly as forced Min-MQO does."""
 
 import dataclasses
+import gc
 import itertools
 import math
 import random
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -455,6 +457,24 @@ def test_build_scans_count_apart_from_request_scans():
     assert cube.exec_stats.build_scans >= 1 and cube.exec_stats.fact_scans == 0
     fresh = DetailedCube(cube.schema, cube.coordinates, cube.measure_columns)
     assert fresh.exec_stats.build_scans == cube.exec_stats.build_scans
+
+
+def test_dropped_cube_is_freed_without_a_garbage_collection(foodmart_cube):
+    """The lattice holds its cube weakly, so a cube whose last reference
+    goes is freed at once with its filter caches, as a session that swaps
+    in a fresh cube expects."""
+    cube = DetailedCube(foodmart_cube.schema, foodmart_cube.coordinates,
+                        foodmart_cube.measure_columns)
+    result = run_analyze(cube, REFERENCE_QUERY)
+    assert len(cube.lattice) and cube._condition_masks
+    render_result(cube, result)
+    alive = weakref.ref(cube)
+    gc.disable()
+    try:
+        del cube, result
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_load_banner_ends_with_the_cuboids(tmp_path):

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from cubelens import synth
+from cubelens import hierarchy
 from cubelens.cube import load_cube
 from cubelens.errors import InvalidSpec
 from cubelens.hierarchy import validate_hierarchy
@@ -66,9 +66,9 @@ QUOTING_SPEC = {
 }
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 333, synth.WRITE_CHUNK_ROWS])
+@pytest.mark.parametrize("chunk_rows", [1, 333, hierarchy.WRITE_CHUNK_ROWS])
 def test_writer_matches_rowwise_reference(tmp_path, monkeypatch, chunk_rows):
-    monkeypatch.setattr(synth, "WRITE_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(hierarchy, "WRITE_CHUNK_ROWS", chunk_rows)
     spec = SynthSpec.from_dict(QUOTING_SPEC)
     manifest = generate(spec, tmp_path / "columns")
     generate_rowwise(spec, tmp_path / "rows")

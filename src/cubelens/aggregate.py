@@ -69,14 +69,15 @@ def _pack(cols: Sequence[np.ndarray], sizes: Sequence[int]):
 
 
 def unpack(keys: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
-    """Split packed keys back into one code column per key domain."""
-    out: list[np.ndarray] = []
-    rest = keys
-    for size in reversed([max(int(s), 1) for s in sizes[1:]]):
-        rest, digit = np.divmod(rest, size)
-        out.append(digit)
-    out.append(rest)
-    out.reverse()
+    """Split packed keys back into one code column per key domain.  The keys
+    are non-negative, so each digit is the key less its floor quotient times
+    the domain size: numpy's int64 divmod takes several times longer."""
+    out = [keys] * len(sizes)
+    for i in range(len(sizes) - 1, 0, -1):
+        size = max(int(sizes[i]), 1)
+        high = out[0] // size
+        out[i] = out[0] - high * size
+        out[0] = high
     return out
 
 
@@ -102,14 +103,14 @@ def _check_int64_sums(values: np.ndarray, fold) -> None:
         raise SumOverflow("an integer sum leaves the int64 range")
 
 
-def _sum_exact(keys, values, minlength, bound):
-    """Per-key sums, exact for int64 inputs; ``bound`` on the sum of |values|
-    decides whether float64 sums are exact."""
+def _sum_exact(keys, values, minlength, bound, uniq):
+    """The sums of the keys ``uniq``, exact for int64 inputs; ``bound`` on
+    the sum of |values| decides whether float64 sums are exact."""
     if values.dtype.kind == "f":
-        return np.bincount(keys, weights=values, minlength=minlength)
+        return np.bincount(keys, weights=values, minlength=minlength)[uniq]
     if bound < EXACT_FLOAT_SUM:  # float64 sums of integers stay exact
         sums = np.bincount(keys, weights=values.astype(np.float64), minlength=minlength)
-        return sums.astype(np.int64)
+        return sums[uniq].astype(np.int64)
 
     def add_at(col):
         acc = np.zeros(minlength, dtype=np.int64)
@@ -117,7 +118,7 @@ def _sum_exact(keys, values, minlength, bound):
         return acc
 
     _check_int64_sums(values, add_at)
-    return add_at(values)
+    return add_at(values)[uniq]
 
 
 def fold_path(n: int, space: int | None, op: str) -> str:
@@ -213,12 +214,11 @@ def _dense_reduce(keys, space, sizes, values, op, bound):
         acc = np.bincount(keys, minlength=space)
         uniq = acc.nonzero()[0]
         return unpack(uniq, sizes), acc[uniq].astype(np.int64)
+    touched = np.zeros(space, dtype=bool)
+    touched[keys] = True
+    uniq = touched.nonzero()[0]
     if op == "sum":
-        acc = _sum_exact(keys, values, space, bound)
-        touched = np.zeros(space, dtype=bool)
-        touched[keys] = True
-        uniq = touched.nonzero()[0]
-        return unpack(uniq, sizes), acc[uniq]
+        return unpack(uniq, sizes), _sum_exact(keys, values, space, bound, uniq)
     if values.dtype.kind == "f":
         sentinel = np.inf if op == "min" else -np.inf
         acc = np.full(space, sentinel, dtype=values.dtype)
@@ -226,7 +226,4 @@ def _dense_reduce(keys, space, sizes, values, op, bound):
         info = np.iinfo(values.dtype)
         acc = np.full(space, info.max if op == "min" else info.min, dtype=values.dtype)
     (np.minimum if op == "min" else np.maximum).at(acc, keys, values)
-    touched = np.zeros(space, dtype=bool)
-    touched[keys] = True
-    uniq = touched.nonzero()[0]
     return unpack(uniq, sizes), acc[uniq]

@@ -14,15 +14,26 @@ is the only place load errors are worded, each with the physical line its
 record starts on.  A leading UTF-8 byte order mark is ignored in every file;
 bytes that are not UTF-8, and a field over csv's size limit, are ParseErrors.
 
-Filter evaluation produces row bitsets (boolean arrays over 0..row_count-1)
-so the strategy selector can combine and count regions cheaply.  An atom's
-bitset is a per-member table over the detailed level, gathered through the
-coordinate column.  Per-atom bitsets are cached after first use: the five
-facilitator queries of one request share atoms heavily.  A condition's
-bitset is cached, and so is its row count, so counting a region twice is
-free.  The count is read from a count cuboid of the cube's lattice
-(lattice.Lattice, built with the cube) when one can express its atoms, so
-counting it builds no bitset; else it is the popcount of the bitset.
+Row selection (condition_rows) takes one of two paths, chosen by
+index_slice from the size of the condition's smallest atom alone.  The cube
+keeps a row index (RowIndex): per dimension, the row ids sorted by the
+hierarchy path of each fact's detailed member, coarsest level first, so
+that every member at every level owns one contiguous slice.  A condition
+whose smallest atom's slice holds at most INDEX_SHARE of the rows reads that
+slice (the union of its values' slices), keeps the rows whose members the
+other atoms hold, gathered at those rows only, and sorts them: work in
+proportion to the region, not to the cube.  Every other condition takes
+the bitset path: boolean arrays over 0..row_count-1, one per atom (a
+per-member table over the detailed level, gathered through the coordinate
+column), ANDed.  Atom and condition bitsets are cached after first use: the
+five facilitator queries of one request share atoms heavily.  Both paths
+give the same ascending row ids.
+
+A condition's row count is cached.  It is a sum of slice sizes for a single
+atom, else read from a count cuboid of the cube's lattice (lattice.Lattice,
+built with the cube) when one can express its atoms, else the length of its
+index rows on the index path, else the popcount of its bitset; only the
+last builds one.
 
 Scans read coordinates through per-member tables too: ``rolled_column``
 gathers the selected rows' codes through a cached int64 table holding each
@@ -30,17 +41,19 @@ detailed member's ancestor code at a level, times a scale (the dimension's
 stride in a packed group key).  Each measure's peak |value| is recorded once,
 when the cube is built, so a scan bounds its sums without a pass over them.
 
-The cube is immutable after load; the caches fill idempotently, so
-concurrent readers are fine.
+The cube, its row index and its lattice are immutable after load; the
+caches fill idempotently, so concurrent readers are fine.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 import threading
 from array import array
 from dataclasses import dataclass, field
+from decimal import Decimal
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -70,6 +83,13 @@ from .hierarchy import (
 
 MEASURE_KINDS = ("integer", "decimal")
 FACT_CHUNK_CHARS = 1 << 17  # the fact loader reads whole lines in chunks of about this size
+# A condition whose smallest atom selects at most this share of the rows is
+# read through the row index; wider ones through bitsets.  Both are exact,
+# so the share decides cost only: sorting a slice costs more per row than a
+# pass over a bitset, and a narrow slice has few rows.
+INDEX_SHARE = 1 / 16
+EXCERPT_CHARS = 40  # of a fact field quoted in a load error
+_INTEGER_LITERAL = re.compile(r"[+-]?\d+(?:_\d+)*")  # what int() reads, once stripped
 
 
 @dataclass(frozen=True)
@@ -138,6 +158,27 @@ class ExecStats:
             self.fact_scans += 1
 
 
+def _parse_int(text: str) -> int:
+    """int(text), also past Python's limit on the digits of a string it
+    converts (4,300 by default): a longer integer literal is read through
+    Decimal, so that it is reported as too large, not as malformed, and a
+    zero-padded value in range still loads.  ValueError for anything else."""
+    try:
+        return int(text)
+    except ValueError:
+        if _INTEGER_LITERAL.fullmatch(text) is None:
+            raise
+        return int(Decimal(text))
+
+
+def _excerpt(field: str) -> str:
+    """A field as an error message shows it: quoted, cut after
+    EXCERPT_CHARS characters."""
+    if len(field) <= EXCERPT_CHARS:
+        return repr(field)
+    return f"{field[:EXCERPT_CHARS]!r}... ({len(field)} characters)"
+
+
 def _check_distinct(where: str, what: str, names: Sequence[str]) -> None:
     """Raise SchemaMismatch when two of ``names`` differ only in case: names
     resolve case-insensitively."""
@@ -150,6 +191,51 @@ def _check_distinct(where: str, what: str, names: Sequence[str]) -> None:
 
 def _condition_key(atoms: Sequence[tuple[Level, Sequence[int]]]) -> tuple:
     return tuple(sorted((lv.dimension_name, lv.depth, tuple(codes)) for lv, codes in atoms))
+
+
+class RowIndex:
+    """One dimension's row ids in hierarchy order: ``rows`` sorts them
+    stably by the path rank of each fact's detailed member, coarsest level
+    first, so the facts under member m at depth d are the slice
+    rows[starts[d][m]:ends[d][m]] (empty for a member without facts), each
+    detailed member's run in ascending row order."""
+
+    def __init__(self, dim: Dimension, coords: np.ndarray):
+        n0 = dim.detailed_level.member_count
+        # Detailed members in path order: lexsort's last key, the coarsest
+        # level below ALL, is its primary one.
+        order = np.lexsort([dim.anc_array(0, depth) for depth in range(len(dim.levels) - 1)])
+        rank = np.empty(n0, dtype=np.min_scalar_type(max(n0 - 1, 0)))
+        rank[order] = np.arange(n0)
+        key = rank[coords]  # 16 bits or fewer below 65,537 members: numpy radix-sorts it
+        self.rows = np.argsort(key, kind="stable")
+        edges = np.zeros(n0 + 1, dtype=np.int64)  # each path position's first fact
+        np.cumsum(np.bincount(key, minlength=n0), out=edges[1:])
+        self.starts, self.ends = [], []
+        for level in dim.levels:
+            starts = np.zeros(level.member_count, dtype=np.int64)
+            ends = np.zeros(level.member_count, dtype=np.int64)
+            if n0:
+                up = dim.anc_array(0, level.depth)[order]  # a run per member with descendants
+                first = np.flatnonzero(np.concatenate(([True], up[1:] != up[:-1])))
+                starts[up[first]] = edges[first]
+                ends[up[first]] = edges[np.append(first[1:], n0)]
+            self.starts.append(starts)
+            self.ends.append(ends)
+
+    def size(self, depth: int, codes: Sequence[int]) -> int:
+        """The facts under ``codes`` at ``depth``."""
+        if len(codes) == 1:
+            return self.ends[depth].item(codes[0]) - self.starts[depth].item(codes[0])
+        return int((self.ends[depth][list(codes)] - self.starts[depth][list(codes)]).sum())
+
+    def slice_rows(self, depth: int, codes: Sequence[int]) -> np.ndarray:
+        """The ids of the facts under ``codes`` at ``depth``, unsorted (a view
+        for one code)."""
+        starts, ends = self.starts[depth], self.ends[depth]
+        if len(codes) == 1:
+            return self.rows[starts[codes[0]]:ends[codes[0]]]
+        return np.concatenate([self.rows[starts[c]:ends[c]] for c in codes])
 
 
 class DetailedCube:
@@ -178,8 +264,10 @@ class DetailedCube:
         self.exec_stats = ExecStats()
         self._atom_mask_cache: dict[tuple, np.ndarray] = {}
         self._condition_masks: dict[tuple, np.ndarray] = {}
-        self._condition_counts: dict[tuple, int] = {}  # from a bitset or from a cuboid
+        self._condition_counts: dict[tuple, int] = {}  # from the index, a cuboid or a bitset
         self._scaled_tables: dict[tuple[str, int, int], np.ndarray] = {}
+        self.row_index = {d.name: RowIndex(d, self.coordinates[d.name])
+                          for d in schema.dimensions}
         from .lattice import Lattice  # lattice builds on query, which imports this module
         self.lattice = Lattice(self)
 
@@ -229,16 +317,64 @@ class DetailedCube:
             cached = self._condition_masks.setdefault(key, mask)
         return cached
 
+    def index_slice(self, condition) -> tuple[int, int] | None:
+        """The path row selection takes for a SelectionCondition: (position,
+        facts) of its smallest atom when that atom's slice of the row index
+        holds at most INDEX_SHARE of the rows, so the index path reads it;
+        None for the bitset path.  Decided from slice sizes alone."""
+        best = None
+        for i, (level, codes) in enumerate(condition.mask_atoms()):
+            size = self.row_index[level.dimension_name].size(level.depth, codes)
+            if best is None or size < best[1]:
+                best = (i, size)
+        if best is None or best[1] > INDEX_SHARE * self.row_count:
+            return None
+        return best
+
+    def _index_rows(self, atoms, first: int) -> np.ndarray:
+        """The rows of a condition read through the row index: the slice of
+        ``atoms[first]``, kept where every other atom holds the row's
+        detailed member.  Unsorted."""
+        level, codes = atoms[first]
+        rows = self.row_index[level.dimension_name].slice_rows(level.depth, codes)
+        for i, (level, codes) in enumerate(atoms):
+            if i == first or level.is_all or not len(rows):
+                continue
+            dim = self.schema.dimension(level.dimension_name)
+            up = dim.anc_array(0, level.depth)
+            table = up == codes[0] if len(codes) == 1 else np.isin(up, codes)
+            rows = rows[table[self.coordinates[dim.name][rows]]]
+        return rows
+
+    def condition_rows(self, condition) -> np.ndarray:
+        """The ascending ids of the rows a SelectionCondition selects,
+        through the row index or the condition's bitset (index_slice)."""
+        pick = self.index_slice(condition)
+        if pick is None:
+            return np.flatnonzero(self.condition_mask(condition.mask_atoms()))
+        # the ids are distinct, so sorting gives flatnonzero's order exactly
+        return np.sort(self._index_rows(condition.mask_atoms(), pick[0]))
+
     def condition_count(self, condition) -> int:
-        """Rows selected by a SelectionCondition, cached: a count read from
-        the cuboid lattice, else the popcount of its bitset."""
+        """Rows selected by a SelectionCondition, cached: the size of a
+        single atom's slices, else a count read from the cuboid lattice,
+        else the length of its index rows on the index path, else the
+        popcount of its bitset."""
         key = condition.mask_key
         count = self._condition_counts.get(key)
         if count is None:
-            count = self.lattice.count(condition)
-            if count is None:
-                self.condition_mask(condition.mask_atoms())  # builds the mask, books its count
-                return self._condition_counts[key]
+            atoms = condition.mask_atoms()
+            if not atoms:
+                count = self.row_count
+            elif len(atoms) == 1:
+                level, codes = atoms[0]
+                count = self.row_index[level.dimension_name].size(level.depth, codes)
+            elif (count := self.lattice.count(condition)) is None:
+                pick = self.index_slice(condition)
+                if pick is None:
+                    self.condition_mask(atoms)  # builds the mask, books its count
+                    return self._condition_counts[key]
+                count = len(self._index_rows(atoms, pick[0]))
             count = self._condition_counts.setdefault(key, count)
         return count
 
@@ -495,7 +631,7 @@ class _FactColumns:
                 self.coord_acc[dim.name].append(self.dicts[dim.name][label])
             except KeyError:
                 raise UnknownMemberLabel(
-                    f"{fact_file}:{lineno}: unknown member {label!r} "
+                    f"{fact_file}:{lineno}: unknown member {_excerpt(label)} "
                     f"for dimension {dim.name}"
                 ) from None
         for low, idx in self.measure_cols.items():
@@ -505,13 +641,13 @@ class _FactColumns:
             acc = self.m_acc[low]
             if acc.typecode == "q":
                 try:
-                    acc.append(int(text))
+                    acc.append(_parse_int(text))
                     continue
                 except (ValueError, OverflowError) as exc:
                     if self.declared_int[low]:
-                        problem = (f"value {text!r} is outside the int64 range"
+                        problem = (f"value {_excerpt(text)} is outside the int64 range"
                                    if isinstance(exc, OverflowError) else
-                                   f"declared integer but got {text!r}")
+                                   f"declared integer but got {_excerpt(text)}")
                         raise ParseError(
                             f"{fact_file}:{lineno}: measure {low!r} {problem}") from None
                     self.m_acc[low] = acc = array("d", acc.tolist())  # decimal from here on
@@ -519,7 +655,7 @@ class _FactColumns:
                 value = float(text)
             except ValueError:
                 raise ParseError(
-                    f"{fact_file}:{lineno}: measure {low!r} is not numeric: {text!r}"
+                    f"{fact_file}:{lineno}: measure {low!r} is not numeric: {_excerpt(text)}"
                 ) from None
             if not math.isfinite(value):
                 raise ParseError(f"{fact_file}:{lineno}: measure {low!r} is not finite: {value}")

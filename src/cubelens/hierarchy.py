@@ -402,12 +402,20 @@ def read_json(path):
 # Writing
 # ---------------------------------------------------------------------------
 
+def _csv_echo():
+    """A csv.writer whose writerow returns the row's line.  Its terminator
+    is CRLF so that a field holding a CR is quoted as well as one holding an
+    LF (csv quotes only the terminator's characters), or csv.reader would
+    split it; each caller ends its line with a bare LF."""
+    return csv.writer(SimpleNamespace(write=str), lineterminator="\r\n")
+
+
 def quote_labels(labels) -> np.ndarray:
-    """Each label as csv.writer writes it as a field of a row, as an object
-    array to gather by code.  The field does not depend on its row, except
-    that an empty label alone in a row would be quoted."""
-    echo = csv.writer(SimpleNamespace(write=str), lineterminator="\n")  # writerow returns the line
-    return np.asarray([echo.writerow((label, ""))[:-2] for label in labels], dtype=object)
+    """Each label as a field of a CSV row, as an object array to gather by
+    code.  The field does not depend on its row, except that an empty label
+    alone in a row would be quoted."""
+    echo = _csv_echo()
+    return np.asarray([echo.writerow((label, ""))[:-3] for label in labels], dtype=object)
 
 
 def coded_column(quoted: np.ndarray, codes: np.ndarray):
@@ -424,7 +432,7 @@ def write_columns(fh, header: Sequence[str], rows: int, columns) -> None:
     """Write a header and ``rows`` rows to the text stream ``fh``,
     WRITE_CHUNK_ROWS at a time: each column gives a chunk's fields as text,
     and a row is their ",".join, as csv.writer would write it."""
-    csv.writer(fh, lineterminator="\n").writerow(header)
+    fh.write(_csv_echo().writerow(header)[:-2] + "\n")
     for start in range(0, rows, WRITE_CHUNK_ROWS):
         fields = [column(start, start + WRITE_CHUNK_ROWS) for column in columns]
         fh.write("\n".join(map(",".join, zip(*fields))) + "\n")

@@ -260,7 +260,7 @@ class Lattice:
         if q.filter_order_problem is not None:
             return None
         return self._smallest([*(atom.level for atom in q.condition), *q.groupers],
-                              (self.cube.schema.measure(q.measure_name).name, q.agg))
+                              (q.measure, q.agg))
 
     def count(self, condition) -> Optional[int]:
         """The fact rows ``condition`` selects, summed from the smallest count

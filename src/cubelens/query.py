@@ -3,10 +3,14 @@
 A cube query is the 4-tuple (detailed cube, selection condition, grouper
 schema, aggregation).  Execution follows the three-step semantics: isolate
 the qualifying detailed rows, map each row's coordinates to ancestors at the
-grouper levels, then fold the measure per same-coordinate group.  Selection
-atoms are evaluated by rolling coordinate columns up to the atom's own level,
-which selects exactly the rows the atom's detailed proxy would (the proxy
-equivalence is property-tested).
+grouper levels, then fold the measure per same-coordinate group.  The
+qualifying rows come from DetailedCube.condition_rows, in ascending order:
+a condition whose smallest atom is narrow reads that atom's slice of the
+cube's hierarchy-ordered row index and filters it by the other atoms, so a
+small region costs work in proportion to its size; any other condition
+ANDs per-atom bitsets.  Either way an atom selects the rows whose detailed
+member rolls up into its values, exactly the rows its detailed proxy would
+(the proxy equivalence is property-tested).
 
 Every coarser grouper of a dimension is a function of its finest one, so a
 scan groups rows on the finest requested level of each dimension only; the
@@ -20,14 +24,19 @@ group_reduce while its arrays are still in cache, and the chunks' cells are
 merged (aggregate.fold_chunks).  Sums are bounded by the measure's recorded
 peak |value| times the row count, so no pass looks for the bound; an integer
 sum that may leave the exact float range is folded whole, so that only a
-total beyond int64 raises SumOverflow.  The unique keys are unpacked with
-divmod.  Key spaces past 2**62 hand group_reduce the unscaled columns, which
-it lexsorts.  Scan cost stays proportional to the selected rows.
+total beyond int64 raises SumOverflow.  The unique keys are unpacked by
+floor division.  Key spaces past 2**62 hand group_reduce the unscaled
+columns, which it lexsorts.  Scan cost stays proportional to the selected
+rows.
 
 The usability predicate decides when one query's result can be filtered and
-re-rolled into another's (mqo.reaggregate performs that rewrite).  It treats
-an absent atom as the trivial ALL filter.  Both test atom membership through
-ancestor maps (atom_contains), not set lookups.
+re-rolled into another's (mqo.reaggregate performs that rewrite, and checks
+it on every call).  It treats an absent atom as the trivial ALL filter.  Both
+test atom membership through ancestor maps (atom_contains), not set lookups;
+the predicate settles a single-valued atom under a coarser base atom by one
+ancestor lookup.  The facts of one query that every check reads (its finest
+grouper per dimension, whether it groups above a filter) are set when the
+query is built.
 
 execute_query is pure over immutable inputs; concurrent query runs are safe.
 """
@@ -136,7 +145,8 @@ class CellSet:
         self.key_cols = [np.asarray(c, dtype=np.int64) for c in key_cols]
         self.values = np.asarray(values)
         self.peak = peak
-        self._codes: dict[tuple[str, int], np.ndarray] = {}
+        self._codes: dict[tuple[str, int], np.ndarray] = {
+            (g.dimension_name, g.depth): col for g, col in zip(schema.groupers, self.key_cols)}
         self._hits: dict[SelectionAtom, np.ndarray] = {}
 
     def __len__(self) -> int:
@@ -156,14 +166,9 @@ class CellSet:
         codes = self._codes.get(key)
         if codes is None:
             groupers = self.schema.groupers
-            i = next((i for i, g in enumerate(groupers) if (g.dimension_name, g.depth) == key),
-                     None)
-            if i is None:
-                i = finest_groupers(groupers)[level.dimension_name]
-                codes = dim.anc_array(groupers[i].depth, level.depth)[self.key_cols[i]]
-            else:
-                codes = self.key_cols[i]
-            codes = self._codes.setdefault(key, codes)
+            i = finest_groupers(groupers)[level.dimension_name]
+            codes = self._codes.setdefault(
+                key, dim.anc_array(groupers[i].depth, level.depth)[self.key_cols[i]])
         return codes
 
     def atom_hits(self, dim: Dimension, atom: SelectionAtom) -> np.ndarray:
@@ -206,6 +211,14 @@ class CubeQuery:
     measure_alias: str
     agg: str
 
+    def __post_init__(self):
+        # Facts every usability check reads, set once (the dataclass is frozen).
+        finest = finest_groupers(self.groupers)
+        object.__setattr__(self, "finest", finest)  # per grouper dimension, its finest position
+        object.__setattr__(self, "finest_levels",  # and that finest grouper
+                           {dim_name: self.groupers[i] for dim_name, i in finest.items()})
+        object.__setattr__(self, "filter_order_problem", self._filter_order_problem())
+
     def validate(self) -> None:
         if not 2 <= len(self.groupers) <= 6:
             raise InvalidQuery(f"expected 2..6 groupers, got {len(self.groupers)}")
@@ -237,9 +250,9 @@ class CubeQuery:
         return {g.dimension_name for g in self.groupers}
 
     @cached_property
-    def finest(self) -> dict[str, int]:
-        """Per grouper dimension, the position of its finest grouper."""
-        return finest_groupers(self.groupers)
+    def measure(self) -> str:
+        """The measure's name as the schema declares it."""
+        return self.cube.schema.measure(self.measure_name).name
 
     @cached_property
     def value_peak(self) -> int | float:
@@ -254,8 +267,7 @@ class CubeQuery:
         2**62."""
         return key_layout([self.groupers[i].member_count for i in self.finest.values()])
 
-    @cached_property
-    def filter_order_problem(self) -> str | None:
+    def _filter_order_problem(self) -> str | None:
         """Why some grouper sits above its dimension's filter level, if one does."""
         for g in self.groupers:
             atom = self.condition.atom_for(g.dimension_name)
@@ -320,9 +332,8 @@ def execute_query(q: CubeQuery) -> CellSet:
     each dimension, fold, then map the result up to the coarser groupers."""
     q.validate()
     cube = q.cube
-    mask = cube.condition_mask(q.condition.mask_atoms())
+    rows = cube.condition_rows(q.condition)
     cube.exec_stats.count_scan()
-    rows = np.flatnonzero(mask)
 
     schema = CellSchema(q.groupers, q.measure_alias, q.agg)
     if len(rows) == 0:
@@ -396,83 +407,86 @@ def _atoms_equal(a: SelectionAtom | None, b: SelectionAtom | None) -> bool:
 def cube_usable(q_base: CubeQuery, q_new: CubeQuery):
     """Six-condition checklist deciding whether q_base's result can be
     filtered and reaggregated into q_new's.  Returns a per-condition report
-    with ids (i)-(vi)."""
-    checks: list[tuple[str, bool, str]] = []
-
+    with ids (i)-(vi).  It runs on every reaggregate call, so facts of one
+    query alone are cached on it, and condition (vi) settles a single value
+    by one ancestor lookup where that decides it."""
     same_cube = q_base.cube == q_new.cube  # a cuboid's query holds a proxy of its cube
-    checks.append(("i", same_cube, "same detailed cube" if same_cube else "different detailed cubes"))
+    base_fine, new_fine = q_base.finest_levels, q_new.finest_levels
 
     problems = []
-    base_dims, new_dims = q_base.grouper_dims(), q_new.grouper_dims()
-    if not new_dims <= base_dims:
-        extra = sorted(new_dims - base_dims)
+    if not new_fine.keys() <= base_fine.keys():
+        extra = sorted(new_fine.keys() - base_fine.keys())
         problems.append(f"dimensions {extra} absent from the base schema")
-    base_measure = q_base.cube.schema.measure(q_base.measure_name).name
-    new_measure = q_new.cube.schema.measure(q_new.measure_name).name
-    if base_measure != new_measure:
-        problems.append(f"measures differ ({base_measure} vs {new_measure})")
+    if q_base.measure != q_new.measure:
+        problems.append(f"measures differ ({q_base.measure} vs {q_new.measure})")
     if q_base.agg != q_new.agg:
         problems.append(f"aggregates differ ({q_base.agg} vs {q_new.agg})")
     if q_base.agg not in AGG_FUNCTIONS or q_new.agg not in AGG_FUNCTIONS:
         problems.append("aggregate is not distributive")
-    checks.append(("ii", not problems, "; ".join(problems) or "same schema dimensions, measure and distributive aggregate"))
-
-    # One conjunctive atom per dimension is enforced by SelectionCondition.
-    checks.append(("iii", True, "one atom per dimension (absent atoms are trivial ALL atoms)"))
 
     order_problem = q_base.filter_order_problem or q_new.filter_order_problem
-    checks.append(("iv", order_problem is None,
-                   order_problem or "filters at or above grouper levels in both queries"))
 
-    base_fine = {d: q_base.groupers[i] for d, i in q_base.finest.items()}
     v_problems = []
     for g in q_new.groupers:
         base_level = base_fine.get(g.dimension_name)
-        if base_level is None:
-            continue  # already reported under (ii)
-        if base_level.depth > g.depth:
+        if base_level is not None and base_level.depth > g.depth:  # absent: reported under (ii)
             v_problems.append(f"{g!r} is below the base grouper {base_level!r}")
-    checks.append(("v", not v_problems,
-                   "; ".join(v_problems) or "new schema levels at or above the base levels"))
 
-    vi_problems = []
-    if same_cube:
-        schema = q_base.cube.schema
-        base_atoms, new_atoms = q_base.condition.by_dimension, q_new.condition.by_dimension
-        for dim_name in sorted(base_atoms.keys() | new_atoms.keys()):
-            a_base, a_new = base_atoms.get(dim_name), new_atoms.get(dim_name)
-            if _atoms_equal(a_base, a_new):
-                continue  # identical restriction: nothing to re-apply
-            dim = schema.dimension(dim_name)
-            base_level = base_fine.get(dim_name) or dim.all_level
-            new_level = a_new.level if a_new is not None else dim.all_level
-            if base_level.depth > new_level.depth:
-                vi_problems.append(
-                    f"atom on {dim_name} at {new_level!r} is not expressible at the base "
-                    f"schema level {base_level!r}"
-                )
-                continue
-            if a_base is None or a_base.level.is_all:
-                continue  # base unconstrained: grouper domain is the full level
-            if a_base.level.depth < base_level.depth:
-                # The base cells carry no coordinate at the base atom's level,
-                # so its restriction cannot be compared with the target's.
-                vi_problems.append(
-                    f"base atom on {dim_name} at {a_base.level!r} sits below the base "
-                    f"schema level {base_level!r}"
-                )
-                continue
-            lifted = (_lift_values(dim, a_new.level, a_new.values, base_level.depth)
-                      if a_new is not None else
-                      np.arange(base_level.member_count, dtype=np.int64))
-            if not atom_contains(dim, a_base, base_level.depth, lifted).all():
-                vi_problems.append(
-                    f"atom on {dim_name} selects values outside the base grouper domain"
-                )
-    checks.append(("vi", not vi_problems,
-                   "; ".join(vi_problems) or "new atoms re-expressed at the base levels stay within the base grouper domains"))
+    vi_problems = _atom_problems(q_base, q_new) if same_cube else []
 
-    return UsabilityReport(all(ok for _, ok, _ in checks), tuple(checks))
+    return UsabilityReport(
+        same_cube and not problems and order_problem is None and not v_problems
+        and not vi_problems,
+        (("i", same_cube, "same detailed cube" if same_cube else "different detailed cubes"),
+         ("ii", not problems, "; ".join(problems)
+          or "same schema dimensions, measure and distributive aggregate"),
+         # One conjunctive atom per dimension is enforced by SelectionCondition.
+         ("iii", True, "one atom per dimension (absent atoms are trivial ALL atoms)"),
+         ("iv", order_problem is None,
+          order_problem or "filters at or above grouper levels in both queries"),
+         ("v", not v_problems,
+          "; ".join(v_problems) or "new schema levels at or above the base levels"),
+         ("vi", not vi_problems, "; ".join(vi_problems) or "new atoms re-expressed at the "
+          "base levels stay within the base grouper domains")))
+
+
+def _atom_problems(q_base: CubeQuery, q_new: CubeQuery) -> list[str]:
+    """Condition (vi) of cube_usable: why some atom of q_new cannot be
+    re-applied to q_base's cells (empty when every one can)."""
+    problems = []
+    schema = q_base.cube.schema
+    base_fine = q_base.finest_levels
+    base_atoms, new_atoms = q_base.condition.by_dimension, q_new.condition.by_dimension
+    for dim_name in sorted(base_atoms.keys() | new_atoms.keys()):
+        a_base, a_new = base_atoms.get(dim_name), new_atoms.get(dim_name)
+        if a_base is a_new or _atoms_equal(a_base, a_new):
+            continue  # identical restriction: nothing to re-apply
+        dim = schema.dimension(dim_name)
+        base_level = base_fine.get(dim_name) or dim.all_level
+        new_level = a_new.level if a_new is not None else dim.all_level
+        if base_level.depth > new_level.depth:
+            problems.append(f"atom on {dim_name} at {new_level!r} is not expressible at the "
+                            f"base schema level {base_level!r}")
+            continue
+        if a_base is None or a_base.level.is_all:
+            continue  # base unconstrained: grouper domain is the full level
+        if a_base.level.depth < base_level.depth:
+            # The base cells carry no coordinate at the base atom's level,
+            # so its restriction cannot be compared with the target's.
+            problems.append(f"base atom on {dim_name} at {a_base.level!r} sits below the "
+                            f"base schema level {base_level!r}")
+            continue
+        if (a_new is not None and len(a_new.values) == 1
+                and a_base.level.depth >= new_level.depth
+                and dim.anc_array(new_level.depth, a_base.level.depth).item(a_new.values[0])
+                in a_base.values):
+            continue  # each member under the new value rolls up to its ancestor, inside
+        lifted = (_lift_values(dim, a_new.level, a_new.values, base_level.depth)
+                  if a_new is not None else
+                  np.arange(base_level.member_count, dtype=np.int64))
+        if not atom_contains(dim, a_base, base_level.depth, lifted).all():
+            problems.append(f"atom on {dim_name} selects values outside the base grouper domain")
+    return problems
 
 
 def cell_sets_equal(a: CellSet, b: CellSet, rel_tol: float = 1e-9,

@@ -3,8 +3,9 @@ paper's coverage/imbalance rule.
 
 Both read exact region sizes: the fact rows matched by the detailed filter
 regions of the original query, the two sibling queries and the
-all-encompassing query (popcounts cached with the filter bitsets, which the
-subsequent execution reuses).  The regions are the slot conditions of the
+all-encompassing query (DetailedCube.condition_count: slice sizes of the
+row index, count cuboids, or popcounts cached with the filter bitsets,
+which the subsequent execution reuses).  The regions are the slot conditions of the
 request's FacilitatorSet, and the sibling union is counted from the other
 three, without a union mask.
 
@@ -13,15 +14,17 @@ The cost rule (the default) builds each strategy's plan once
 the executor then runs; all three plans are candidates on every request.
 A plan's time is the sum over the fact scans it lists (its merged base and
 every facilitator it scans directly) plus a constant per role it derives
-from the base.  A scan costs a constant, a pass over the cube's full bitset
-(row selection), its rows at the per-row cost of the fold path it will take
-(dense, or a sort at rows * log2(rows)), a gather cost per row that grows
-as its region thins out, and its key space once per chunk for the dense
-buffers.  The fold path and the chunk count come from the functions the
-scan itself runs (aggregate.fold_path, query.scan_chunks), so the model
-cannot drift from the kernel.  A scan's rows are the cached popcount of its
-own region, one of the four that estimate_stats counts: no mask is built
-and no fact is read beyond what estimate_stats does.
+from the base.  A scan costs a constant, its row selection, its rows at the
+per-row cost of the fold path it will take (dense, or a sort at rows *
+log2(rows)), a gather cost per row that grows as its region thins out, and
+its key space once per chunk for the dense buffers.  Row selection costs a
+pass over the cube's full bitset, or, on the index path, a constant plus a
+constant per row of the index slice it reads.  The selection path, the fold path and the
+chunk count come from the functions the scan itself runs
+(DetailedCube.index_slice, aggregate.fold_path, query.scan_chunks), so the
+model cannot drift from the kernel.  A scan's rows are the cached count of
+its own region, one of the four that estimate_stats counts: no mask is
+built and no fact is read beyond what estimate_stats does.
 
 Before either rule, 'auto' routes roles to the cube's cuboid lattice
 (route_roles): a role whose smallest usable cuboid is predicted cheaper than
@@ -67,6 +70,10 @@ RULES = ("cost", "paper")
 # facts; 738 plan timings.  CHANGES.md records the fit and its data.
 SCAN_NS = 22_000.0       # per scan
 MASK_ROW_NS = 0.48       # per fact of the cube: the pass over the scan's bitset
+INDEX_NS = 35_000.0      # per index-path scan, on top of SCAN_NS, and
+SLICE_ROW_NS = 8.75      # per row of the slice it reads, filters and sorts:
+                         # least squares on the log error of 963 index-path
+                         # scans, the other constants fixed (CHANGES.md)
 DENSE_ROW_NS = 13.5      # per selected row folded densely
 SORT_ROW_NS = 13.4       # per selected row and log2(rows) folded by a sort
 SPACE_NS = 5.2           # per key of the key space, per chunk: dense buffers
@@ -122,7 +129,7 @@ class StrategyChoice:
 
 
 def estimate_stats(fs: FacilitatorSet) -> CostStats:
-    """Exact region sizes via cached filter bitsets; no sampling."""
+    """Exact region sizes via DetailedCube.condition_count; no sampling."""
     org = fs.org.query.condition
     cond_a = org if fs.sib_a.empty else fs.sib_a.query.condition
     cond_b = org if fs.sib_b.empty else fs.sib_b.query.condition
@@ -207,9 +214,11 @@ def _cuboid_ns(route) -> float:
 
 
 def _estimate_scan(q: CubeQuery) -> ScanEstimate:
-    """The predicted cost of execute_query(q) over its region's cached popcount."""
+    """The predicted cost of execute_query(q) over its region's cached count."""
     rows = q.cube.condition_count(q.condition)
-    ns = SCAN_NS + MASK_ROW_NS * q.cube.row_count
+    pick = q.cube.index_slice(q.condition)  # the path execute_query selects rows by
+    ns = SCAN_NS + (MASK_ROW_NS * q.cube.row_count if pick is None
+                    else INDEX_NS + SLICE_ROW_NS * pick[1])
     if rows == 0:
         return ScanEstimate(q, 0, 0, None, ns)
     layout = q.scan_layout

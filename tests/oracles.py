@@ -11,18 +11,22 @@ The helpers at the end (cell_dict, desc, siblings_under_parent, filter_rows,
 detailed_proxy, grouper_domain) read the engine's own encodings; the engine
 does not need them, and the tests check them against the oracles.
 run_forced runs one strategy's plan, as `--strategy` does without timing.
-usable_route is the definition Lattice.route answers by the lattice order.
+usable_route is the definition Lattice.route answers by the lattice order,
+and cube_usable_reference the usability checklist query.cube_usable must
+answer exactly.
 
 read_facts_rowwise is the reference fact loader (one csv.reader record at a
 time) and generate_rowwise the reference dataset writer (csv.writer rows);
 the engine's column-at-a-time loader and writer must match them exactly.
 """
 
+import contextlib
 import csv
 import io
 import json
 import math
 import operator
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +34,14 @@ import numpy as np
 from cubelens.errors import LevelOrderViolation, ParseError, UnknownMemberLabel
 from cubelens.hierarchy import anc
 from cubelens.mqo import build_plan, run_strategy
-from cubelens.query import SelectionAtom, cube_usable
+from cubelens.aggregate import AGG_FUNCTIONS
+from cubelens.query import (
+    SelectionAtom,
+    UsabilityReport,
+    _atoms_equal,
+    atom_contains,
+    cube_usable,
+)
 from cubelens.synth import _labels, _member_paths
 
 ALL_LABEL = "All"
@@ -273,9 +284,117 @@ def usable_route(lattice, q):
     return None
 
 
+def _lift_values_reference(dim, from_level, values, to_depth):
+    """Union of the descendant sets of ``values`` at ``to_depth`` (sorted)."""
+    lists = dim.desc_lists(from_level.depth, to_depth)
+    picked = [lists[v] for v in values]
+    if len(picked) == 1:
+        return picked[0]
+    return np.unique(np.concatenate(picked))
+
+
+def cube_usable_reference(q_base, q_new):
+    """The six-condition checklist as first written, without fast paths:
+    query.cube_usable must return the same report, condition by condition
+    and message by message."""
+    checks: list[tuple[str, bool, str]] = []
+
+    same_cube = q_base.cube == q_new.cube  # a cuboid's query holds a proxy of its cube
+    checks.append(("i", same_cube, "same detailed cube" if same_cube else "different detailed cubes"))
+
+    problems = []
+    base_dims, new_dims = q_base.grouper_dims(), q_new.grouper_dims()
+    if not new_dims <= base_dims:
+        extra = sorted(new_dims - base_dims)
+        problems.append(f"dimensions {extra} absent from the base schema")
+    base_measure = q_base.cube.schema.measure(q_base.measure_name).name
+    new_measure = q_new.cube.schema.measure(q_new.measure_name).name
+    if base_measure != new_measure:
+        problems.append(f"measures differ ({base_measure} vs {new_measure})")
+    if q_base.agg != q_new.agg:
+        problems.append(f"aggregates differ ({q_base.agg} vs {q_new.agg})")
+    if q_base.agg not in AGG_FUNCTIONS or q_new.agg not in AGG_FUNCTIONS:
+        problems.append("aggregate is not distributive")
+    checks.append(("ii", not problems, "; ".join(problems) or "same schema dimensions, measure and distributive aggregate"))
+
+    # One conjunctive atom per dimension is enforced by SelectionCondition.
+    checks.append(("iii", True, "one atom per dimension (absent atoms are trivial ALL atoms)"))
+
+    order_problem = q_base.filter_order_problem or q_new.filter_order_problem
+    checks.append(("iv", order_problem is None,
+                   order_problem or "filters at or above grouper levels in both queries"))
+
+    base_fine = {d: q_base.groupers[i] for d, i in q_base.finest.items()}
+    v_problems = []
+    for g in q_new.groupers:
+        base_level = base_fine.get(g.dimension_name)
+        if base_level is None:
+            continue  # already reported under (ii)
+        if base_level.depth > g.depth:
+            v_problems.append(f"{g!r} is below the base grouper {base_level!r}")
+    checks.append(("v", not v_problems,
+                   "; ".join(v_problems) or "new schema levels at or above the base levels"))
+
+    vi_problems = []
+    if same_cube:
+        schema = q_base.cube.schema
+        base_atoms, new_atoms = q_base.condition.by_dimension, q_new.condition.by_dimension
+        for dim_name in sorted(base_atoms.keys() | new_atoms.keys()):
+            a_base, a_new = base_atoms.get(dim_name), new_atoms.get(dim_name)
+            if _atoms_equal(a_base, a_new):
+                continue  # identical restriction: nothing to re-apply
+            dim = schema.dimension(dim_name)
+            base_level = base_fine.get(dim_name) or dim.all_level
+            new_level = a_new.level if a_new is not None else dim.all_level
+            if base_level.depth > new_level.depth:
+                vi_problems.append(
+                    f"atom on {dim_name} at {new_level!r} is not expressible at the base "
+                    f"schema level {base_level!r}"
+                )
+                continue
+            if a_base is None or a_base.level.is_all:
+                continue  # base unconstrained: grouper domain is the full level
+            if a_base.level.depth < base_level.depth:
+                # The base cells carry no coordinate at the base atom's level,
+                # so its restriction cannot be compared with the target's.
+                vi_problems.append(
+                    f"base atom on {dim_name} at {a_base.level!r} sits below the base "
+                    f"schema level {base_level!r}"
+                )
+                continue
+            lifted = (_lift_values_reference(dim, a_new.level, a_new.values, base_level.depth)
+                      if a_new is not None else
+                      np.arange(base_level.member_count, dtype=np.int64))
+            if not atom_contains(dim, a_base, base_level.depth, lifted).all():
+                vi_problems.append(
+                    f"atom on {dim_name} selects values outside the base grouper domain"
+                )
+    checks.append(("vi", not vi_problems,
+                   "; ".join(vi_problems) or "new atoms re-expressed at the base levels stay within the base grouper domains"))
+
+    return UsabilityReport(all(ok for _, ok, _ in checks), tuple(checks))
+
+
 # ---------------------------------------------------------------------------
 # Reference CSV reader and writer
 # ---------------------------------------------------------------------------
+
+def _shown(field):
+    """A field as load errors quote it: its repr, cut after 40 characters."""
+    return repr(field) if len(field) <= 40 else f"{field[:40]!r}... ({len(field)} characters)"
+
+
+@contextlib.contextmanager
+def _no_int_digit_limit():
+    """Lifts the limit on the digits int() converts, for the reference
+    loader, which runs on one thread."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
 
 def read_facts_rowwise(fact_file, dimensions, measures, delimiter=","):
     """Load a fact CSV one csv.reader record at a time, each numbered by its
@@ -306,7 +425,7 @@ def read_facts_rowwise(fact_file, dimensions, measures, delimiter=","):
                     raise ParseError(f"{where}: empty coordinate for {dim.name}")
                 if label not in codes[dim.name]:
                     raise UnknownMemberLabel(
-                        f"{where}: unknown member {label!r} for dimension {dim.name}")
+                        f"{where}: unknown member {_shown(label)} for dimension {dim.name}")
                 coords[dim.name].append(codes[dim.name][label])
             for low, idx in measure_idx:
                 text = row[idx].strip()
@@ -314,21 +433,23 @@ def read_facts_rowwise(fact_file, dimensions, measures, delimiter=","):
                     raise ParseError(f"{where}: null measure {low!r}")
                 if not is_float[low]:
                     try:
-                        value = int(text)
+                        with _no_int_digit_limit():
+                            value = int(text)
                     except ValueError:
                         value = None
                     if value is not None and -2**63 <= value < 2**63:
                         values[low].append(value)
                         continue
                     if kinds[low] == "integer":
-                        problem = (f"declared integer but got {text!r}" if value is None
-                                   else f"value {text!r} is outside the int64 range")
+                        problem = (f"declared integer but got {_shown(text)}" if value is None
+                                   else f"value {_shown(text)} is outside the int64 range")
                         raise ParseError(f"{where}: measure {low!r} {problem}")
                     is_float[low] = True
                 try:
                     value = float(text)
                 except ValueError:
-                    raise ParseError(f"{where}: measure {low!r} is not numeric: {text!r}") from None
+                    raise ParseError(
+                        f"{where}: measure {low!r} is not numeric: {_shown(text)}") from None
                 if not math.isfinite(value):
                     raise ParseError(f"{where}: measure {low!r} is not finite: {value}")
                 values[low].append(value)

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from cubelens import mqo
-from cubelens.analyze import ROLES
+from cubelens.analyze import ROLES, build_facilitators
 from cubelens.bench import (
     WorkloadSpec,
     render_result,
@@ -216,15 +216,19 @@ def test_bad_workload_rejected(tmp_path):
 
 def test_concurrent_readers_match_serial():
     """Four threads run the same requests on one fresh cube, racing to fill
-    its mask, descendant, scaled-table, label-rank and quoted-label caches;
-    every result and its rendered text equal the serial ones, and no fact
-    scan goes uncounted."""
+    its mask, descendant, scaled-table, label-rank and quoted-label caches,
+    while reading rows through both the row index and bitsets; every result
+    and its rendered text equal the serial ones, and no fact scan goes
+    uncounted."""
     tables = random_tables(random.Random(151), max_facts=2000)
     strategies = ("auto", "min", "mid", "max")
 
-    def answers(cube, order_seed):
+    def requests_on(cube):
         rng = random.Random(157)  # the same 20 requests on every cube
-        requests = [random_analyze(rng, cube) for _ in range(20)]
+        return [random_analyze(rng, cube) for _ in range(20)]
+
+    def answers(cube, order_seed):
+        requests = requests_on(cube)
         jobs = [(i, s) for i in range(len(requests)) for s in strategies]
         random.Random(order_seed).shuffle(jobs)
         out = {}
@@ -236,6 +240,10 @@ def test_concurrent_readers_match_serial():
     serial_cube = build_cube(tables)
     serial = answers(serial_cube, 0)
     shared = build_cube(tables)
+    on_index = {shared.index_slice(slot.query.condition) is not None
+                for request in requests_on(shared)
+                for slot in build_facilitators(request).slots().values() if not slot.empty}
+    assert on_index == {True, False}  # both row-selection paths race
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:

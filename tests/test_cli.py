@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import copy
 import io
 import json
@@ -639,3 +640,40 @@ def test_any_data_file_bytes_exit_0_2_3_or_4(foodmart_dir, tmp_path_factory):
         assert _quiet_main(query) in (0, 2, 3, 4)
 
     check()
+
+
+def test_label_holding_a_cr_round_trips(tmp_path, capsys):
+    """A member label holding a CR is quoted in the rendered result and in
+    the --output files, so csv.reader reads it back as one field."""
+    (tmp_path / "schema.json").write_text(json.dumps({
+        "cube": "c", "facts": "facts.csv", "measures": [{"name": "m", "kind": "integer"}],
+        "dimensions": [{"name": "A", "levels": ["Leaf", "Grp", "ALL"], "members": "A.csv"},
+                       {"name": "B", "levels": ["Unit", "ALL"], "members": "B.csv"}]}))
+    (tmp_path / "A.csv").write_text('Leaf,Grp\n"a\rb",g1\nplain,g1\n', newline="")
+    (tmp_path / "B.csv").write_text("Unit\nu1\nu2\n", newline="")
+    (tmp_path / "facts.csv").write_text('Leaf,Unit,m\n"a\rb",u1,5\nplain,u1,7\n', newline="")
+    query = ["query", "--data-dir", str(tmp_path), "--strategy", "min", "--query",
+             "ANALYZE sum(m) FROM c FOR A.Leaf = plain AND B.Unit = u1 GROUP BY A.Leaf, B.Unit"]
+    assert main(query) == 0
+    rendered = capsys.readouterr().out
+    assert main(query + ["--output", str(tmp_path / "out" / "res")]) == 0
+    section = rendered[rendered.index("# facilitator: sibA\n"):].split("\n\n")[0]
+    expect = [["A.Leaf", "B.Unit", "m_sibA"], ["a\rb", "u1", "5"], ["plain", "u1", "7"]]
+    assert list(csv.reader(io.StringIO(section.split("\n", 1)[1], newline=""))) == expect
+    with open(tmp_path / "out" / "res_sibA.csv", newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == expect
+
+
+@pytest.mark.parametrize("digits", ["7" * 5000, "-" + "7" * 30])
+def test_overlong_declared_integer_exits_2_with_a_short_message(foodmart_dir, tmp_path, capsys,
+                                                                digits):
+    """An integer past Python's 4,300-digit conversion limit is reported as
+    outside int64, as a shorter one is, and the field is not echoed whole."""
+    schema = _own_copy(foodmart_dir, tmp_path)
+    facts = tmp_path / "facts.csv"
+    line = facts.read_text().count("\n") + 1
+    _append(facts, f"1998-01-05,C04,P1,Prod4,S2,343.0,57.0,{digits}\n".encode())
+    assert main(["load", "--schema", str(schema)]) == 2
+    err = capsys.readouterr().err
+    assert f"{facts}:{line}: measure 'unit_sales' value '{digits[:40]}" in err
+    assert "is outside the int64 range" in err and len(err) < 300

@@ -3,9 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubelens import cube as cube_mod
-from cubelens.cube import CubeSchema, Measure, load_cube
+from cubelens.analyze import ROLES
+from cubelens.bench import run_analyze
+from cubelens.cube import CubeSchema, DetailedCube, Measure, load_cube
 from cubelens.errors import (
     ParseError,
     SchemaMismatch,
@@ -14,6 +17,7 @@ from cubelens.errors import (
 )
 
 from cubelens.hierarchy import dimension_from_member_rows, dimension_from_tables
+from cubelens.query import SelectionAtom, SelectionCondition, cell_sets_equal
 from cubelens.synth import SynthSpec, generate
 
 from fixtures import build_cube, foodmart_tables, random_tables, write_dataset
@@ -454,3 +458,127 @@ def test_measure_peaks_recorded_at_build():
          "e": np.asarray([-3, 2, 1], np.int64)},
     )
     assert cube.measure_peaks == {"i": 1 << 63, "f": 2.5, "e": 3}
+
+
+# ---------------------------------------------------------------------------
+# The row index
+# ---------------------------------------------------------------------------
+
+def _index_cube(rng, n_dims, n_facts):
+    """A cube over dimensions whose parent maps are drawn freely (some
+    members have no children) and whose facts leave members empty."""
+    dims = []
+    for d in range(n_dims):
+        sizes = [rng.randint(1, 30)]
+        for _ in range(rng.randint(0, 3)):
+            sizes.append(rng.randint(1, max(1, sizes[-1])))
+        names = [f"D{d}L{i}" for i in range(len(sizes))]
+        labels = [[f"{name}_{c}" for c in range(size)] for name, size in zip(names, sizes)]
+        parents = [[rng.randrange(sizes[i + 1]) for _ in range(sizes[i])]
+                   for i in range(len(sizes) - 1)]
+        dims.append(dimension_from_tables(f"D{d}", names, labels, parents))
+    coords = {}
+    for dim in dims:  # facts crowd a few members, so others stay empty
+        used = rng.sample(range(dim.detailed_level.member_count),
+                          rng.randint(1, dim.detailed_level.member_count))
+        coords[dim.name] = np.array([rng.choice(used) for _ in range(n_facts)], dtype=np.int64)
+    return DetailedCube(CubeSchema("ix", dims, [Measure("m", "integer")]), coords,
+                        {"m": np.arange(n_facts, dtype=np.int64)})
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.sampled_from([0, 1, 40, 400]),
+       st.sampled_from([0.0, 1 / 16, 1.0]))
+def test_index_rows_equal_the_bitset_rows(seed, n_dims, n_facts, share):
+    """Every member's slice holds exactly its atom's bitset rows; for random
+    conditions (several values, any level from the detailed one to ALL),
+    the index rows from any atom's slice, condition_rows on either path and
+    condition_count all equal flatnonzero(condition_mask) and its popcount."""
+    rng = random.Random(seed)
+    cube = _index_cube(rng, n_dims, n_facts)
+    for dim in cube.schema.dimensions:
+        index = cube.row_index[dim.name]
+        assert np.array_equal(np.sort(index.rows), np.arange(cube.row_count))
+        for level in dim.levels:
+            for code in range(level.member_count):
+                bits = np.flatnonzero(cube.atom_mask(level, (code,)))
+                assert np.array_equal(np.sort(index.slice_rows(level.depth, (code,))), bits)
+                assert index.size(level.depth, (code,)) == len(bits)
+    original = cube_mod.INDEX_SHARE
+    cube_mod.INDEX_SHARE = share
+    try:
+        for _ in range(8):
+            atoms = []
+            for dim in cube.schema.dimensions:
+                if rng.random() < 0.7:
+                    level = rng.choice(dim.levels)
+                    atoms.append(SelectionAtom(level, rng.sample(
+                        range(level.member_count), rng.randint(1, min(3, level.member_count)))))
+            condition = SelectionCondition(atoms)
+            expect = np.flatnonzero(cube.condition_mask(condition.mask_atoms()))
+            for first in range(len(atoms)):
+                assert np.array_equal(np.sort(cube._index_rows(condition.mask_atoms(), first)),
+                                      expect)
+            assert np.array_equal(cube.condition_rows(condition), expect)
+            fresh = DetailedCube(cube.schema, cube.coordinates, cube.measure_columns)
+            assert fresh.condition_count(condition) == len(expect)
+    finally:
+        cube_mod.INDEX_SHARE = original
+
+
+def _tiered_cube(facts=20_000, seed=5):
+    """Two dimensions of 400 detailed members under 40 and then 20 parents,
+    uniform facts: every member at level 2 or below holds at most 1/20 of
+    the rows, under INDEX_SHARE."""
+    gen = np.random.default_rng(seed)
+    dims = [dimension_from_tables(name, [f"{name}0", f"{name}1", f"{name}2"],
+                                  [[f"{name}{k}_{c}" for c in range(size)]
+                                   for k, size in enumerate((400, 40, 20))],
+                                  [[c // 10 for c in range(400)], [c // 2 for c in range(40)]])
+            for name in ("A", "B")]
+    coords = {d.name: gen.integers(0, 400, facts) for d in dims}
+    return DetailedCube(CubeSchema("t", dims, [Measure("m", "integer")]), coords,
+                        {"m": gen.integers(1, 1000, facts)})
+
+
+def test_small_region_requests_build_no_bitset():
+    """A stream of distinct auto requests whose every region is small reads
+    and counts rows through the row index only: no atom or condition bitset
+    is cached.  Half of them filter at level 0, whose regions no cuboid
+    counts."""
+    cube = _tiered_cube()
+    assert max(ix.size(2, (c,)) for ix in cube.row_index.values() for c in range(20)) \
+        <= cube_mod.INDEX_SHARE * cube.row_count
+    rng = random.Random(7)
+    requests = []
+    for i in range(24):
+        agg = ("sum", "min", "max", "count")[i % 4]
+        a = f"A0 = 'A0_{rng.randrange(400)}'" if i % 2 else f"A1 = 'A1_{rng.randrange(40)}'"
+        requests.append(f"ANALYZE {agg}(m) FROM t FOR A.{a} AND B.B1 = 'B1_{rng.randrange(40)}' "
+                        f"GROUP BY A.{a[:2]}, B.B1")
+    results = [run_analyze(cube, text) for text in requests]
+    assert cube.exec_stats.fact_scans > 0
+    assert not cube._condition_masks and not cube._atom_mask_cache
+    for text, result in zip(requests, results):
+        oracle = run_analyze(cube, text, strategy="min")
+        for role in ROLES:
+            a, b = result.slots[role].cells, oracle.slots[role].cells
+            assert (a is None) == (b is None) and (a is None or cell_sets_equal(a, b, 0.0))
+    assert not cube._condition_masks and not cube._atom_mask_cache
+
+
+def test_integer_past_the_conversion_digit_limit(tmp_path):
+    """A zero-padded integer longer than int()'s digit limit loads at its
+    value; a longer value is outside int64 for a declared integer, and
+    turns an undeclared column decimal, where it is not finite."""
+    dim = dimension_from_member_rows("A", ["Leaf"], [("a1",)])
+    path = tmp_path / "facts.csv"
+    path.write_text(f"Leaf,i,u\na1,{'0' * 5000}5,{'0_' * 3000}9\n")
+    coords, measures, kinds = cube_mod._read_facts(path, [dim], [("i", "integer"), ("u", None)])
+    assert measures["i"].tolist() == [5] and measures["u"].tolist() == [9]
+    assert [m.kind for m in kinds] == ["integer", "integer"]
+    path.write_text(f"Leaf,i\na1,{'9' * 5000}\n")
+    with pytest.raises(ParseError, match=r"^[^\n]{,160}outside the int64 range$"):
+        cube_mod._read_facts(path, [dim], [("i", "integer")])
+    with pytest.raises(ParseError, match="is not finite: inf"):
+        cube_mod._read_facts(path, [dim], [("i", None)])

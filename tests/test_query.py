@@ -2,8 +2,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cubelens.cube import CubeSchema, DetailedCube, Measure
 from cubelens.errors import LevelOrderViolation, UsabilityViolation
+from cubelens.hierarchy import dimension_from_tables
 from cubelens.mqo import build_plan, reaggregate
 from cubelens.analyze import build_facilitators
 from cubelens.query import (
@@ -16,7 +19,15 @@ from cubelens.query import (
 )
 
 from fixtures import REFERENCE_QUERY, build_cube, random_analyze, random_tables
-from oracles import cell_dict, desc, detailed_proxy, filter_rows, grouper_domain, naive_execute
+from oracles import (
+    cell_dict,
+    cube_usable_reference,
+    desc,
+    detailed_proxy,
+    filter_rows,
+    grouper_domain,
+    naive_execute,
+)
 
 
 def reference_aq(foodmart_cube):
@@ -457,3 +468,96 @@ def test_reaggregate_random_usable_pairs():
             rebuilt = reaggregate(base_cells, slot.query, merged)
             assert cell_sets_equal(direct, rebuilt)
             done += 1
+
+
+# ---------------------------------------------------------------------------
+# cube_usable against the reference checklist
+# ---------------------------------------------------------------------------
+
+def _usability_cube(rng):
+    """A small cube whose parent maps are drawn freely, so some members
+    have no children and some detailed members no facts."""
+    dims = []
+    for d in range(rng.randint(2, 3)):
+        sizes = [rng.randint(1, 12)]
+        for _ in range(rng.randint(1, 2)):
+            sizes.append(rng.randint(1, 5))
+        names = [f"D{d}L{i}" for i in range(len(sizes))]
+        labels = [[f"{name}_{c}" for c in range(size)] for name, size in zip(names, sizes)]
+        parents = [[rng.randrange(sizes[i + 1]) for _ in range(sizes[i])]
+                   for i in range(len(sizes) - 1)]
+        dims.append(dimension_from_tables(f"D{d}", names, labels, parents))
+    n = rng.randint(0, 40)
+    coords = {dim.name: np.array([rng.randrange(dim.detailed_level.member_count)
+                                  for _ in range(n)], dtype=np.int64) for dim in dims}
+    return DetailedCube(CubeSchema("u", dims, [Measure("m", "integer")]), coords,
+                        {"m": np.arange(n, dtype=np.int64)})
+
+
+def _random_atom(rng, level):
+    return SelectionAtom(level, rng.sample(range(level.member_count),
+                                           rng.randint(1, min(3, level.member_count))))
+
+
+def _random_usability_query(rng, cube):
+    """Groupers at any levels, ALL included; atoms of one to three values at
+    any level; measure case and aggregate (distributive or not) vary."""
+    groupers, atoms = [], []
+    for dim in cube.schema.dimensions:
+        groupers += rng.sample(dim.levels, rng.choice([0, 1, 1, 2]))
+        if rng.random() < 0.6:
+            atoms.append(_random_atom(rng, rng.choice(dim.levels)))
+    measure = rng.choice(["m", "M"])
+    return CubeQuery(cube, SelectionCondition(atoms), tuple(groupers), measure, measure,
+                     rng.choice(["sum", "min", "max", "count", "avg"]))
+
+
+def _narrowed_target(rng, base):
+    """A query near ``base``: groupers at or above base groupers, and per
+    dimension the base's atom, none, or a single value at or above the base
+    grouper, often one under the base atom's values."""
+    cube = base.cube
+    groupers = tuple(rng.choice(cube.schema.dimension(g.dimension_name).levels[g.depth:])
+                     for g in base.groupers if rng.random() < 0.8)
+    atoms = []
+    for dim in cube.schema.dimensions:
+        a_base = base.condition.atom_for(dim.name)
+        pick = rng.random()
+        if pick < 0.3:
+            if a_base is not None:
+                atoms.append(a_base)
+            continue
+        if pick < 0.4:
+            continue
+        fine = base.finest_levels.get(dim.name, dim.all_level)
+        level = rng.choice(dim.levels[fine.depth:])
+        code = rng.randrange(level.member_count)
+        if a_base is not None and a_base.level.depth >= level.depth and rng.random() < 0.7:
+            up = dim.anc_array(level.depth, a_base.level.depth)
+            under = [c for c in range(level.member_count) if up[c] in a_base.values]
+            code = rng.choice(under) if under else code
+        atoms.append(SelectionAtom(level, (code,)))
+    return CubeQuery(cube, SelectionCondition(atoms), groupers, base.measure_name, "t",
+                     base.agg if rng.random() < 0.9 else "min")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_cube_usable_matches_the_reference_checklist(seed):
+    """Whole reports agree: usable, each condition's ok flag and message,
+    on random pairs, pairs near each other, pairs across two cubes over the
+    same columns, and cuboid bases, whose queries hold a proxy of the cube."""
+    rng = random.Random(seed)
+    cube = _usability_cube(rng)
+    twin = DetailedCube(cube.schema, cube.coordinates, cube.measure_columns)
+    pairs = []
+    for _ in range(12):
+        base = _random_usability_query(rng, cube)
+        pairs += [(base, _random_usability_query(rng, rng.choice([cube, cube, twin]))),
+                  (base, _narrowed_target(rng, base))]
+    for routes in cube.lattice.cuboids[:3]:
+        for route in routes.values():
+            pairs.append((route.query, _narrowed_target(rng, route.query)))
+    for base, target in pairs:
+        assert cube_usable(base, target) == cube_usable_reference(base, target), \
+            (base.groupers, base.condition.mask_key, target.groupers, target.condition.mask_key)

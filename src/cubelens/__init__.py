@@ -28,7 +28,7 @@ from .hierarchy import (
     validate_hierarchy,
 )
 from .mqo import build_plan, reaggregate, run_strategy
-from .parser import AnalyzeStatement, parse, render
+from .parser import AnalyzeStatement, parse
 from .query import (
     CellSet,
     CubeQuery,
@@ -61,7 +61,7 @@ __all__ = [
     "Dimension", "Level", "anc", "dimension_from_member_rows",
     "dimension_from_tables", "validate_hierarchy",
     "build_plan", "reaggregate", "run_strategy",
-    "AnalyzeStatement", "parse", "render",
+    "AnalyzeStatement", "parse",
     "CellSet", "CubeQuery", "SelectionAtom", "SelectionCondition",
     "cell_sets_equal", "cube_usable", "execute_query",
     "CostStats", "SelectorConfig", "StrategyChoice", "choose_plan", "choose_strategy",

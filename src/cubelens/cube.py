@@ -25,15 +25,18 @@ other atoms hold, gathered at those rows only, and sorts them: work in
 proportion to the region, not to the cube.  Every other condition takes
 the bitset path: boolean arrays over 0..row_count-1, one per atom (a
 per-member table over the detailed level, gathered through the coordinate
-column), ANDed.  Atom and condition bitsets are cached after first use: the
-five facilitator queries of one request share atoms heavily.  Both paths
+column), ANDed.  Atom bitsets are cached, read-only, after first use: the
+five facilitator queries of one request share atoms heavily.  A
+condition's bitset is not cached; it is the AND of its atoms' bitsets.
+Only an atom holding more than INDEX_SHARE of the rows ever gets a bitset,
+so a level holds fewer than 16 of them for single-valued atoms.  Both paths
 give the same ascending row ids.
 
-A condition's row count is cached.  It is a sum of slice sizes for a single
-atom, else read from a count cuboid of the cube's lattice (lattice.Lattice,
-built with the cube) when one can express its atoms, else the length of its
-index rows on the index path, else the popcount of its bitset; only the
-last builds one.
+A condition's row count is cached under its set of atoms.  It is a sum of
+slice sizes for a single atom, else read from a count cuboid of the cube's
+lattice (lattice.Lattice, built with the cube) when one can express its
+atoms, else the length of its index rows on the index path, else the
+popcount of its bitset.
 
 Scans read coordinates through per-member tables too: ``rolled_column``
 gathers the selected rows' codes through a cached int64 table holding each
@@ -189,10 +192,6 @@ def _check_distinct(where: str, what: str, names: Sequence[str]) -> None:
         seen[name.lower()] = name
 
 
-def _condition_key(atoms: Sequence[tuple[Level, Sequence[int]]]) -> tuple:
-    return tuple(sorted((lv.dimension_name, lv.depth, tuple(codes)) for lv, codes in atoms))
-
-
 class RowIndex:
     """One dimension's row ids in hierarchy order: ``rows`` sorts them
     stably by the path rank of each fact's detailed member, coarsest level
@@ -262,9 +261,8 @@ class DetailedCube:
                 raise SchemaMismatch(f"coordinate code out of range for dimension {dim.name}")
         self.measure_peaks = {name: abs_peak(col) for name, col in self.measure_columns.items()}
         self.exec_stats = ExecStats()
-        self._atom_mask_cache: dict[tuple, np.ndarray] = {}
-        self._condition_masks: dict[tuple, np.ndarray] = {}
-        self._condition_counts: dict[tuple, int] = {}  # from the index, a cuboid or a bitset
+        self._atom_mask_cache: dict[tuple, np.ndarray] = {}  # read-only bitsets
+        self._condition_counts: dict[frozenset, int] = {}  # by the condition's atoms
         self._scaled_tables: dict[tuple[str, int, int], np.ndarray] = {}
         self.row_index = {d.name: RowIndex(d, self.coordinates[d.name])
                           for d in schema.dimensions}
@@ -295,27 +293,28 @@ class DetailedCube:
     # -- filtering --------------------------------------------------------
 
     def atom_mask(self, level: Level, codes: Sequence[int]) -> np.ndarray:
-        """Bitset of rows whose coordinate rolls up into ``codes`` at ``level``."""
+        """Bitset of rows whose coordinate rolls up into ``codes`` at
+        ``level``; cached, and read-only."""
         key = (level.dimension_name, level.depth, tuple(codes))
         cached = self._atom_mask_cache.get(key)
         if cached is None:
             dim = self.schema.dimension(level.dimension_name)
             selected = np.isin(dim.anc_array(0, level.depth), np.asarray(key[2], dtype=np.int64))
-            cached = self._atom_mask_cache.setdefault(key, selected[self.coordinates[dim.name]])
+            mask = selected[self.coordinates[dim.name]]
+            mask.flags.writeable = False
+            cached = self._atom_mask_cache.setdefault(key, mask)
         return cached
 
     def condition_mask(self, atoms: Sequence[tuple[Level, Sequence[int]]]) -> np.ndarray:
-        """Bitset for a conjunction of (level, codes) atoms; cached whole,
-        and its popcount with the condition counts."""
-        key = _condition_key(atoms)
-        cached = self._condition_masks.get(key)
-        if cached is None:
-            mask = np.ones(self.row_count, dtype=bool)
-            for level, codes in atoms:
-                mask = mask & self.atom_mask(level, codes)
-            self._condition_counts.setdefault(key, int(np.count_nonzero(mask)))
-            cached = self._condition_masks.setdefault(key, mask)
-        return cached
+        """Bitset for a conjunction of (level, codes) atoms: the AND of their
+        atom bitsets.  A single atom's is returned as cached, read-only."""
+        masks = [self.atom_mask(level, codes) for level, codes in atoms]
+        if len(masks) < 2:
+            return masks[0] if masks else np.ones(self.row_count, dtype=bool)
+        mask = masks[0] & masks[1]
+        for more in masks[2:]:
+            mask &= more
+        return mask
 
     def index_slice(self, condition) -> tuple[int, int] | None:
         """The path row selection takes for a SelectionCondition: (position,
@@ -356,11 +355,11 @@ class DetailedCube:
         return np.sort(self._index_rows(condition.mask_atoms(), pick[0]))
 
     def condition_count(self, condition) -> int:
-        """Rows selected by a SelectionCondition, cached: the size of a
-        single atom's slices, else a count read from the cuboid lattice,
-        else the length of its index rows on the index path, else the
-        popcount of its bitset."""
-        key = condition.mask_key
+        """Rows selected by a SelectionCondition, cached under its atoms: the
+        size of a single atom's slices, else a count read from the cuboid
+        lattice, else the length of its index rows on the index path, else
+        the popcount of its bitset."""
+        key = frozenset(condition.atoms)
         count = self._condition_counts.get(key)
         if count is None:
             atoms = condition.mask_atoms()
@@ -371,10 +370,8 @@ class DetailedCube:
                 count = self.row_index[level.dimension_name].size(level.depth, codes)
             elif (count := self.lattice.count(condition)) is None:
                 pick = self.index_slice(condition)
-                if pick is None:
-                    self.condition_mask(atoms)  # builds the mask, books its count
-                    return self._condition_counts[key]
-                count = len(self._index_rows(atoms, pick[0]))
+                count = (int(np.count_nonzero(self.condition_mask(atoms))) if pick is None
+                         else len(self._index_rows(atoms, pick[0])))
             count = self._condition_counts.setdefault(key, count)
         return count
 

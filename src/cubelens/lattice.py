@@ -30,8 +30,9 @@ groups above its own filter level.  A route is the smallest such cuboid
 (reaggregate then checks usability once); a condition's row count is read
 from the smallest count cuboid at or below its atoms.  The selector decides
 whether a route is cheaper than a scan.  Everything is built in the
-constructor; the cell sets' code and atom caches fill idempotently, so
-concurrent readers are safe.
+constructor; the cell sets' code caches fill idempotently, and which cells
+lie inside an atom is computed per call, so concurrent readers are safe and
+a cuboid keeps no state per atom.
 """
 
 from __future__ import annotations

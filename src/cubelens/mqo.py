@@ -31,9 +31,10 @@ package.  It also holds for integer sums that leave the int64 range: a merged
 base whose own cells overflow is abandoned for direct scans, so every
 strategy raises SumOverflow exactly when some facilitator cell overflows.
 
-reaggregate reads the base cells' codes at a level, and which cells lie
-inside a target atom, from the base cell set, which computes each once: the
-five roles of a plan share their base, their levels and most of their atoms.
+reaggregate reads the base cells' codes at a level from the base cell set,
+which rolls them up once: the five roles of a plan share their base and
+their levels.  Which cells lie inside a target atom is tested on those codes
+at each call, so a base keeps no state per atom.
 Each fold is told the base's peak |cell value|, so none passes over the
 partial aggregates to bound its sums.
 """

@@ -35,47 +35,39 @@ from .hierarchy import Level
 
 KEYWORDS = {"analyze", "as", "from", "for", "and", "group", "by", "in"}
 
+# Every match is one token after any whitespace: a quoted value, a word, a
+# symbol, the end of the text, or a character no token starts with.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<quoted>'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")
-  | (?P<word>[A-Za-z0-9_][A-Za-z0-9_.\-/]*)
-  | (?P<sym>[(),=∧])
+    \s*+
+    (?:
+      (?P<quoted>'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")
+    | (?P<word>[A-Za-z0-9_][A-Za-z0-9_.\-/]*)
+    | (?P<sym>[(),=∧])
+    | (?P<eof>\Z)
+    | (?P<bad>.)
+    )
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'word' | 'quoted' | 'sym' | 'eof'
-    text: str
-    offset: int
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    pos, line, line_start = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise AnalyzeSyntaxError(
-                f"unexpected character {text[pos]!r}", pos, line, pos - line_start + 1,
-                expected=("identifier", "quoted value"),
-            )
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind != "ws":
-            tokens.append(Token(kind, chunk, pos, line, pos - line_start + 1))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + chunk.rfind("\n") + 1
-        pos = m.end()
-    tokens.append(Token("eof", "", len(text), line, len(text) - line_start + 1))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) per token, ending with an 'eof' token."""
+    tokens = [(m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup))
+              for m in _TOKEN_RE.finditer(text)]
+    for kind, chunk, offset in tokens:
+        if kind == "bad":
+            raise _syntax_error(text, f"unexpected character {chunk!r}", offset,
+                                ("identifier", "quoted value"))
     return tokens
+
+
+def _syntax_error(text: str, message: str, offset: int, expected) -> AnalyzeSyntaxError:
+    """The error at ``offset``, with its 1-based line and column."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return AnalyzeSyntaxError(message, offset, text.count("\n", 0, offset) + 1,
+                              offset - line_start + 1, expected=expected)
 
 
 @dataclass(frozen=True)
@@ -106,118 +98,116 @@ class _Parser:
         self.pos = 0
 
     # -- plumbing ---------------------------------------------------------
+    # Tokens are (kind, text, offset); each expect_* returns the text it
+    # consumed.
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+    def advance(self) -> str:
+        kind, text, _ = self.tokens[self.pos]
+        if kind != "eof":
             self.pos += 1
-        return tok
+        return text
 
-    def error(self, message: str, token: Token, expected=()):
-        raise AnalyzeSyntaxError(message, token.offset, token.line, token.col,
-                                 expected=expected)
+    def error(self, message: str, offset: int, expected=()):
+        raise _syntax_error(self.text, message, offset, expected)
 
-    def expect_keyword(self, *words: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "word" and tok.text.lower() in words:
+    def expect_keyword(self, *words: str) -> str:
+        kind, text, offset = self.peek()
+        if kind == "word" and text.lower() in words:
             return self.advance()
-        self.error(f"expected {' or '.join(w.upper() for w in words)}, got {tok.text or 'end of input'!r}",
-                   tok, expected=tuple(w.upper() for w in words))
+        self.error(f"expected {' or '.join(w.upper() for w in words)}, got {text or 'end of input'!r}",
+                   offset, expected=tuple(w.upper() for w in words))
 
-    def expect_sym(self, sym: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == sym:
+    def expect_sym(self, sym: str) -> str:
+        kind, text, offset = self.peek()
+        if kind == "sym" and text == sym:
             return self.advance()
-        self.error(f"expected {sym!r}, got {tok.text or 'end of input'!r}", tok, expected=(sym,))
+        self.error(f"expected {sym!r}, got {text or 'end of input'!r}", offset, expected=(sym,))
 
-    def expect_word(self, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "word" and tok.text.lower() not in KEYWORDS:
+    def expect_word(self, what: str) -> str:
+        kind, text, offset = self.peek()
+        if kind == "word" and text.lower() not in KEYWORDS:
             return self.advance()
-        self.error(f"expected {what}, got {tok.text or 'end of input'!r}", tok, expected=(what,))
+        self.error(f"expected {what}, got {text or 'end of input'!r}", offset, expected=(what,))
 
     def at_keyword(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "word" and tok.text.lower() in words
+        kind, text, _ = self.peek()
+        return kind == "word" and text.lower() in words
+
+    def at_sym(self, sym: str) -> bool:
+        kind, text, _ = self.peek()
+        return kind == "sym" and text == sym
 
     # -- grammar ----------------------------------------------------------
 
     def parse(self) -> AnalyzeStatement:
         self.expect_keyword("analyze")
-        agg_tok = self.peek()
-        if not (agg_tok.kind == "word" and agg_tok.text.lower() in AGG_FUNCTIONS):
-            self.error(f"expected an aggregate function, got {agg_tok.text!r}",
-                       agg_tok, expected=AGG_FUNCTIONS)
-        agg = self.advance().text.lower()
+        kind, text, offset = self.peek()
+        if not (kind == "word" and text.lower() in AGG_FUNCTIONS):
+            self.error(f"expected an aggregate function, got {text!r}",
+                       offset, expected=AGG_FUNCTIONS)
+        agg = self.advance().lower()
         self.expect_sym("(")
-        measure = self.expect_word("a measure name").text
+        measure = self.expect_word("a measure name")
         self.expect_sym(")")
 
         alias = None
         if self.at_keyword("as"):
             self.advance()
-            alias = self.expect_word("a measure alias").text
+            alias = self.expect_word("a measure alias")
 
         self.expect_keyword("from")
-        cube_tok = self.expect_word("a cube name")
-        if cube_tok.text.lower() != self.schema.cube_name.lower():
+        cube_name = self.expect_word("a cube name")
+        if cube_name.lower() != self.schema.cube_name.lower():
             raise ConstraintViolation(
-                f"unknown cube {cube_tok.text!r} (loaded cube is {self.schema.cube_name!r})"
+                f"unknown cube {cube_name!r} (loaded cube is {self.schema.cube_name!r})"
             )
 
         self.expect_keyword("for")
         atoms = [self.parse_atom()]
-        while True:
-            tok = self.peek()
-            if self.at_keyword("and") or (tok.kind == "sym" and tok.text == "∧"):
-                self.advance()
-                atoms.append(self.parse_atom())
-            else:
-                break
+        while self.at_keyword("and") or self.at_sym("∧"):
+            self.advance()
+            atoms.append(self.parse_atom())
 
         self.expect_keyword("group")
         self.expect_keyword("by")
         groupers = [self.parse_level_ref("a grouper level")]
-        while self.peek().kind == "sym" and self.peek().text == ",":
+        while self.at_sym(","):
             self.advance()
             groupers.append(self.parse_level_ref("a grouper level"))
 
         name = None
         if self.at_keyword("as"):
             self.advance()
-            name = self.expect_word("a query name").text
+            name = self.expect_word("a query name")
 
-        tail = self.peek()
-        if tail.kind != "eof":
-            self.error(f"unexpected trailing input {tail.text!r}", tail, expected=("end of input",))
+        kind, text, offset = self.peek()
+        if kind != "eof":
+            self.error(f"unexpected trailing input {text!r}", offset, expected=("end of input",))
 
-        return self.finish(agg, measure, alias, cube_tok.text, atoms, groupers, name)
+        return self.finish(agg, measure, alias, cube_name, atoms, groupers, name)
 
     def parse_level_ref(self, what: str) -> Level:
-        tok = self.expect_word(what)
-        return self.schema.resolve_level(tok.text)  # UnknownLevel / AmbiguousLevel
+        return self.schema.resolve_level(self.expect_word(what))  # UnknownLevel / AmbiguousLevel
 
     def parse_atom(self) -> ParsedAtom:
         level = self.parse_level_ref("a filter level")
-        tok = self.peek()
-        if tok.kind == "word" and tok.text.lower() == "in":
+        if self.at_keyword("in"):
             raise ConstraintViolation(
                 "multi-valued atoms are not allowed in ANALYZE conditions"
             )
         self.expect_sym("=")
-        value_tok = self.peek()
-        if value_tok.kind == "quoted":
+        kind, text, offset = self.peek()
+        if kind == "quoted":
             self.advance()
-            label = re.sub(r"\\(.)", r"\1", value_tok.text[1:-1])
-        elif value_tok.kind == "word" and value_tok.text.lower() not in KEYWORDS:
-            self.advance()
-            label = value_tok.text
+            label = re.sub(r"\\(.)", r"\1", text[1:-1])
+        elif kind == "word" and text.lower() not in KEYWORDS:
+            label = self.advance()
         else:
-            self.error(f"expected a member value, got {value_tok.text or 'end of input'!r}",
-                       value_tok, expected=("quoted value", "bare value"))
+            self.error(f"expected a member value, got {text or 'end of input'!r}",
+                       offset, expected=("quoted value", "bare value"))
         dim = self.schema.dimension(level.dimension_name)
         code = dim.member_code(level, label)  # UnknownMember on bad labels
         return ParsedAtom(level, label, code)
@@ -231,24 +221,3 @@ class _Parser:
 def parse(text: str, schema: CubeSchema) -> AnalyzeStatement:
     """Parse one ANALYZE statement against the loaded schema."""
     return _Parser(text, schema).parse()
-
-
-def render(stmt: AnalyzeStatement) -> str:
-    """Canonical text for a statement; re-parsing yields an identical AST."""
-    parts = [f"ANALYZE {stmt.agg}({stmt.measure})"]
-    if stmt.alias:
-        parts.append(f"AS {stmt.alias}")
-    parts.append(f"FROM {stmt.cube_name}")
-    atom_texts = [
-        f"{a.level.dimension_name}.{a.level.name} = '{_escape(a.label)}'" for a in stmt.atoms
-    ]
-    parts.append("FOR " + " AND ".join(atom_texts))
-    parts.append("GROUP BY " + ", ".join(
-        f"{g.dimension_name}.{g.name}" for g in stmt.groupers))
-    if stmt.name:
-        parts.append(f"AS {stmt.name}")
-    return " ".join(parts)
-
-
-def _escape(label: str) -> str:
-    return label.replace("\\", "\\\\").replace("'", "\\'")

@@ -8,9 +8,10 @@ qualifying rows come from DetailedCube.condition_rows, in ascending order:
 a condition whose smallest atom is narrow reads that atom's slice of the
 cube's hierarchy-ordered row index and filters it by the other atoms, so a
 small region costs work in proportion to its size; any other condition
-ANDs per-atom bitsets.  Either way an atom selects the rows whose detailed
-member rolls up into its values, exactly the rows its detailed proxy would
-(the proxy equivalence is property-tested).
+ANDs the cube's cached, read-only per-atom bitsets.  Either way an atom
+selects the rows whose detailed member rolls up into its values, exactly
+the rows its detailed proxy would (the proxy equivalence is
+property-tested).
 
 Every coarser grouper of a dimension is a function of its finest one, so a
 scan groups rows on the finest requested level of each dimension only; the
@@ -57,7 +58,7 @@ from .aggregate import (
     key_layout,
     unpack,
 )
-from .cube import DetailedCube, _condition_key
+from .cube import DetailedCube
 from .errors import InvalidQuery, UnknownMember
 from .hierarchy import Dimension, Level
 
@@ -111,11 +112,6 @@ class SelectionCondition:
     def mask_atoms(self) -> list[tuple[Level, tuple[int, ...]]]:
         return [(a.level, a.values) for a in self.atoms]
 
-    @cached_property
-    def mask_key(self) -> tuple:
-        """The key of this condition's bitset in the cube's mask cache."""
-        return _condition_key(self.mask_atoms())
-
     def __iter__(self):
         return iter(self.atoms)
 
@@ -137,7 +133,7 @@ class CellSet:
     (a fact scan does), else it is None.
 
     A cell set answering several queries (a merged base) reads its codes at a
-    level and its atom hits once: both are cached, and fill idempotently."""
+    level once: they are cached, and fill idempotently."""
 
     def __init__(self, schema: CellSchema, key_cols: Sequence[np.ndarray], values: np.ndarray,
                  peak: int | float | None = None):
@@ -147,16 +143,15 @@ class CellSet:
         self.peak = peak
         self._codes: dict[tuple[str, int], np.ndarray] = {
             (g.dimension_name, g.depth): col for g, col in zip(schema.groupers, self.key_cols)}
-        self._hits: dict[SelectionAtom, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.values)
 
     def with_values(self, schema: CellSchema, values: np.ndarray, peak) -> "CellSet":
         """Another aggregate over the same cells: it shares their key
-        columns, and the codes and atom hits read from them."""
+        columns, and the codes read from them."""
         other = CellSet(schema, self.key_cols, values, peak)
-        other._codes, other._hits = self._codes, self._hits
+        other._codes = self._codes
         return other
 
     def codes_at(self, dim: Dimension, level: Level) -> np.ndarray:
@@ -173,12 +168,7 @@ class CellSet:
 
     def atom_hits(self, dim: Dimension, atom: SelectionAtom) -> np.ndarray:
         """Whether each cell lies inside ``atom`` (tested at the atom's level)."""
-        hits = self._hits.get(atom)
-        if hits is None:
-            codes = self.codes_at(dim, atom.level)
-            hits = self._hits.setdefault(atom, atom_contains(dim, atom, atom.level.depth, codes))
-        return hits
-
+        return atom_contains(dim, atom, atom.level.depth, self.codes_at(dim, atom.level))
 
     def inside(self, schema, atoms) -> np.ndarray | None:
         """Whether each cell lies inside every one of ``atoms`` (atoms at
@@ -245,9 +235,6 @@ class CubeQuery:
                         f"filter on {atom.level!r} is below the grouper {g!r} and does "
                         f"not cover complete {g.name} subtrees (not rollable)"
                     )
-
-    def grouper_dims(self) -> set[str]:
-        return {g.dimension_name for g in self.groupers}
 
     @cached_property
     def measure(self) -> str:

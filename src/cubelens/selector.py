@@ -4,10 +4,10 @@ paper's coverage/imbalance rule.
 Both read exact region sizes: the fact rows matched by the detailed filter
 regions of the original query, the two sibling queries and the
 all-encompassing query (DetailedCube.condition_count: slice sizes of the
-row index, count cuboids, or popcounts cached with the filter bitsets,
-which the subsequent execution reuses).  The regions are the slot conditions of the
-request's FacilitatorSet, and the sibling union is counted from the other
-three, without a union mask.
+row index, count cuboids, the rows an index slice keeps, or the popcount of
+the condition's bitset; each count is cached under the condition's atoms).
+The regions are the slot conditions of the request's FacilitatorSet, and
+the sibling union is counted from the other three, without a union mask.
 
 The cost rule (the default) builds each strategy's plan once
 (mqo.build_plan), predicts its time and returns the cheapest plan, which

@@ -47,6 +47,18 @@ def build_cube(tables: DatasetTables) -> DetailedCube:
     return DetailedCube(schema, coords, measure_cols)
 
 
+def spy_bitsets(monkeypatch) -> list:
+    """Record the cube of every DetailedCube.condition_mask and atom_mask
+    call, the two ways a bitset is built."""
+    cubes = []
+    for name in ("condition_mask", "atom_mask"):
+        def spy(self, *args, _original=getattr(DetailedCube, name)):
+            cubes.append(self)
+            return _original(self, *args)
+        monkeypatch.setattr(DetailedCube, name, spy)
+    return cubes
+
+
 def build_oracles(tables: DatasetTables) -> dict:
     return {name: HierarchyOracle(levels, rows)
             for name, (levels, rows) in tables.dims.items()}

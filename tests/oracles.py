@@ -220,6 +220,28 @@ def cell_dict(cells):
     return {key: py(v) for key, v in zip(coords, cells.values.tolist())}
 
 
+def grouper_dims(q):
+    """The dimensions a CubeQuery groups by."""
+    return {g.dimension_name for g in q.groupers}
+
+
+def render_statement(stmt):
+    """Canonical text for a parsed AnalyzeStatement; re-parsing yields an
+    identical AST."""
+    def quoted(label):
+        return "'" + label.replace("\\", "\\\\").replace("'", "\\'") + "'"
+    parts = [f"ANALYZE {stmt.agg}({stmt.measure})"]
+    if stmt.alias:
+        parts.append(f"AS {stmt.alias}")
+    parts.append(f"FROM {stmt.cube_name}")
+    parts.append("FOR " + " AND ".join(
+        f"{a.level.dimension_name}.{a.level.name} = {quoted(a.label)}" for a in stmt.atoms))
+    parts.append("GROUP BY " + ", ".join(f"{g.dimension_name}.{g.name}" for g in stmt.groupers))
+    if stmt.name:
+        parts.append(f"AS {stmt.name}")
+    return " ".join(parts)
+
+
 def desc(dim, from_level, to_level, member):
     """All codes at ``to_level`` whose ancestor at ``from_level`` is
     ``member``, as a sorted int64 array.  Identity set at the same level."""
@@ -303,7 +325,7 @@ def cube_usable_reference(q_base, q_new):
     checks.append(("i", same_cube, "same detailed cube" if same_cube else "different detailed cubes"))
 
     problems = []
-    base_dims, new_dims = q_base.grouper_dims(), q_new.grouper_dims()
+    base_dims, new_dims = grouper_dims(q_base), grouper_dims(q_new)
     if not new_dims <= base_dims:
         extra = sorted(new_dims - base_dims)
         problems.append(f"dimensions {extra} absent from the base schema")

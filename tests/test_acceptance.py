@@ -34,6 +34,7 @@ from fixtures import (
     build_cube,
     random_analyze,
     random_tables,
+    spy_bitsets,
 )
 from oracles import (
     HierarchyOracle,
@@ -419,10 +420,11 @@ def test_cost_pick_near_fastest_plan(sweep_bench):
     print(f"\nACCEPTANCE cost pick: PASS (within 1.25x of the fastest plan on {sum(near)}/10)")
 
 
-def test_auto_answers_the_sweep_from_the_lattice(sweep_bench):
+def test_auto_answers_the_sweep_from_the_lattice(sweep_bench, monkeypatch):
     # a fresh cube over the same columns: no cached bitset, a new lattice
     cube, queries, _ = sweep_bench
     fresh = DetailedCube(cube.schema, cube.coordinates, cube.measure_columns)
+    built = spy_bitsets(monkeypatch)
     for _, _, text in queries:
         result = run_analyze(fresh, text)
         assert set(result.cuboids) == set(ROLES) and result.store_queries == 0
@@ -431,7 +433,7 @@ def test_auto_answers_the_sweep_from_the_lattice(sweep_bench):
                                                                      cube)))
         assert results_equal_exact(result, oracle)
     assert fresh.exec_stats.fact_scans == 0
-    assert not fresh._condition_masks and not fresh._atom_mask_cache
+    assert not any(c is fresh for c in built) and not fresh._atom_mask_cache
     print(f"\nACCEPTANCE lattice: PASS (ten sweep statements from {len(fresh.lattice)} cuboids, "
           f"{fresh.lattice.nbytes / 1e6:.1f} MB, 0 fact scans, 0 bitsets)")
 

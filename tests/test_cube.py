@@ -1,5 +1,7 @@
 import random
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +22,11 @@ from cubelens.hierarchy import dimension_from_member_rows, dimension_from_tables
 from cubelens.query import SelectionAtom, SelectionCondition, cell_sets_equal
 from cubelens.synth import SynthSpec, generate
 
-from fixtures import build_cube, foodmart_tables, random_tables, write_dataset
+from fixtures import build_cube, foodmart_tables, random_tables, spy_bitsets, write_dataset
 from oracles import desc, filter_rows, naive_filter, read_facts_rowwise
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.workloads import WORKLOADS, scaled  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -541,12 +546,13 @@ def _tiered_cube(facts=20_000, seed=5):
                         {"m": gen.integers(1, 1000, facts)})
 
 
-def test_small_region_requests_build_no_bitset():
+def test_small_region_requests_build_no_bitset(monkeypatch):
     """A stream of distinct auto requests whose every region is small reads
     and counts rows through the row index only: no atom or condition bitset
-    is cached.  Half of them filter at level 0, whose regions no cuboid
+    is built.  Half of them filter at level 0, whose regions no cuboid
     counts."""
     cube = _tiered_cube()
+    built = spy_bitsets(monkeypatch)
     assert max(ix.size(2, (c,)) for ix in cube.row_index.values() for c in range(20)) \
         <= cube_mod.INDEX_SHARE * cube.row_count
     rng = random.Random(7)
@@ -558,13 +564,62 @@ def test_small_region_requests_build_no_bitset():
                         f"GROUP BY A.{a[:2]}, B.B1")
     results = [run_analyze(cube, text) for text in requests]
     assert cube.exec_stats.fact_scans > 0
-    assert not cube._condition_masks and not cube._atom_mask_cache
+    assert not built and not cube._atom_mask_cache
     for text, result in zip(requests, results):
         oracle = run_analyze(cube, text, strategy="min")
         for role in ROLES:
             a, b = result.slots[role].cells, oracle.slots[role].cells
             assert (a is None) == (b is None) and (a is None or cell_sets_equal(a, b, 0.0))
-    assert not cube._condition_masks and not cube._atom_mask_cache
+    assert not built and not cube._atom_mask_cache
+
+
+def _held_arrays(cells) -> list[int]:
+    """The ids of the arrays a cell set holds, in its lists and dicts too."""
+    held = []
+    for value in vars(cells).values():
+        items = (value.values() if isinstance(value, dict) else
+                 value if isinstance(value, list) else [value])
+        held += [id(a) for a in items if isinstance(a, np.ndarray)]
+    return sorted(held)
+
+
+def test_filter_state_stays_bounded_over_a_request_stream(tmp_path):
+    """Two blocks of distinct explore-cold requests on a scaled-down sweep
+    cube, each run under auto and then under forced Min as the benchmark's
+    checker does.  The only bitsets left are atom bitsets of atoms holding
+    more than INDEX_SHARE of the rows, read-only, under 16 per level in
+    bytes; and the lattice's cell sets hold the same arrays as before,
+    once each has cached its codes at every level it can roll up to."""
+    workload = WORKLOADS["explore-cold"]
+    generate(SynthSpec.from_dict(scaled(workload.spec, 50_000)), tmp_path)
+    cube = load_cube(tmp_path / "schema.json")
+    routes = [route for cuboid in cube.lattice.cuboids for route in cuboid.values()]
+    assert routes
+    for route in routes:
+        for g in route.query.groupers:
+            dim = cube.schema.dimension(g.dimension_name)
+            for level in dim.levels[g.depth:]:
+                route.cells.codes_at(dim, level)
+    before = [_held_arrays(route.cells) for route in routes]
+
+    blocks = workload.blocks(cube.schema, np.random.default_rng(1))
+    texts = next(blocks) + next(blocks)
+    assert len(set(texts)) == len(texts)
+    for text in texts:
+        result = run_analyze(cube, text)
+        oracle = run_analyze(cube, text, strategy="min")
+        for role in ROLES:
+            a, b = result.slots[role].cells, oracle.slots[role].cells
+            assert (a is None) == (b is None) and (a is None or cell_sets_equal(a, b, 0.0))
+
+    masks = cube._atom_mask_cache
+    assert masks  # wide atoms took the bitset path
+    for (dim_name, depth, codes), mask in masks.items():
+        assert cube.row_index[dim_name].size(depth, codes) > cube_mod.INDEX_SHARE * cube.row_count
+        assert not mask.flags.writeable
+    levels = sum(len(d.levels) for d in cube.schema.dimensions)
+    assert sum(mask.nbytes for mask in masks.values()) <= 16 * levels * cube.row_count
+    assert [_held_arrays(route.cells) for route in routes] == before
 
 
 def test_integer_past_the_conversion_digit_limit(tmp_path):

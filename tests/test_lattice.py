@@ -39,6 +39,7 @@ from fixtures import (
     overflow_tables,
     random_analyze,
     random_tables,
+    spy_bitsets,
     write_dataset,
 )
 from oracles import run_forced, usable_route
@@ -282,21 +283,23 @@ def test_cuboid_count_equals_the_mask_popcount(seed, n_conditions, share):
         count = cube.lattice.count(condition)
         mask = cube.condition_mask(condition.mask_atoms())
         if count is not None:
-            assert count == int(np.count_nonzero(mask)), condition.mask_key
+            assert count == int(np.count_nonzero(mask)), condition.mask_atoms()
         assert cube.condition_count(condition) == int(np.count_nonzero(mask))
 
 
-def test_counts_from_cuboids_build_no_bitset():
+def test_counts_from_cuboids_build_no_bitset(monkeypatch):
     rng = random.Random(421)
     counted = 0
+    built = spy_bitsets(monkeypatch)
     for _ in range(30):
         cube = build_cube(random_tables(rng, max_facts=1500))
         top = SelectionCondition([SelectionAtom(d.levels[-2], (0,))
                                   for d in cube.schema.dimensions[:2]])
         if cube.lattice.count(top) is None:
             continue
+        built.clear()
         n = cube.condition_count(top)
-        assert not cube._condition_masks and not cube._atom_mask_cache
+        assert not built and not cube._atom_mask_cache
         assert n == int(np.count_nonzero(cube.condition_mask(top.mask_atoms())))
         counted += 1
     assert counted >= 10
@@ -338,7 +341,7 @@ def test_route_is_the_smallest_usable_cuboid(monkeypatch, share):
             targets += slots
         for q in targets:
             route = cube.lattice.route(q)
-            assert route is usable_route(cube.lattice, q), (q.groupers, q.condition.mask_key)
+            assert route is usable_route(cube.lattice, q), (q.groupers, q.condition.mask_atoms())
             if route is not None:
                 routed += 1
                 assert cube_usable(route.query, q)
@@ -466,7 +469,10 @@ def test_dropped_cube_is_freed_without_a_garbage_collection(foodmart_cube):
     cube = DetailedCube(foodmart_cube.schema, foodmart_cube.coordinates,
                         foodmart_cube.measure_columns)
     result = run_analyze(cube, REFERENCE_QUERY)
-    assert len(cube.lattice) and cube._condition_masks
+    for dim in cube.schema.dimensions:
+        for level in dim.levels:
+            cube.atom_mask(level, (0,))
+    assert len(cube.lattice) and cube._atom_mask_cache and cube._condition_counts
     render_result(cube, result)
     alive = weakref.ref(cube)
     gc.disable()

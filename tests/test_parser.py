@@ -1,15 +1,20 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cubelens.analyze import AnalyzeResult
+from cubelens.bench import run_analyze
 from cubelens.errors import (
     AmbiguousLevel,
     AnalyzeSyntaxError,
     ConstraintViolation,
+    CubeLensError,
     UnknownLevel,
     UnknownMember,
 )
-from cubelens.parser import parse, render
+from cubelens.parser import parse
 
 from fixtures import REFERENCE_QUERY, WALKTHROUGH_QUERY
+from oracles import render_statement
 
 
 def test_reference_query_ast(foodmart_cube):
@@ -135,7 +140,7 @@ def test_round_trip(foodmart_cube, walkthrough_cube):
     for text, schema in ((REFERENCE_QUERY, foodmart_cube.schema),
                          (WALKTHROUGH_QUERY, walkthrough_cube.schema)):
         stmt = parse(text, schema)
-        rendered = render(stmt)
+        rendered = render_statement(stmt)
         again = parse(rendered, schema)
         assert again == stmt
 
@@ -143,5 +148,38 @@ def test_round_trip(foodmart_cube, walkthrough_cube):
 def test_round_trip_with_escaped_quote(walkthrough_cube):
     # labels render quoted; escaping survives the round trip
     stmt = parse(WALKTHROUGH_QUERY, walkthrough_cube.schema)
-    rendered = render(stmt)
+    rendered = render_statement(stmt)
     assert "'CA'" in rendered and "'2025-Q4'" in rendered
+
+
+# Pieces that random edits splice into a valid statement: quotes and
+# escapes, keywords, symbols, NUL, CR, newlines, a lone surrogate, a number
+# past the float range, and other characters no token starts with.
+EDIT_PIECES = ["'", '"', "\\", "''", "'a\\'b'", "\x00", "\r", "\r\n", "\n", "\n\n", "\t",
+               "\ud800", "1e9999", "-1", "ANALYZE", "FROM", "FOR", " AND ", "IN", "GROUP BY",
+               "AS", "sum", "count", "(", ")", ",", "=", "∧", ".", "$", "é", "\x1c", " "]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0, 1]),
+       st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 6),
+                          st.sampled_from(EDIT_PIECES) | st.text(max_size=3)), max_size=5))
+def test_any_statement_text_gives_a_result_or_a_cubelens_error(foodmart_cube, walkthrough_cube,
+                                                               which, edits):
+    """run_analyze on an edited statement returns a result or raises a
+    CubeLensError, never anything else; a syntax error's line and column
+    are those of its offset."""
+    cube, text = ((foodmart_cube, REFERENCE_QUERY), (walkthrough_cube, WALKTHROUGH_QUERY))[which]
+    for at, cut, piece in edits:
+        at %= len(text) + 1
+        text = text[:at] + piece + text[at + cut:]
+    try:
+        result = run_analyze(cube, text)
+    except AnalyzeSyntaxError as exc:
+        before = text[:exc.offset]
+        assert (exc.line, exc.col) == (before.count("\n") + 1,
+                                       exc.offset - before.rfind("\n")), text
+        return
+    except CubeLensError:
+        return
+    assert isinstance(result, AnalyzeResult)

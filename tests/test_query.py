@@ -26,6 +26,7 @@ from oracles import (
     detailed_proxy,
     filter_rows,
     grouper_domain,
+    grouper_dims,
     naive_execute,
 )
 
@@ -199,7 +200,7 @@ def test_merged_queries_match_naive_group_by(agg):
             assert decode_cells(cube, cells) == expect
             assert [c.dtype for c in cells.key_cols] == [np.int64] * len(q.groupers)
             per_dim = max(sum(g.dimension_name == d for g in q.groupers)
-                          for d in q.grouper_dims())
+                          for d in grouper_dims(q))
             shapes.add((len(q.groupers), per_dim))
     assert {4, 5, 6} <= {n for n, _ in shapes}
     assert max(k for _, k in shapes) >= 3
@@ -261,7 +262,7 @@ def test_execute_query_matches_naive_group_by_property(agg, monkeypatch):
             cells = execute_query(q)
             assert decode_cells(cube, cells) == expect, (i, chunk, layout)
             assert cells.values.dtype.kind == ("i" if agg == "count" or not i % 2 else "f")
-        grouped = q.grouper_dims()
+        grouped = grouper_dims(q)
         seen["groupers"].add(len(q.groupers))
         seen["empty" if not expect else "cells"] += 1
         seen["depth0"] += any(g.depth == 0 for g in q.groupers)
@@ -560,4 +561,5 @@ def test_cube_usable_matches_the_reference_checklist(seed):
             pairs.append((route.query, _narrowed_target(rng, route.query)))
     for base, target in pairs:
         assert cube_usable(base, target) == cube_usable_reference(base, target), \
-            (base.groupers, base.condition.mask_key, target.groupers, target.condition.mask_key)
+            (base.groupers, base.condition.mask_atoms(),
+             target.groupers, target.condition.mask_atoms())

@@ -164,8 +164,9 @@ def test_coverage_and_imbalance_ranges():
 
 
 def test_cached_regions_are_counted_without_a_popcount(monkeypatch):
-    # each condition's row count is cached with its bitset: estimating a
-    # request again counts nothing, and the stored counts are the bitsets'
+    # each condition's row count is cached under its atoms: estimating a
+    # request again counts nothing, and every cached count is a fresh
+    # popcount of the condition's bitset
     rng = random.Random(167)
     cube = build_cube(random_tables(rng, max_facts=500))
     fs = build_facilitators(random_analyze(rng, cube))
@@ -175,8 +176,10 @@ def test_cached_regions_are_counted_without_a_popcount(monkeypatch):
     monkeypatch.setattr(np, "count_nonzero", lambda *a, **k: calls.append(1) or count_nonzero(*a, **k))
     assert estimate_stats(fs) == first
     assert calls == []
-    for key, mask in cube._condition_masks.items():
-        assert cube._condition_counts[key] == count_nonzero(mask), key
+    assert cube._condition_counts
+    for atoms, count in cube._condition_counts.items():
+        mask = cube.condition_mask([(a.level, a.values) for a in atoms])
+        assert count == count_nonzero(mask), atoms
 
 
 # ---------------------------------------------------------------------------

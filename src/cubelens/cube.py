@@ -359,7 +359,7 @@ class DetailedCube:
         size of a single atom's slices, else a count read from the cuboid
         lattice, else the length of its index rows on the index path, else
         the popcount of its bitset."""
-        key = frozenset(condition.atoms)
+        key = condition.atom_set
         count = self._condition_counts.get(key)
         if count is None:
             atoms = condition.mask_atoms()

@@ -39,7 +39,7 @@ KEYWORDS = {"analyze", "as", "from", "for", "and", "group", "by", "in"}
 # symbol, the end of the text, or a character no token starts with.
 _TOKEN_RE = re.compile(
     r"""
-    \s*+
+    \s*
     (?:
       (?P<quoted>'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")
     | (?P<word>[A-Za-z0-9_][A-Za-z0-9_.\-/]*)
@@ -53,13 +53,19 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) per token, ending with an 'eof' token."""
-    tokens = [(m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup))
-              for m in _TOKEN_RE.finditer(text)]
-    for kind, chunk, offset in tokens:
+    """(kind, text, offset) per token, ending with one 'eof' token.  Text
+    ending in whitespace matches the end twice, with the whitespace and
+    after it; the first match ends the list."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        token = (kind, m.group(kind), m.start(kind))
         if kind == "bad":
-            raise _syntax_error(text, f"unexpected character {chunk!r}", offset,
+            raise _syntax_error(text, f"unexpected character {token[1]!r}", token[2],
                                 ("identifier", "quoted value"))
+        tokens.append(token)
+        if kind == "eof":
+            break
     return tokens
 
 

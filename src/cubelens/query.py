@@ -112,6 +112,11 @@ class SelectionCondition:
     def mask_atoms(self) -> list[tuple[Level, tuple[int, ...]]]:
         return [(a.level, a.values) for a in self.atoms]
 
+    @cached_property
+    def atom_set(self) -> frozenset[SelectionAtom]:
+        """The atoms in any order: the key of this region's row count."""
+        return frozenset(self.atoms)
+
     def __iter__(self):
         return iter(self.atoms)
 

@@ -11,7 +11,7 @@ from cubelens.errors import (
     UnknownLevel,
     UnknownMember,
 )
-from cubelens.parser import parse
+from cubelens.parser import _tokenize, parse
 
 from fixtures import REFERENCE_QUERY, WALKTHROUGH_QUERY
 from oracles import render_statement
@@ -127,6 +127,17 @@ def test_syntax_error_trailing_garbage(walkthrough_cube):
     text = WALKTHROUGH_QUERY + " LIMIT 5"
     with pytest.raises(AnalyzeSyntaxError):
         parse(text, walkthrough_cube.schema)
+
+
+def test_text_ending_in_whitespace_gives_one_eof(walkthrough_cube):
+    text = WALKTHROUGH_QUERY + " \n\t"
+    tokens = _tokenize(text)
+    assert [kind for kind, _, _ in tokens].count("eof") == 1
+    assert tokens[-1] == ("eof", "", len(text))
+    assert parse(text, walkthrough_cube.schema) == parse(WALKTHROUGH_QUERY, walkthrough_cube.schema)
+    with pytest.raises(AnalyzeSyntaxError) as err:
+        parse("ANALYZE sum(store_sales) FROM  \n ", walkthrough_cube.schema)
+    assert (err.value.offset, err.value.line, err.value.col) == (33, 2, 2)
 
 
 def test_multiline_error_position(walkthrough_cube):

@@ -35,7 +35,9 @@ AGG_FUNCTIONS = ("sum", "min", "max", "count")
 
 _PACK_LIMIT = 1 << 62
 _DENSE_SPACE_LIMIT = 1 << 22
-_DENSE_AT_ROW_LIMIT = 1 << 63  # above any array length: min/max fold densely at every size
+# Unused here: min/max fold densely at every row count.  perfbench's
+# tracing.group_reduce_path still reads it, so it stays above any length.
+_DENSE_AT_ROW_LIMIT = 1 << 63
 EXACT_FLOAT_SUM = float(1 << 52)
 
 
@@ -121,15 +123,13 @@ def _sum_exact(keys, values, minlength, bound, uniq):
     return add_at(values)[uniq]
 
 
-def fold_path(n: int, space: int | None, op: str) -> str:
-    """The path group_reduce folds ``n`` > 0 rows with ``op`` on: 'dense' or
-    'sort' for a packed key space of ``space`` keys, 'lexsort' when the
-    space passes 2**62 (None)."""
+def fold_path(n: int, space: int | None) -> str:
+    """The path group_reduce folds ``n`` > 0 rows on, whatever the aggregate:
+    'dense' or 'sort' for a packed key space of ``space`` keys, 'lexsort'
+    when the space passes 2**62 (None)."""
     if space is None:
         return "lexsort"
-    if (space <= _DENSE_SPACE_LIMIT
-            and space <= max(4 * n, 1 << 16)  # buffer passes must stay amortized
-            and (op in ("sum", "count") or n <= _DENSE_AT_ROW_LIMIT)):
+    if space <= _DENSE_SPACE_LIMIT and space <= max(4 * n, 1 << 16):  # amortized buffer passes
         return "dense"
     return "sort"
 
@@ -161,7 +161,7 @@ def group_reduce(
     if op == "sum" and values.dtype.kind != "f":
         bound = (abs_peak(values) if peak is None else peak) * n
     keys, space = _pack(cols, sizes)
-    path = fold_path(n, space, op)
+    path = fold_path(n, space)
     if path == "dense":
         return _dense_reduce(keys, space, sizes, values, op, bound)
     if path == "sort":

@@ -7,9 +7,8 @@ deriving facilitators from a merged result (post-processing).  total_ns is
 the sum of the four stages.  Timings come from the monotonic clock.
 
 The workload runner measures each query x strategy x repetition after a
-configurable number of warmup runs (warmups also fill the cube's atom
-bitsets, region counts and ancestor tables, so repetitions compare hot
-paths).  A per-query timeout marks runs that exceeded their budget;
+configurable number of warmup runs (warmups also fill the cube's region
+counts and ancestor tables, so repetitions compare hot paths).  A per-query timeout marks runs that exceeded their budget;
 execution is not preempted mid-scan, so the budget is checked against the
 measured wall time and a timed-out strategy is not retried for the
 remaining repetitions.  Each report row names the

@@ -21,20 +21,7 @@ from .bench import (
     write_report,
     write_result_files,
 )
-from .errors import (
-    AmbiguousLevel,
-    AnalyzeSyntaxError,
-    ConstraintViolation,
-    CubeLensError,
-    InvalidSpec,
-    ParseError,
-    SchemaMismatch,
-    UnknownDimension,
-    UnknownLevel,
-    UnknownMeasure,
-    UnknownMember,
-    UnknownMemberLabel,
-)
+from .errors import AnalyzeSyntaxError, CubeLensError
 from .hierarchy import decoding, read_json
 from .mqo import STRATEGIES
 from .selector import (
@@ -55,9 +42,8 @@ EXIT_TIMEOUT_ALL = 5
 
 STRATEGY_NAMES = ("auto",) + STRATEGIES
 
-_DATA_ERRORS = (ParseError, SchemaMismatch, UnknownMemberLabel, InvalidSpec)
-_STATEMENT_ERRORS = (AnalyzeSyntaxError, ConstraintViolation, UnknownLevel,
-                     AmbiguousLevel, UnknownMember, UnknownDimension, UnknownMeasure)
+_ERROR_PREFIX = {EXIT_IO: "data error: ", EXIT_PARSE: "parse error: ",
+                 EXIT_EXEC: "execution error: "}  # by CubeLensError.exit_code
 
 
 def _add_data_args(p: argparse.ArgumentParser) -> None:
@@ -208,16 +194,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except _DATA_ERRORS as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except _STATEMENT_ERRORS as exc:
-        print(exc if isinstance(exc, AnalyzeSyntaxError) else f"parse error: {exc}",
-              file=sys.stderr)
-        return EXIT_PARSE
     except CubeLensError as exc:
-        print(f"execution error: {exc}", file=sys.stderr)
-        return EXIT_EXEC
+        prefix = "" if isinstance(exc, AnalyzeSyntaxError) else _ERROR_PREFIX[exc.exit_code]
+        print(f"{prefix}{exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

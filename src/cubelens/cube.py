@@ -21,15 +21,16 @@ hierarchy path of each fact's detailed member, coarsest level first, so
 that every member at every level owns one contiguous slice.  A condition
 whose smallest atom's slice holds at most INDEX_SHARE of the rows reads that
 slice (the union of its values' slices), keeps the rows whose members the
-other atoms hold, gathered at those rows only, and sorts them: work in
+other atoms hold, tested at those rows only, and sorts them: work in
 proportion to the region, not to the cube.  Every other condition takes
-the bitset path: boolean arrays over 0..row_count-1, one per atom (a
-per-member table over the detailed level, gathered through the coordinate
-column), ANDed.  Atom bitsets are cached, read-only, after first use: the
-five facilitator queries of one request share atoms heavily.  A
-condition's bitset is not cached; it is the AND of its atoms' bitsets.
-Only an atom holding more than INDEX_SHARE of the rows ever gets a bitset,
-so a level holds fewer than 16 of them for single-valued atoms.  Both paths
+the bitset path: one boolean array over 0..row_count-1 per atom, ANDed.
+Both paths test an atom the same way, on level_codes: per dimension and
+per level below ALL, each fact's member code at that level (a projection
+index, after O'Neil & Quass, SIGMOD 1997).  The detailed level's column is
+the coordinate column; each coarser one is as narrow as its member count
+allows, gathered once when the cube is built.  An atom test is a compare
+on that column (np.isin for several values), so no bitset is kept, and
+the columns' size is fixed by the schema and the row count.  Both paths
 give the same ascending row ids.
 
 A condition's row count is cached under its set of atoms.  It is a sum of
@@ -44,8 +45,9 @@ detailed member's ancestor code at a level, times a scale (the dimension's
 stride in a packed group key).  Each measure's peak |value| is recorded once,
 when the cube is built, so a scan bounds its sums without a pass over them.
 
-The cube, its row index and its lattice are immutable after load; the
-caches fill idempotently, so concurrent readers are fine.
+The cube, its level columns, its row index and its lattice are immutable
+after load; the count and rollup caches fill idempotently, so concurrent
+readers are fine.
 """
 
 from __future__ import annotations
@@ -107,8 +109,6 @@ class CubeSchema:
     def __init__(self, cube_name: str, dimensions: Sequence[Dimension], measures: Sequence[Measure]):
         _check_distinct(f"cube {cube_name}", "dimension", [d.name for d in dimensions])
         _check_distinct(f"cube {cube_name}", "measure", [m.name for m in measures])
-        if not measures:
-            raise SchemaMismatch(f"cube {cube_name} declares no measures")
         self.cube_name = cube_name
         self.dimensions = tuple(dimensions)
         self.measures = tuple(measures)
@@ -237,8 +237,15 @@ class RowIndex:
         return np.concatenate([self.rows[starts[c]:ends[c]] for c in codes])
 
 
+def _holds(column: np.ndarray, codes: Sequence[int]) -> np.ndarray:
+    """Where a level column holds one of ``codes`` (ints: a compare keeps
+    the column's dtype)."""
+    return column == codes[0] if len(codes) == 1 else np.isin(column, codes)
+
+
 class DetailedCube:
-    """The detailed cube: coordinate codes at level 0 plus measure columns."""
+    """The detailed cube: coordinate codes at level 0 plus measure columns,
+    and each fact's code at every level below ALL (level_codes)."""
 
     def __init__(
         self,
@@ -261,13 +268,23 @@ class DetailedCube:
                 raise SchemaMismatch(f"coordinate code out of range for dimension {dim.name}")
         self.measure_peaks = {name: abs_peak(col) for name, col in self.measure_columns.items()}
         self.exec_stats = ExecStats()
-        self._atom_mask_cache: dict[tuple, np.ndarray] = {}  # read-only bitsets
         self._condition_counts: dict[frozenset, int] = {}  # by the condition's atoms
         self._scaled_tables: dict[tuple[str, int, int], np.ndarray] = {}
         self.row_index = {d.name: RowIndex(d, self.coordinates[d.name])
                           for d in schema.dimensions}
         from .lattice import Lattice  # lattice builds on query, which imports this module
         self.lattice = Lattice(self)
+        # Per dimension, each fact's member code at every level below ALL,
+        # indexed by depth: the coordinate column, then narrower columns.
+        # Built after the lattice, whose fact passes filter nothing, so that
+        # its transient arrays and these columns never coexist: the load's
+        # peak memory stays what it was without them.
+        self.level_codes: dict[str, list[np.ndarray]] = {}
+        for dim in schema.dimensions:
+            col = self.coordinates[dim.name]
+            self.level_codes[dim.name] = [col] + [
+                dim.anc_array(0, level.depth).astype(np.min_scalar_type(level.member_count - 1))[col]
+                for level in dim.levels[1:-1]]
 
     # -- scanning ---------------------------------------------------------
 
@@ -293,27 +310,20 @@ class DetailedCube:
     # -- filtering --------------------------------------------------------
 
     def atom_mask(self, level: Level, codes: Sequence[int]) -> np.ndarray:
-        """Bitset of rows whose coordinate rolls up into ``codes`` at
-        ``level``; cached, and read-only."""
-        key = (level.dimension_name, level.depth, tuple(codes))
-        cached = self._atom_mask_cache.get(key)
-        if cached is None:
-            dim = self.schema.dimension(level.dimension_name)
-            selected = np.isin(dim.anc_array(0, level.depth), np.asarray(key[2], dtype=np.int64))
-            mask = selected[self.coordinates[dim.name]]
-            mask.flags.writeable = False
-            cached = self._atom_mask_cache.setdefault(key, mask)
-        return cached
+        """Fresh bitset of rows whose coordinate rolls up into ``codes`` at
+        ``level``."""
+        if level.is_all:
+            return np.ones(self.row_count, dtype=bool)
+        return _holds(self.level_codes[level.dimension_name][level.depth], codes)
 
     def condition_mask(self, atoms: Sequence[tuple[Level, Sequence[int]]]) -> np.ndarray:
-        """Bitset for a conjunction of (level, codes) atoms: the AND of their
-        atom bitsets.  A single atom's is returned as cached, read-only."""
-        masks = [self.atom_mask(level, codes) for level, codes in atoms]
-        if len(masks) < 2:
-            return masks[0] if masks else np.ones(self.row_count, dtype=bool)
-        mask = masks[0] & masks[1]
-        for more in masks[2:]:
-            mask &= more
+        """Fresh bitset for a conjunction of (level, codes) atoms: the AND of
+        their atom bitsets."""
+        if not atoms:
+            return np.ones(self.row_count, dtype=bool)
+        mask = self.atom_mask(*atoms[0])
+        for level, codes in atoms[1:]:
+            mask &= self.atom_mask(level, codes)
         return mask
 
     def index_slice(self, condition) -> tuple[int, int] | None:
@@ -339,10 +349,7 @@ class DetailedCube:
         for i, (level, codes) in enumerate(atoms):
             if i == first or level.is_all or not len(rows):
                 continue
-            dim = self.schema.dimension(level.dimension_name)
-            up = dim.anc_array(0, level.depth)
-            table = up == codes[0] if len(codes) == 1 else np.isin(up, codes)
-            rows = rows[table[self.coordinates[dim.name][rows]]]
+            rows = rows[_holds(self.level_codes[level.dimension_name][level.depth][rows], codes)]
         return rows
 
     def condition_rows(self, condition) -> np.ndarray:
@@ -398,10 +405,11 @@ def _check_fields(where: str, obj, types: dict, required: Sequence[str]) -> None
 
 def check_schema_spec(spec, where: str) -> None:
     """The checks a schema JSON object passes before any file it names is
-    read: field types, level lists ending with ALL, known measure kinds, and
-    names that stay apart under case-insensitive lookup: dimensions,
-    measures, the levels of each dimension (so ALL comes last only) and
-    the fact columns (detailed levels and measures).  Raises SchemaMismatch."""
+    read: field types, level lists ending with ALL, at least one measure,
+    known measure kinds, and names that stay apart under case-insensitive
+    lookup: dimensions, measures, the levels of each dimension (so ALL comes
+    last only) and the fact columns (detailed levels and measures).  Raises
+    SchemaMismatch."""
     _check_fields(where, spec, {"cube": str, "dimensions": list, "measures": list,
                                 "facts": str}, ("cube", "dimensions", "measures"))
     for i, dspec in enumerate(spec["dimensions"], start=1):
@@ -414,6 +422,8 @@ def check_schema_spec(spec, where: str) -> None:
             raise SchemaMismatch(f"{where}: dimension {dspec['name']}: level list must "
                                  f"name a level and end with {ALL_LEVEL_NAME}")
         _check_distinct(f"{where}: dimension {dspec['name']}", "level", levels)
+    if not spec["measures"]:
+        raise SchemaMismatch(f"{where}: cube {spec['cube']} declares no measures")
     for i, mspec in enumerate(spec["measures"], start=1):
         _check_fields(f"{where}: measure {i}", mspec, {"name": str, "kind": (str, type(None))},
                       ("name",))
@@ -486,10 +496,6 @@ def load_cube(
         dimensions.append(dim)
 
     measures = [(mspec["name"], mspec.get("kind")) for mspec in spec["measures"]]
-
-    schema = CubeSchema(spec["cube"], dimensions,
-                        [Measure(name, kind or "decimal") for name, kind in measures])
-
     if fact_file is None:
         if "facts" not in spec:
             raise SchemaMismatch(f"{schema_file}: no fact file given or declared")

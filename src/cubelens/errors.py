@@ -1,30 +1,37 @@
 """Exception hierarchy for the cube engine.
 
 Everything raised on purpose derives from CubeLensError so callers (and the
-CLI) can separate engine failures from genuine bugs.
+CLI) can separate engine failures from genuine bugs.  Each class carries the
+CLI's exit code for it: 2 for a data-file problem, 3 for a statement that
+names or says something wrong, 4 for anything that fails in execution.
 """
 
 
 class CubeLensError(Exception):
     """Base class for all engine errors."""
 
+    exit_code = 4
+
 
 # --- hierarchy / dictionary errors -----------------------------------------
 
 class UnknownLevel(CubeLensError):
-    pass
+    exit_code = 3
 
 
 class AmbiguousLevel(CubeLensError):
-    pass
+    exit_code = 3
 
 
 class UnknownMember(CubeLensError):
-    pass
+    exit_code = 3
 
 
 class UnknownMemberLabel(UnknownMember):
-    """A fact row references a member label absent from its dimension."""
+    """A fact row references a member label absent from its dimension: a
+    data-file problem, unlike the unknown members a statement names."""
+
+    exit_code = 2
 
 
 class LevelOrderViolation(CubeLensError):
@@ -42,19 +49,23 @@ class AlreadyMostDetailed(CubeLensError):
 # --- cube store errors ------------------------------------------------------
 
 class UnknownDimension(CubeLensError):
-    pass
+    exit_code = 3
 
 
 class UnknownMeasure(CubeLensError):
-    pass
+    exit_code = 3
 
 
 class SchemaMismatch(CubeLensError):
     """File columns do not line up with the declared schema."""
 
+    exit_code = 2
+
 
 class ParseError(CubeLensError):
     """Malformed CSV/JSON input data."""
+
+    exit_code = 2
 
 
 # --- query errors -----------------------------------------------------------
@@ -65,6 +76,8 @@ class InvalidQuery(CubeLensError):
 
 class ConstraintViolation(CubeLensError):
     """A structurally valid statement breaks an operator constraint."""
+
+    exit_code = 3
 
 
 class UsabilityViolation(CubeLensError):
@@ -86,9 +99,13 @@ class NoFilterAtom(CubeLensError):
 class InvalidSpec(CubeLensError):
     """Synthetic dataset specification is not sane."""
 
+    exit_code = 2
+
 
 class AnalyzeSyntaxError(CubeLensError):
     """Syntax error in an ANALYZE statement, with position information."""
+
+    exit_code = 3
 
     def __init__(self, message, offset, line, col, expected=()):
         super().__init__(f"{line}:{col}: {message}")

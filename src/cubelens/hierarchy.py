@@ -94,28 +94,21 @@ class MemberDictionary:
         return ranks
 
 
-class HierarchyMap:
-    """Per adjacent level pair, the child-code -> parent-code array."""
-
-    def __init__(self, dimension_name: str, parent_of: Sequence[np.ndarray]):
-        self.dimension_name = dimension_name
-        self.parent_of = tuple(np.asarray(p, dtype=np.int64) for p in parent_of)
-
-
 class Dimension:
-    """A named chain of levels with dictionaries and the parent maps."""
+    """A named chain of levels with dictionaries and the parent maps:
+    ``parent_of[d]`` maps each code at depth d to its parent's code."""
 
     def __init__(
         self,
         name: str,
         levels: Sequence[Level],
         dictionaries: Sequence[MemberDictionary],
-        hierarchy: HierarchyMap,
+        parent_of: Sequence[np.ndarray],
     ):
         self.name = name
         self.levels = tuple(levels)
         self.dictionaries = tuple(dictionaries)
-        self.hierarchy = hierarchy
+        self.parent_of = tuple(np.asarray(p, dtype=np.int64) for p in parent_of)
         self._level_by_name = {lv.name.lower(): lv for lv in self.levels}
         self._anc_cache: dict[tuple[int, int], np.ndarray] = {}
         self._desc_cache: dict[tuple[int, int], list[np.ndarray]] = {}
@@ -175,7 +168,7 @@ class Dimension:
         if cached is None:
             arr = np.arange(len(self.dictionaries[from_depth]), dtype=np.int64)
             for d in range(from_depth, to_depth):
-                arr = self.hierarchy.parent_of[d][arr]
+                arr = self.parent_of[d][arr]
             cached = self._anc_cache.setdefault(key, arr)
         return cached
 
@@ -242,10 +235,10 @@ def validate_hierarchy(dim: Dimension) -> list[str]:
         if len(set(dictionary.labels)) != len(dictionary.labels):
             violations.append(f"dictionary not bijective at {lv!r}")
 
-    if len(dim.hierarchy.parent_of) != len(dim.levels) - 1:
+    if len(dim.parent_of) != len(dim.levels) - 1:
         violations.append("non-total ancestor map: wrong number of parent arrays")
     else:
-        for d, parents in enumerate(dim.hierarchy.parent_of):
+        for d, parents in enumerate(dim.parent_of):
             child, parent = dim.levels[d], dim.levels[d + 1]
             if len(parents) != child.member_count:
                 violations.append(f"non-total ancestor map between {child!r} and {parent!r}")
@@ -289,7 +282,7 @@ def dimension_from_tables(
     parent_arrays = [np.asarray(list(p), dtype=np.int64) for p in parents]
     top_count = len(labels_per_level[-1]) if labels_per_level else 0
     parent_arrays.append(np.zeros(top_count, dtype=np.int64))
-    return Dimension(name, levels, dictionaries, HierarchyMap(name, parent_arrays))
+    return Dimension(name, levels, dictionaries, parent_arrays)
 
 
 def dimension_from_member_rows(

@@ -151,7 +151,7 @@ class Lattice:
     def __init__(self, cube):
         # Weak, so that a cube and its lattice, whose routes name the cube,
         # form no reference cycle: a dropped cube is freed at once, with its
-        # filter caches, not at some later full garbage collection.
+        # level columns, not at some later full garbage collection.
         self.cube = weakref.proxy(cube)
         dims = cube.schema.dimensions
         measures = [m.name for m in cube.schema.measures]

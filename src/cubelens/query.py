@@ -8,7 +8,8 @@ qualifying rows come from DetailedCube.condition_rows, in ascending order:
 a condition whose smallest atom is narrow reads that atom's slice of the
 cube's hierarchy-ordered row index and filters it by the other atoms, so a
 small region costs work in proportion to its size; any other condition
-ANDs the cube's cached, read-only per-atom bitsets.  Either way an atom
+ANDs one fresh bitset per atom.  Either way an atom is a compare on the
+cube's column of member codes at its level (DetailedCube.level_codes), and
 selects the rows whose detailed member rolls up into its values, exactly
 the rows its detailed proxy would (the proxy equivalence is
 property-tested).

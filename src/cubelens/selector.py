@@ -224,7 +224,7 @@ def _estimate_scan(q: CubeQuery) -> ScanEstimate:
     layout = q.scan_layout
     space = None if layout is None else layout[1]
     chunks = 1 if space is None else scan_chunks(q, rows, space)
-    path = fold_path(rows // chunks, space, q.agg)  # equal chunks take one path
+    path = fold_path(rows // chunks, space)  # equal chunks take one path
     if path == "dense":
         ns += DENSE_ROW_NS * rows + SPACE_NS * space * chunks
     else:

@@ -59,6 +59,21 @@ def spy_bitsets(monkeypatch) -> list:
     return cubes
 
 
+def check_level_codes(cube) -> None:
+    """Each dimension's level columns hold every fact's member code at each
+    level below ALL, the detailed one being the coordinate column itself;
+    the others take row_count bytes times the itemsize that their level's
+    member count calls for, so the schema alone fixes their size."""
+    for dim in cube.schema.dimensions:
+        columns = cube.level_codes[dim.name]
+        assert len(columns) == len(dim.levels) - 1 and columns[0] is cube.coordinates[dim.name]
+        for level, column in zip(dim.levels, columns):
+            assert np.array_equal(column, dim.anc_array(0, level.depth)[columns[0]])
+    assert sum(col.nbytes for cols in cube.level_codes.values() for col in cols[1:]) == sum(
+        cube.row_count * np.min_scalar_type(level.member_count - 1).itemsize
+        for dim in cube.schema.dimensions for level in dim.levels[1:-1])
+
+
 def build_oracles(tables: DatasetTables) -> dict:
     return {name: HierarchyOracle(levels, rows)
             for name, (levels, rows) in tables.dims.items()}

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from cubelens.bench import WorkloadSpec
 from cubelens.cli import main
-from cubelens.errors import ParseError
+from cubelens.errors import CubeLensError, ParseError
 
 from fixtures import (
     OUTSIDE_OVERFLOW_FACTS,
@@ -216,8 +216,9 @@ def test_gensynth_deterministic_manifest(synth_dir, capsys):
      "duplicate fact column 'Amount' and 'amount'"),
     (lambda s: s["dimensions"][0].update(level_names=["Leaf", "ALL", "Top"]),
      "duplicate level 'ALL' and 'ALL'"),
+    (lambda s: s.update(measures=[]), "need at least one measure"),
 ], ids=["dimensions-by-case", "shared-detailed-level", "level-named-like-a-measure",
-        "level-named-ALL"])
+        "level-named-ALL", "no-measures"])
 def test_gensynth_rejects_what_load_would_reject(tmp_path, capsys, edit, message):
     spec = copy.deepcopy(SYNTH_SPEC)
     edit(spec)
@@ -590,6 +591,33 @@ def test_bad_delimiter_exits_2_before_any_file_is_read(tmp_path, capsys, delimit
     missing = tmp_path / "none" / "schema.json"
     assert main(["load", "--schema", str(missing), "--delimiter", delimiter]) == 2
     assert "bad delimiter" in capsys.readouterr().err
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_class_carries_an_exit_code():
+    """Data-file errors exit 2, statement errors 3, the rest 4; an unknown
+    member label in a fact file is a data error, unlike its base class."""
+    codes = {cls.__name__: cls.exit_code for cls in [CubeLensError, *_subclasses(CubeLensError)]}
+    assert set(codes.values()) == {2, 3, 4}
+    assert {name for name, code in codes.items() if code == 2} == {
+        "ParseError", "SchemaMismatch", "UnknownMemberLabel", "InvalidSpec"}
+    assert {name for name, code in codes.items() if code == 3} == {
+        "AnalyzeSyntaxError", "ConstraintViolation", "UnknownLevel", "AmbiguousLevel",
+        "UnknownMember", "UnknownDimension", "UnknownMeasure"}
+
+
+def test_schema_without_measures_exits_2_before_any_file_is_read(tmp_path, capsys):
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps({"cube": "c", "measures": [], "facts": "none/facts.csv",
+                                "dimensions": [{"name": "A", "levels": ["Leaf", "ALL"],
+                                                "members": "none/A.csv"}]}))
+    assert main(["load", "--schema", str(path)]) == 2
+    assert capsys.readouterr().err == f"data error: {path}: cube c declares no measures\n"
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

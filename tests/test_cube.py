@@ -22,7 +22,14 @@ from cubelens.hierarchy import dimension_from_member_rows, dimension_from_tables
 from cubelens.query import SelectionAtom, SelectionCondition, cell_sets_equal
 from cubelens.synth import SynthSpec, generate
 
-from fixtures import build_cube, foodmart_tables, random_tables, spy_bitsets, write_dataset
+from fixtures import (
+    build_cube,
+    check_level_codes,
+    foodmart_tables,
+    random_tables,
+    spy_bitsets,
+    write_dataset,
+)
 from oracles import desc, filter_rows, naive_filter, read_facts_rowwise
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -564,31 +571,37 @@ def test_small_region_requests_build_no_bitset(monkeypatch):
                         f"GROUP BY A.{a[:2]}, B.B1")
     results = [run_analyze(cube, text) for text in requests]
     assert cube.exec_stats.fact_scans > 0
-    assert not built and not cube._atom_mask_cache
+    assert not built
     for text, result in zip(requests, results):
         oracle = run_analyze(cube, text, strategy="min")
         for role in ROLES:
             a, b = result.slots[role].cells, oracle.slots[role].cells
             assert (a is None) == (b is None) and (a is None or cell_sets_equal(a, b, 0.0))
-    assert not built and not cube._atom_mask_cache
+    assert not built
 
 
-def _held_arrays(cells) -> list[int]:
-    """The ids of the arrays a cell set holds, in its lists and dicts too."""
+def _held_arrays(obj, skip=()) -> list[int]:
+    """The ids of the arrays an object holds in its attributes not named in
+    ``skip``, in its lists and dicts too, and in the lists a dict holds."""
     held = []
-    for value in vars(cells).values():
+    for name, value in vars(obj).items():
+        if name in skip:
+            continue
         items = (value.values() if isinstance(value, dict) else
                  value if isinstance(value, list) else [value])
-        held += [id(a) for a in items if isinstance(a, np.ndarray)]
+        for item in items:
+            held += [id(a) for a in (item if isinstance(item, list) else [item])
+                     if isinstance(a, np.ndarray)]
     return sorted(held)
 
 
-def test_filter_state_stays_bounded_over_a_request_stream(tmp_path):
+def test_filter_state_stays_bounded_over_a_request_stream(tmp_path, monkeypatch):
     """Two blocks of distinct explore-cold requests on a scaled-down sweep
     cube, each run under auto and then under forced Min as the benchmark's
-    checker does.  The only bitsets left are atom bitsets of atoms holding
-    more than INDEX_SHARE of the rows, read-only, under 16 per level in
-    bytes; and the lattice's cell sets hold the same arrays as before,
+    checker does.  Only atoms holding more than INDEX_SHARE of the rows get
+    a bitset, and none is kept: apart from its rollup tables, the cube holds
+    the same arrays as before, its level columns included, whose size the
+    schema fixes.  The lattice's cell sets hold the same arrays as before,
     once each has cached its codes at every level it can roll up to."""
     workload = WORKLOADS["explore-cold"]
     generate(SynthSpec.from_dict(scaled(workload.spec, 50_000)), tmp_path)
@@ -601,6 +614,13 @@ def test_filter_state_stays_bounded_over_a_request_stream(tmp_path):
             for level in dim.levels[g.depth:]:
                 route.cells.codes_at(dim, level)
     before = [_held_arrays(route.cells) for route in routes]
+    held = _held_arrays(cube, skip=("_scaled_tables",))
+    sizes = []
+
+    def spy(self, level, codes, _original=DetailedCube.atom_mask):
+        sizes.append(self.row_index[level.dimension_name].size(level.depth, codes))
+        return _original(self, level, codes)
+    monkeypatch.setattr(DetailedCube, "atom_mask", spy)
 
     blocks = workload.blocks(cube.schema, np.random.default_rng(1))
     texts = next(blocks) + next(blocks)
@@ -612,13 +632,10 @@ def test_filter_state_stays_bounded_over_a_request_stream(tmp_path):
             a, b = result.slots[role].cells, oracle.slots[role].cells
             assert (a is None) == (b is None) and (a is None or cell_sets_equal(a, b, 0.0))
 
-    masks = cube._atom_mask_cache
-    assert masks  # wide atoms took the bitset path
-    for (dim_name, depth, codes), mask in masks.items():
-        assert cube.row_index[dim_name].size(depth, codes) > cube_mod.INDEX_SHARE * cube.row_count
-        assert not mask.flags.writeable
-    levels = sum(len(d.levels) for d in cube.schema.dimensions)
-    assert sum(mask.nbytes for mask in masks.values()) <= 16 * levels * cube.row_count
+    assert sizes  # wide atoms took the bitset path
+    assert min(sizes) > cube_mod.INDEX_SHARE * cube.row_count
+    assert _held_arrays(cube, skip=("_scaled_tables",)) == held
+    check_level_codes(cube)
     assert [_held_arrays(route.cells) for route in routes] == before
 
 

@@ -19,7 +19,7 @@ from cubelens.analyze import ROLES, build_facilitators, from_statement
 from cubelens.bench import load_session, render_result, run_analyze
 from cubelens.cube import CubeSchema, DetailedCube, Measure
 from cubelens.errors import SumOverflow
-from cubelens.hierarchy import dimension_from_member_rows
+from cubelens.hierarchy import dimension_from_member_rows, dimension_from_tables
 from cubelens.lattice import Lattice, estimated_cells, select_vectors
 from cubelens.parser import parse
 from cubelens.query import (
@@ -36,6 +36,7 @@ from fixtures import (
     OVERFLOW_QUERY,
     REFERENCE_QUERY,
     build_cube,
+    check_level_codes,
     overflow_tables,
     random_analyze,
     random_tables,
@@ -193,6 +194,48 @@ def test_deep_and_wide_cubes_load_within_bounds(n_dims, sizes, built):
     assert cube.lattice.nbytes <= cube.lattice.budget
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_random_schemas_load_within_bounds(seed):
+    """Cubes of 1-8 dimensions of 1-7 levels each, small member counts and
+    at most 2K facts build within the ceilings of the wide cubes above,
+    stay within the lattice's bounds, and hold each fact's code at every
+    level below ALL in a column sized by the schema alone."""
+    rng = random.Random(seed)
+    rows = rng.randint(0, 2000)
+    dims, coords = [], {}
+    for d in range(rng.randint(1, 8)):
+        sizes = [rng.randint(1, 3)]
+        for _ in range(rng.randint(0, 6)):
+            sizes.insert(0, rng.randint(sizes[0], min(4 * sizes[0], 300)))
+        name = f"X{d}"
+        dims.append(dimension_from_tables(
+            name, [f"{name}L{i}" for i in range(len(sizes))],
+            [[f"{name}_{i}_{c}" for c in range(size)] for i, size in enumerate(sizes)],
+            [[c * up // size for c in range(size)] for size, up in zip(sizes, sizes[1:])]))
+        coords[name] = np.array([rng.randrange(sizes[0]) for _ in range(rows)], dtype=np.int64)
+    measures = [Measure(f"m{i}", rng.choice(("integer", "decimal")))
+                for i in range(rng.randint(1, 3))]
+    values = {m.name: np.array([rng.randint(-50, 50) for _ in range(rows)],
+                               dtype=np.int64 if m.kind == "integer" else np.float64)
+              for m in measures}
+    schema = CubeSchema("random", dims, measures)
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        cube = DetailedCube(schema, coords, values)
+        seconds = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seconds < 10, seconds
+    assert peak < 64e6, peak
+    assert len(cube.lattice) <= lattice_mod.MAX_PICKS
+    assert cube.exec_stats.build_scans <= lattice_mod.MAX_FACT_PASSES
+    assert cube.lattice.nbytes <= cube.lattice.budget
+    check_level_codes(cube)
+
+
 def test_selection_bounds_its_work():
     # every one of the 46,656 vectors fits the budget: 21**6 (candidate,
     # answered vector) pairs, which the greedy trims to MAX_PAIRS
@@ -299,7 +342,7 @@ def test_counts_from_cuboids_build_no_bitset(monkeypatch):
             continue
         built.clear()
         n = cube.condition_count(top)
-        assert not built and not cube._atom_mask_cache
+        assert not built
         assert n == int(np.count_nonzero(cube.condition_mask(top.mask_atoms())))
         counted += 1
     assert counted >= 10
@@ -464,15 +507,15 @@ def test_build_scans_count_apart_from_request_scans():
 
 def test_dropped_cube_is_freed_without_a_garbage_collection(foodmart_cube):
     """The lattice holds its cube weakly, so a cube whose last reference
-    goes is freed at once with its filter caches, as a session that swaps
-    in a fresh cube expects."""
+    goes is freed at once with its level columns and caches, as a session
+    that swaps in a fresh cube expects."""
     cube = DetailedCube(foodmart_cube.schema, foodmart_cube.coordinates,
                         foodmart_cube.measure_columns)
     result = run_analyze(cube, REFERENCE_QUERY)
     for dim in cube.schema.dimensions:
         for level in dim.levels:
             cube.atom_mask(level, (0,))
-    assert len(cube.lattice) and cube._atom_mask_cache and cube._condition_counts
+    assert len(cube.lattice) and cube._condition_counts
     render_result(cube, result)
     alive = weakref.ref(cube)
     gc.disable()

@@ -25,6 +25,7 @@ the values to find it.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -58,16 +59,14 @@ def key_layout(sizes: Sequence[int]):
 def _pack(cols: Sequence[np.ndarray], sizes: Sequence[int]):
     """Pack key columns into one int64 key, or None when it would overflow.
     A single column is the key itself and is not copied."""
-    layout = key_layout(sizes)
-    if layout is None:
+    space = math.prod(map(int, sizes))  # key_layout's space; with rows to fold, no size is 0
+    if space > _PACK_LIMIT:
         return None, None
-    if len(cols) == 1:
-        return np.asarray(cols[0], dtype=np.int64), layout[1]
-    keys = cols[0].astype(np.int64, copy=True)
+    keys = np.asarray(cols[0], dtype=np.int64)
     for col, size in zip(cols[1:], sizes[1:]):
-        keys *= max(int(size), 1)
+        keys = keys * int(size)  # a fresh array: the first column stays as it is
         keys += col
-    return keys, layout[1]
+    return keys, space
 
 
 def unpack(keys: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
@@ -111,7 +110,7 @@ def _sum_exact(keys, values, minlength, bound, uniq):
     if values.dtype.kind == "f":
         return np.bincount(keys, weights=values, minlength=minlength)[uniq]
     if bound < EXACT_FLOAT_SUM:  # float64 sums of integers stay exact
-        sums = np.bincount(keys, weights=values.astype(np.float64), minlength=minlength)
+        sums = np.bincount(keys, weights=values, minlength=minlength)  # weighs in float64
         return sums[uniq].astype(np.int64)
 
     def add_at(col):
@@ -213,7 +212,7 @@ def _dense_reduce(keys, space, sizes, values, op, bound):
     if op == "count":
         acc = np.bincount(keys, minlength=space)
         uniq = acc.nonzero()[0]
-        return unpack(uniq, sizes), acc[uniq].astype(np.int64)
+        return unpack(uniq, sizes), acc[uniq].astype(np.int64, copy=False)
     touched = np.zeros(space, dtype=bool)
     touched[keys] = True
     uniq = touched.nonzero()[0]

@@ -28,7 +28,7 @@ from .errors import (
     NoFilterAtom,
     NoParentLevel,
 )
-from .hierarchy import Level, anc
+from .hierarchy import Level
 from .query import CellSet, CubeQuery, SelectionAtom, SelectionCondition
 
 ROLES = ("org", "sibA", "sibB", "ddA", "ddB")
@@ -189,17 +189,17 @@ def derive_sibling(aq: AnalyzeQuery, which) -> CubeQuery:
     to parent_level(filter level) = anc(filter value) and group at the
     former filter level."""
     idx = _which_index(which)
-    atom = aq.atom(which)
+    dim_name = aq.groupers[idx].dimension_name
+    atom = aq.condition.atom_for(dim_name)
     if atom is None:
-        raise NoFilterAtom(
-            f"no filter atom on grouper dimension {aq.grouper(which).dimension_name}"
-        )
+        raise NoFilterAtom(f"no filter atom on grouper dimension {dim_name}")
     if atom.level.is_all:
         raise NoParentLevel(f"filter level {atom.level!r} has no parent")
-    dim = aq.cube.schema.dimension(atom.dimension_name)
+    dim = aq.cube.schema.dimension(dim_name)
     parent = dim.parent_level(atom.level)
-    widened = SelectionAtom(parent, (anc(dim, atom.level, parent, atom.values[0]),))
-    condition = aq.condition.replacing(atom.dimension_name, widened)
+    widened = SelectionAtom(parent, (dim.anc_array(atom.level.depth, parent.depth)
+                                     .item(atom.values[0]),))
+    condition = aq.condition.replacing(dim_name, widened)
     groupers = list(aq.groupers)
     groupers[idx] = atom.level
     role = "sibA" if idx == 0 else "sibB"
@@ -221,9 +221,9 @@ def derive_drilldown(aq: AnalyzeQuery, which) -> CubeQuery:
                      aq.measure_name, f"{aq.measure_alias}_{role}", aq.agg)
 
 
-def _try_slot(role: str, build) -> FacilitatorSlot:
+def _try_slot(role: str, derive, aq: AnalyzeQuery, which: str) -> FacilitatorSlot:
     try:
-        return FacilitatorSlot(role, query=build())
+        return FacilitatorSlot(role, query=derive(aq, which))
     except NoFilterAtom:
         return FacilitatorSlot(role, reason=REASON_NO_FILTER_ATOM)
     except NoParentLevel:
@@ -238,10 +238,10 @@ def build_facilitators(aq: AnalyzeQuery) -> FacilitatorSet:
     return FacilitatorSet(
         request=aq,
         org=FacilitatorSlot("org", query=aq.original_query()),
-        sib_a=_try_slot("sibA", lambda: derive_sibling(aq, "alpha")),
-        sib_b=_try_slot("sibB", lambda: derive_sibling(aq, "beta")),
-        dd_a=_try_slot("ddA", lambda: derive_drilldown(aq, "alpha")),
-        dd_b=_try_slot("ddB", lambda: derive_drilldown(aq, "beta")),
+        sib_a=_try_slot("sibA", derive_sibling, aq, "alpha"),
+        sib_b=_try_slot("sibB", derive_sibling, aq, "beta"),
+        dd_a=_try_slot("ddA", derive_drilldown, aq, "alpha"),
+        dd_b=_try_slot("ddB", derive_drilldown, aq, "beta"),
     )
 
 

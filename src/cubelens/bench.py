@@ -8,7 +8,8 @@ the sum of the four stages.  Timings come from the monotonic clock.
 
 The workload runner measures each query x strategy x repetition after a
 configurable number of warmup runs (warmups also fill the cube's region
-counts and ancestor tables, so repetitions compare hot paths).  A per-query timeout marks runs that exceeded their budget;
+counts and the schema's ancestor maps, so repetitions compare hot paths).
+A per-query timeout marks runs that exceeded their budget;
 execution is not preempted mid-scan, so the budget is checked against the
 measured wall time and a timed-out strategy is not retried for the
 remaining repetitions.  Each report row names the
@@ -102,7 +103,8 @@ def write_cells(fh, cube: DetailedCube, cells: CellSet) -> None:
     dicts = [cube.schema.dimension(g.dimension_name).dictionary(g) for g in groupers]
     # Labels are unique within a level, so ordering by label ranks (first
     # grouper most significant) orders by the label tuples.
-    order = np.lexsort([d.label_ranks[c] for d, c in zip(dicts[::-1], cells.key_cols[::-1])])
+    order = (np.lexsort([d.label_ranks[c] for d, c in zip(dicts[::-1], cells.key_cols[::-1])])
+             if len(cells) > 1 else slice(None))
     header = [f"{g.dimension_name}.{g.name}" for g in groupers] + [cells.schema.measure_alias]
     columns = [coded_column(d.quoted_labels, c[order]) for d, c in zip(dicts, cells.key_cols)]
     write_columns(fh, header, len(cells), columns + [formatted_column(str, cells.values[order])])

@@ -39,15 +39,16 @@ lattice (lattice.Lattice, built with the cube) when one can express its
 atoms, else the length of its index rows on the index path, else the
 popcount of its bitset.
 
-Scans read coordinates through per-member tables too: ``rolled_column``
-gathers the selected rows' codes through a cached int64 table holding each
-detailed member's ancestor code at a level, times a scale (the dimension's
-stride in a packed group key).  Each measure's peak |value| is recorded once,
-when the cube is built, so a scan bounds its sums without a pass over them.
+Scans roll up through the same columns: ``rolled_column`` gathers the
+selected rows of a level's column and multiplies them by a scale (the
+dimension's stride in a packed group key), so a scan's rollup reads one
+narrow column and keeps no table.  Each measure's peak |value| is recorded
+once, when the cube is built, so a scan bounds its sums without a pass over
+them.
 
 The cube, its level columns, its row index and its lattice are immutable
-after load; the count and rollup caches fill idempotently, so concurrent
-readers are fine.
+after load; the count cache fills idempotently, so concurrent readers are
+fine.
 """
 
 from __future__ import annotations
@@ -113,12 +114,15 @@ class CubeSchema:
         self.dimensions = tuple(dimensions)
         self.measures = tuple(measures)
         self._dim_by_name = {d.name.lower(): d for d in self.dimensions}
+        self._dim_by_exact_name = {d.name: d for d in self.dimensions}  # the common lookup
         self._measure_by_name = {m.name.lower(): m for m in self.measures}
 
     def dimension(self, name: str) -> Dimension:
-        dim = self._dim_by_name.get(name.lower())
+        dim = self._dim_by_exact_name.get(name)
         if dim is None:
-            raise UnknownDimension(f"cube {self.cube_name} has no dimension {name!r}")
+            dim = self._dim_by_name.get(name.lower())
+            if dim is None:
+                raise UnknownDimension(f"cube {self.cube_name} has no dimension {name!r}")
         return dim
 
     def measure(self, name: str) -> Measure:
@@ -269,16 +273,16 @@ class DetailedCube:
         self.measure_peaks = {name: abs_peak(col) for name, col in self.measure_columns.items()}
         self.exec_stats = ExecStats()
         self._condition_counts: dict[frozenset, int] = {}  # by the condition's atoms
-        self._scaled_tables: dict[tuple[str, int, int], np.ndarray] = {}
         self.row_index = {d.name: RowIndex(d, self.coordinates[d.name])
                           for d in schema.dimensions}
         from .lattice import Lattice  # lattice builds on query, which imports this module
         self.lattice = Lattice(self)
         # Per dimension, each fact's member code at every level below ALL,
         # indexed by depth: the coordinate column, then narrower columns.
-        # Built after the lattice, whose fact passes filter nothing, so that
-        # its transient arrays and these columns never coexist: the load's
-        # peak memory stays what it was without them.
+        # Built after the lattice, whose fact passes gather their keys
+        # through the ancestor maps, so that its transient arrays and these
+        # columns never coexist: the load's peak memory stays what it was
+        # without them.
         self.level_codes: dict[str, list[np.ndarray]] = {}
         for dim in schema.dimensions:
             col = self.coordinates[dim.name]
@@ -290,22 +294,17 @@ class DetailedCube:
 
     def rolled_column(self, dim_name: str, depth: int, rows: np.ndarray | None = None,
                       scale: int = 1) -> np.ndarray:
-        """Coordinate column mapped up to ``depth`` and multiplied by
-        ``scale`` (optionally row-subset).  With ``rows`` the result is a
-        fresh array the caller may modify."""
-        dim = self.schema.dimension(dim_name)
-        col = self.coordinates[dim.name]
-        if rows is not None:
-            col = col[rows]
-        if depth == 0:  # the table would be arange * scale: multiply instead
-            if scale == 1:
-                return col
-            return col * scale if rows is None else np.multiply(col, scale, out=col)
-        key = (dim.name, depth, scale)
-        table = self._scaled_tables.get(key)
-        if table is None:
-            table = self._scaled_tables.setdefault(key, dim.anc_array(0, depth) * scale)
-        return table[col]
+        """Each fact's code at ``depth`` (of ``rows`` only, when given) times
+        ``scale``, gathered from level_codes: zeros at ALL.  The result is a
+        fresh int64 array the caller may modify."""
+        columns = self.level_codes[self.schema.dimension(dim_name).name]
+        if depth == len(columns):  # ALL has one member, code 0
+            return np.zeros(self.row_count if rows is None else len(rows), dtype=np.int64)
+        col = columns[depth] if rows is None else columns[depth][rows]
+        col = col.astype(np.int64, copy=rows is None)  # a gather is already a copy
+        if scale != 1:
+            col *= scale
+        return col
 
     # -- filtering --------------------------------------------------------
 

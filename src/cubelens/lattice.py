@@ -28,7 +28,10 @@ dimension is usable for a query exactly when it holds the query's measure
 and aggregate and sits at or below its groupers and atoms, unless the query
 groups above its own filter level.  A route is the smallest such cuboid
 (reaggregate then checks usability once); a condition's row count is read
-from the smallest count cuboid at or below its atoms.  The selector decides
+from the smallest count cuboid at or below its atoms.  Both lookups start
+from a table, filled when the lattice is built, of each level vector's
+smallest cuboid at or below it; only a key that cuboid lacks (a sum dropped
+on overflow) goes on to the larger ones in size order.  The selector decides
 whether a route is cheaper than a scan.  Everything is built in the
 constructor; the cell sets' code caches fill idempotently, and which cells
 lie inside an atom is computed per call, so concurrent readers are safe and
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import weakref
 from dataclasses import dataclass
 from typing import Optional
@@ -156,7 +160,7 @@ class Lattice:
         dims = cube.schema.dimensions
         measures = [m.name for m in cube.schema.measures]
         self._dim_index = {d.name: i for i, d in enumerate(dims)}
-        self._all_depths = np.array([len(d.levels) - 1 for d in dims], dtype=np.int64)
+        self._all_depths = [len(d.levels) - 1 for d in dims]
         fact_bytes = sum(c.nbytes for c in cube.coordinates.values())
         fact_bytes += sum(c.nbytes for c in cube.measure_columns.values())
         self.budget = BUDGET_SHARE * fact_bytes
@@ -181,6 +185,15 @@ class Lattice:
         self.cuboids = [routes for _, routes in built]
         self.depths = np.array([v for v, _ in built], dtype=np.int64).reshape(len(built),
                                                                              len(dims))
+        # Each level vector's smallest cuboid at or below it (-1: none), at
+        # the vector's row-major position: where _smallest starts looking.
+        shape = [len(d.levels) for d in dims]
+        self._strides = [math.prod(shape[i + 1:]) for i in range(len(shape))]
+        self._smallest_at = np.full(math.prod(shape) if built else 0, -1, dtype=np.int16)
+        if built:  # then the vectors number at most MAX_VECTORS
+            vectors = np.indices(shape).reshape(len(shape), -1).T
+            for i in range(len(built) - 1, -1, -1):  # the smallest is written last
+                self._smallest_at[(self.depths[i] <= vectors).all(axis=1)] = i
         self.nbytes = sum(sum(c.nbytes for c in routes[self._first].cells.key_cols)
                           + routes[self._first].cells.values.nbytes
                           + sum(r.cells.values.nbytes for (_, agg), r in routes.items()
@@ -233,10 +246,14 @@ class Lattice:
         the key space.  A vector past 2**62 keys holds about a cell per row,
         which never fits the budget, so its key always packs."""
         strides, space = key_layout([lv.member_count for lv in levels])
-        key = np.zeros(self.cube.row_count, dtype=np.int64)
+        key = None  # the first gather is the key: no zeroed key beside the gathers
         for level, stride in zip(levels, strides):
             if not level.is_all:
-                key += self.cube.rolled_column(level.dimension_name, level.depth, scale=stride)
+                dim = self.cube.schema.dimension(level.dimension_name)
+                part = (dim.anc_array(0, level.depth) * stride)[self.cube.coordinates[dim.name]]
+                key = part if key is None else np.add(key, part, out=key)
+        if key is None:  # every level is ALL
+            key = np.zeros(self.cube.row_count, dtype=np.int64)
         self.cube.exec_stats.build_scans += 1
         return key, space
 
@@ -247,10 +264,20 @@ class Lattice:
     def _smallest(self, levels, key: tuple[str, str]) -> Optional[Route]:
         """The smallest cuboid holding ``key`` (measure, aggregate) at or
         below ``levels``: on each dimension, their finest level or ALL."""
+        if not self.cuboids:
+            return None
         need = self._all_depths.copy()
         for level in levels:
             i = self._dim_index[level.dimension_name]
-            need[i] = min(need[i], level.depth)
+            if level.depth < need[i]:
+                need[i] = level.depth
+        first = self._smallest_at.item(sum(map(operator.mul, need, self._strides)))
+        if first < 0:
+            return None
+        if key in self.cuboids[first]:
+            return self.cuboids[first][key]
+        # The smallest lacks the key (a sum dropped on overflow): the others
+        # at or below, in size order.
         for i in np.flatnonzero((self.depths <= need).all(axis=1)):
             if key in self.cuboids[i]:
                 return self.cuboids[i][key]

@@ -34,7 +34,9 @@ strategy raises SumOverflow exactly when some facilitator cell overflows.
 reaggregate reads the base cells' codes at a level from the base cell set,
 which rolls them up once: the five roles of a plan share their base and
 their levels.  Which cells lie inside a target atom is tested on those codes
-at each call, so a base keeps no state per atom.
+when a call needs it, so a base keeps no state per atom; the roles a plan
+derives from its base pass each other the cells their shared conditions
+keep (run_strategy hands every call one dict for that).
 Each fold is told the base's peak |cell value|, so none passes over the
 partial aggregates to bound its sums.
 """
@@ -44,6 +46,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from .aggregate import group_reduce
 from .analyze import ROLES, AnalyzeResult, FacilitatorSet, SlotResult
@@ -63,10 +67,14 @@ from .query import (
 # Answering a query from a usable base
 # ---------------------------------------------------------------------------
 
-def reaggregate(base_cells: CellSet, target: CubeQuery, base: CubeQuery) -> CellSet:
+def reaggregate(base_cells: CellSet, target: CubeQuery, base: CubeQuery,
+                kept_by: Optional[dict] = None) -> CellSet:
     """Filter base cells by the target atoms (re-expressed at the base levels),
     roll coordinates up to the target groupers and fold the partial
-    aggregates.  Requires cube_usable(base, target)."""
+    aggregates.  Requires cube_usable(base, target).  ``kept_by``, when
+    given, maps each target condition seen over these base cells to the
+    cells it keeps, and fills as it goes: the roles a plan derives from one
+    base share conditions (the original and the drill-downs share one)."""
     report = cube_usable(base, target)
     if not report.usable:
         raise UsabilityViolation(
@@ -78,18 +86,28 @@ def reaggregate(base_cells: CellSet, target: CubeQuery, base: CubeQuery) -> Cell
         return empty_cell_set(schema, base_cells.values.dtype)
 
     cube_schema = base.cube.schema
-    # base cells kept by the target atoms that differ from the base's
-    mask = base_cells.inside(cube_schema, [
-        a_new for dim_name, a_new in target.condition.by_dimension.items()
-        if not _atoms_equal(base.condition.atom_for(dim_name), a_new)])
-    if mask is None:
-        mask = slice(None)
-    cols = [base_cells.codes_at(cube_schema.dimension(g.dimension_name), g)[mask]
-            for g in target.groupers]
-    sizes = [g.member_count for g in target.groupers]
-    values = base_cells.values[mask]
+    condition = target.condition
+    if kept_by is not None and condition in kept_by:
+        kept = kept_by[condition]
+    else:
+        base_atoms = base.condition.by_dimension
+        # base cells kept by the target atoms that differ from the base's
+        # (their ids: kept cells are few, so three gathers by id beat three
+        # masks), None for all of them
+        mask = base_cells.inside(cube_schema, [
+            a_new for dim_name, a_new in condition.by_dimension.items()
+            if not _atoms_equal(base_atoms.get(dim_name), a_new)])
+        kept = None if mask is None else np.flatnonzero(mask)
+        if kept_by is not None:
+            kept_by[condition] = kept
+    cols = [base_cells.codes_at(cube_schema, g) for g in target.groupers]
+    values = base_cells.values
+    if kept is not None:
+        cols = [col[kept] for col in cols]
+        values = values[kept]
     fold_op = "sum" if base.agg == "count" else base.agg  # partial counts add up
-    key_cols, out = group_reduce(cols, sizes, values, fold_op, peak=base_cells.peak)
+    key_cols, out = group_reduce(cols, [g.member_count for g in target.groupers], values,
+                                 fold_op, peak=base_cells.peak)
     return CellSet(schema, key_cols, out)
 
 
@@ -195,8 +213,10 @@ def run_strategy(plan: Plan) -> AnalyzeResult:
         results[role] = _timed(execute_query, slots[role].query)
 
     t0 = time.perf_counter_ns()
+    kept_by: dict = {}
     for role in plan.derived:
-        results[role] = SlotResult(cells=reaggregate(merged.cells, slots[role].query, plan.base))
+        results[role] = SlotResult(cells=reaggregate(merged.cells, slots[role].query, plan.base,
+                                                     kept_by))
     post_ns = time.perf_counter_ns() - t0 if plan.derived else 0
 
     return AnalyzeResult(slots={role: results[role] for role in ROLES},

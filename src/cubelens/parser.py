@@ -50,6 +50,7 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+_ESCAPE_RE = re.compile(r"\\(.)")  # a quoted value's escaped character
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -119,31 +120,37 @@ class _Parser:
     def error(self, message: str, offset: int, expected=()):
         raise _syntax_error(self.text, message, offset, expected)
 
+    # The expect_* and at_* checks read the token in place and step past a
+    # word or symbol themselves: they run on every token of every request.
+
     def expect_keyword(self, *words: str) -> str:
-        kind, text, offset = self.peek()
+        kind, text, offset = self.tokens[self.pos]
         if kind == "word" and text.lower() in words:
-            return self.advance()
+            self.pos += 1
+            return text
         self.error(f"expected {' or '.join(w.upper() for w in words)}, got {text or 'end of input'!r}",
                    offset, expected=tuple(w.upper() for w in words))
 
     def expect_sym(self, sym: str) -> str:
-        kind, text, offset = self.peek()
+        kind, text, offset = self.tokens[self.pos]
         if kind == "sym" and text == sym:
-            return self.advance()
+            self.pos += 1
+            return text
         self.error(f"expected {sym!r}, got {text or 'end of input'!r}", offset, expected=(sym,))
 
     def expect_word(self, what: str) -> str:
-        kind, text, offset = self.peek()
+        kind, text, offset = self.tokens[self.pos]
         if kind == "word" and text.lower() not in KEYWORDS:
-            return self.advance()
+            self.pos += 1
+            return text
         self.error(f"expected {what}, got {text or 'end of input'!r}", offset, expected=(what,))
 
     def at_keyword(self, *words: str) -> bool:
-        kind, text, _ = self.peek()
+        kind, text, _ = self.tokens[self.pos]
         return kind == "word" and text.lower() in words
 
     def at_sym(self, sym: str) -> bool:
-        kind, text, _ = self.peek()
+        kind, text, _ = self.tokens[self.pos]
         return kind == "sym" and text == sym
 
     # -- grammar ----------------------------------------------------------
@@ -208,7 +215,9 @@ class _Parser:
         kind, text, offset = self.peek()
         if kind == "quoted":
             self.advance()
-            label = re.sub(r"\\(.)", r"\1", text[1:-1])
+            label = text[1:-1]
+            if "\\" in label:
+                label = _ESCAPE_RE.sub(r"\1", label)
         elif kind == "word" and text.lower() not in KEYWORDS:
             label = self.advance()
         else:

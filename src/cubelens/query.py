@@ -18,8 +18,8 @@ Every coarser grouper of a dimension is a function of its finest one, so a
 scan groups rows on the finest requested level of each dimension only; the
 other grouper columns are mapped up from the unique finest codes of the
 result.  The scan builds one packed int64 group key directly: each
-dimension's coordinates are gathered through a per-member table holding the
-ancestor code times that dimension's stride in the key
+dimension's codes at its grouper level are gathered from the cube's level
+column and multiplied by that dimension's stride in the key
 (DetailedCube.rolled_column), and the gathers add up in place.  The selected
 rows are scanned in chunks of SCAN_CHUNK, each gathered and folded by
 group_reduce while its arrays are still in cache, and the chunks' cells are
@@ -100,6 +100,15 @@ class SelectionCondition:
                     f"two atoms on dimension {atom.dimension_name}; one allowed"
                 )
             self.by_dimension[atom.dimension_name] = atom
+        self._atom_set: frozenset[SelectionAtom] | None = None
+
+    @property
+    def atom_set(self) -> frozenset[SelectionAtom]:
+        """The atoms in any order: the key of this region's row count (made
+        on first use; forced plans count no region)."""
+        if self._atom_set is None:
+            self._atom_set = frozenset(self.atoms)
+        return self._atom_set
 
     def atom_for(self, dim_name: str) -> SelectionAtom | None:
         return self.by_dimension.get(dim_name)
@@ -112,11 +121,6 @@ class SelectionCondition:
 
     def mask_atoms(self) -> list[tuple[Level, tuple[int, ...]]]:
         return [(a.level, a.values) for a in self.atoms]
-
-    @cached_property
-    def atom_set(self) -> frozenset[SelectionAtom]:
-        """The atoms in any order: the key of this region's row count."""
-        return frozenset(self.atoms)
 
     def __iter__(self):
         return iter(self.atoms)
@@ -160,31 +164,32 @@ class CellSet:
         other._codes = self._codes
         return other
 
-    def codes_at(self, dim: Dimension, level: Level) -> np.ndarray:
+    def codes_at(self, schema, level: Level) -> np.ndarray:
         """The cells' codes at ``level``: the key column grouped at that
-        level, else the finest key column on its dimension, rolled up."""
+        level, else the finest key column on its dimension, rolled up through
+        the ancestor maps of the cube schema ``schema``."""
         key = (level.dimension_name, level.depth)
         codes = self._codes.get(key)
         if codes is None:
             groupers = self.schema.groupers
             i = finest_groupers(groupers)[level.dimension_name]
+            dim = schema.dimension(level.dimension_name)
             codes = self._codes.setdefault(
                 key, dim.anc_array(groupers[i].depth, level.depth)[self.key_cols[i]])
         return codes
 
-    def atom_hits(self, dim: Dimension, atom: SelectionAtom) -> np.ndarray:
-        """Whether each cell lies inside ``atom`` (tested at the atom's level)."""
-        return atom_contains(dim, atom, atom.level.depth, self.codes_at(dim, atom.level))
-
     def inside(self, schema, atoms) -> np.ndarray | None:
         """Whether each cell lies inside every one of ``atoms`` (atoms at
-        ALL are skipped); None when no atom restricts the cells."""
+        ALL are skipped), each tested on the cells' codes at its level; None
+        when no atom restricts the cells."""
         mask = None
         for atom in atoms:
-            if atom.level.is_all:
+            level = atom.level
+            if level.is_all:
                 continue
-            hit = self.atom_hits(schema.dimension(atom.dimension_name), atom)
-            mask = hit if mask is None else mask & hit
+            hit = atom_contains(schema.dimension(level.dimension_name), atom, level.depth,
+                                self.codes_at(schema, level))
+            mask = hit if mask is None else np.logical_and(mask, hit, out=mask)
         return mask
 
 
@@ -209,11 +214,22 @@ class CubeQuery:
 
     def __post_init__(self):
         # Facts every usability check reads, set once (the dataclass is frozen).
-        finest = finest_groupers(self.groupers)
-        object.__setattr__(self, "finest", finest)  # per grouper dimension, its finest position
-        object.__setattr__(self, "finest_levels",  # and that finest grouper
-                           {dim_name: self.groupers[i] for dim_name, i in finest.items()})
-        object.__setattr__(self, "filter_order_problem", self._filter_order_problem())
+        finest, finest_levels = {}, {}
+        for i, g in enumerate(self.groupers):
+            best = finest_levels.get(g.dimension_name)
+            if best is None or g.depth < best.depth:
+                finest[g.dimension_name], finest_levels[g.dimension_name] = i, g
+        facts = vars(self)
+        facts["finest"] = finest  # per grouper dimension, its finest position
+        facts["finest_levels"] = finest_levels  # and that finest grouper
+        # Why some grouper sits above its dimension's filter level, if one does.
+        facts["filter_order_problem"] = None
+        atoms = self.condition.by_dimension
+        for g in self.groupers:
+            atom = atoms.get(g.dimension_name)
+            if atom is not None and g.depth > atom.level.depth:
+                facts["filter_order_problem"] = f"{g!r} grouped above its filter level {atom.level!r}"
+                break
 
     def validate(self) -> None:
         if not 2 <= len(self.groupers) <= 6:
@@ -242,12 +258,12 @@ class CubeQuery:
                         f"not cover complete {g.name} subtrees (not rollable)"
                     )
 
-    @cached_property
+    @property
     def measure(self) -> str:
         """The measure's name as the schema declares it."""
         return self.cube.schema.measure(self.measure_name).name
 
-    @cached_property
+    @property
     def value_peak(self) -> int | float:
         """A bound on |value| of the rows a scan folds: the measure's peak,
         or 1 for a count (which adds ones)."""
@@ -259,14 +275,6 @@ class CubeQuery:
         finest grouper of each dimension (aggregate.key_layout); None past
         2**62."""
         return key_layout([self.groupers[i].member_count for i in self.finest.values()])
-
-    def _filter_order_problem(self) -> str | None:
-        """Why some grouper sits above its dimension's filter level, if one does."""
-        for g in self.groupers:
-            atom = self.condition.atom_for(g.dimension_name)
-            if atom is not None and g.depth > atom.level.depth:
-                return f"{g!r} grouped above its filter level {atom.level!r}"
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +400,20 @@ class UsabilityReport:
 
 
 def _atoms_equal(a: SelectionAtom | None, b: SelectionAtom | None) -> bool:
-    if a is None or b is None:
-        return a is b or (a is None and b is None)
-    return a.level == b.level and a.values == b.values
+    if a is b:
+        return True
+    return a is not None and b is not None and a.level == b.level and a.values == b.values
+
+
+# The report of a usable pair: every condition holds.
+_USABLE = UsabilityReport(True, (
+    ("i", True, "same detailed cube"),
+    ("ii", True, "same schema dimensions, measure and distributive aggregate"),
+    ("iii", True, "one atom per dimension (absent atoms are trivial ALL atoms)"),
+    ("iv", True, "filters at or above grouper levels in both queries"),
+    ("v", True, "new schema levels at or above the base levels"),
+    ("vi", True, "new atoms re-expressed at the base levels stay within the base grouper "
+     "domains")))
 
 
 def cube_usable(q_base: CubeQuery, q_new: CubeQuery):
@@ -410,7 +429,7 @@ def cube_usable(q_base: CubeQuery, q_new: CubeQuery):
     if not new_fine.keys() <= base_fine.keys():
         extra = sorted(new_fine.keys() - base_fine.keys())
         problems.append(f"dimensions {extra} absent from the base schema")
-    if q_base.measure != q_new.measure:
+    if q_base.measure_name != q_new.measure_name and q_base.measure != q_new.measure:
         problems.append(f"measures differ ({q_base.measure} vs {q_new.measure})")
     if q_base.agg != q_new.agg:
         problems.append(f"aggregates differ ({q_base.agg} vs {q_new.agg})")
@@ -427,20 +446,19 @@ def cube_usable(q_base: CubeQuery, q_new: CubeQuery):
 
     vi_problems = _atom_problems(q_base, q_new) if same_cube else []
 
+    if same_cube and not problems and order_problem is None and not v_problems \
+            and not vi_problems:
+        return _USABLE
+    held = {cid: text for cid, _, text in _USABLE.conditions}
     return UsabilityReport(
-        same_cube and not problems and order_problem is None and not v_problems
-        and not vi_problems,
-        (("i", same_cube, "same detailed cube" if same_cube else "different detailed cubes"),
-         ("ii", not problems, "; ".join(problems)
-          or "same schema dimensions, measure and distributive aggregate"),
+        False,
+        (("i", same_cube, held["i"] if same_cube else "different detailed cubes"),
+         ("ii", not problems, "; ".join(problems) or held["ii"]),
          # One conjunctive atom per dimension is enforced by SelectionCondition.
-         ("iii", True, "one atom per dimension (absent atoms are trivial ALL atoms)"),
-         ("iv", order_problem is None,
-          order_problem or "filters at or above grouper levels in both queries"),
-         ("v", not v_problems,
-          "; ".join(v_problems) or "new schema levels at or above the base levels"),
-         ("vi", not vi_problems, "; ".join(vi_problems) or "new atoms re-expressed at the "
-          "base levels stay within the base grouper domains")))
+         ("iii", True, held["iii"]),
+         ("iv", order_problem is None, order_problem or held["iv"]),
+         ("v", not v_problems, "; ".join(v_problems) or held["v"]),
+         ("vi", not vi_problems, "; ".join(vi_problems) or held["vi"])))
 
 
 def _atom_problems(q_base: CubeQuery, q_new: CubeQuery) -> list[str]:
@@ -452,7 +470,7 @@ def _atom_problems(q_base: CubeQuery, q_new: CubeQuery) -> list[str]:
     base_atoms, new_atoms = q_base.condition.by_dimension, q_new.condition.by_dimension
     for dim_name in sorted(base_atoms.keys() | new_atoms.keys()):
         a_base, a_new = base_atoms.get(dim_name), new_atoms.get(dim_name)
-        if a_base is a_new or _atoms_equal(a_base, a_new):
+        if _atoms_equal(a_base, a_new):
             continue  # identical restriction: nothing to re-apply
         dim = schema.dimension(dim_name)
         base_level = base_fine.get(dim_name) or dim.all_level

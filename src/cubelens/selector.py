@@ -11,7 +11,9 @@ the sibling union is counted from the other three, without a union mask.
 
 The cost rule (the default) builds each strategy's plan once
 (mqo.build_plan), predicts its time and returns the cheapest plan, which
-the executor then runs; all three plans are candidates on every request.
+the executor then runs; all three plans are candidates on every request
+that scans.  When every role is answered from a cuboid the three plans are
+the same, so one is built, and each is predicted at its cuboids' cost.
 A plan's time is the sum over the fact scans it lists (its merged base and
 every facilitator it scans directly) plus a constant per role it derives
 from the base.  A scan costs a constant, its row selection, its rows at the
@@ -29,9 +31,12 @@ built and no fact is read beyond what estimate_stats does.
 Before either rule, 'auto' routes roles to the cube's cuboid lattice
 (route_roles): a role whose smallest usable cuboid is predicted cheaper than
 its own scan is answered from that cuboid, at DERIVE_NS plus a constant per
-cuboid cell, and every candidate plan covers only the remaining roles.
-Region sizes come from count cuboids too (DetailedCube.condition_count), so
-a request the lattice covers builds no bitset.
+cuboid cell, and every candidate plan covers only the remaining roles.  The
+lattice finds that cuboid in a table of each level vector's smallest one,
+and a cuboid cheaper than the scan's row selection alone is routed before
+the rest of the scan is priced.  Region sizes come from count cuboids too
+(DetailedCube.condition_count), so a request the lattice covers builds no
+bitset.
 
 The paper rule (choose_strategy, rule="paper") picks Max-MQO only when the
 sibling regions jointly cover a large share of the all-encompassing region
@@ -55,7 +60,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .aggregate import fold_path
-from .analyze import FacilitatorSet
+from .analyze import ROLES, FacilitatorSet
 from .mqo import STRATEGIES, Plan, build_plan
 from .query import CubeQuery, scan_chunks
 
@@ -213,12 +218,19 @@ def _cuboid_ns(route) -> float:
     return DERIVE_NS + CUBOID_CELL_NS * len(route.cells)
 
 
+def _selection_ns(q: CubeQuery) -> float:
+    """The predicted cost of a scan of q before it folds a row: its constant
+    and its row selection, on the path execute_query selects rows by.  The
+    least the scan can cost, known without its region's count."""
+    pick = q.cube.index_slice(q.condition)
+    return SCAN_NS + (MASK_ROW_NS * q.cube.row_count if pick is None
+                      else INDEX_NS + SLICE_ROW_NS * pick[1])
+
+
 def _estimate_scan(q: CubeQuery) -> ScanEstimate:
     """The predicted cost of execute_query(q) over its region's cached count."""
     rows = q.cube.condition_count(q.condition)
-    pick = q.cube.index_slice(q.condition)  # the path execute_query selects rows by
-    ns = SCAN_NS + (MASK_ROW_NS * q.cube.row_count if pick is None
-                    else INDEX_NS + SLICE_ROW_NS * pick[1])
+    ns = _selection_ns(q)
     if rows == 0:
         return ScanEstimate(q, 0, 0, None, ns)
     layout = q.scan_layout
@@ -243,7 +255,10 @@ def route_roles(fs: FacilitatorSet) -> dict:
         if slot.empty:
             continue
         route = lattice.route(slot.query)
-        if route is not None and _cuboid_ns(route) < _estimate_scan(slot.query).ns:
+        if route is None:
+            continue
+        ns = _cuboid_ns(route)
+        if ns < _selection_ns(slot.query) or ns < _estimate_scan(slot.query).ns:
             routed[role] = route
     return routed
 
@@ -267,17 +282,24 @@ def choose_plan(fs: FacilitatorSet, stats: CostStats,
     The roles in ``cuboids`` (route_roles) are answered from the lattice
     by every candidate; without them the three fact plans are priced."""
     config = config or SelectorConfig()
+    if config.rule == "cost" and cuboids and len(cuboids) + len(fs.missing) == len(ROLES):
+        # Every plan answers every role from its cuboid and scans nothing:
+        # the plans are the same, and so are their predictions.
+        plan = build_plan(STRATEGIES[0], fs, cuboids)
+        choice = StrategyChoice(plan.name, *_overlap(stats),
+                                "every role from cuboids: no plan scans, so they tie")
+        choice.predicted_ms = dict.fromkeys(STRATEGIES, PlanEstimate(plan, ()).ms)
+        choice.plan = plan
+        return choice
     plans = estimate_plans(fs, cuboids)
     predicted = {name: estimate.ms for name, estimate in plans.items()}
     if config.rule == "paper":
         choice = choose_strategy(stats, config)
     else:
         best, runner_up = sorted(predicted, key=predicted.get)[:2]
-        reason = (f"predicted {best} {predicted[best]:.2f} ms < "
-                  f"{runner_up} {predicted[runner_up]:.2f} ms")
-        if not any(estimate.plan.scans for estimate in plans.values()):
-            reason = "every role from cuboids: no plan scans, so they tie"
-        choice = StrategyChoice(best, *_overlap(stats), reason)
+        choice = StrategyChoice(best, *_overlap(stats),
+                                f"predicted {best} {predicted[best]:.2f} ms < "
+                                f"{runner_up} {predicted[runner_up]:.2f} ms")
     choice.predicted_ms = predicted
     choice.plan = plans[choice.chosen].plan
     return choice

@@ -4,6 +4,7 @@ import random
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -17,11 +18,17 @@ from cubelens.bench import (
     write_report,
     write_result_files,
 )
+from cubelens.cube import load_cube
 from cubelens.query import cell_sets_equal
 from cubelens.selector import SelectorConfig
 
+from cubelens.synth import SynthSpec, generate
+
 import oracles
 from fixtures import REFERENCE_QUERY, WALKTHROUGH_QUERY, build_cube, random_analyze, random_tables
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.workloads import SWEEP_SPEC, _sweep_texts, scaled  # noqa: E402
 
 
 def test_timing_breakdown_sums(foodmart_cube):
@@ -216,10 +223,10 @@ def test_bad_workload_rejected(tmp_path):
 
 def test_concurrent_readers_match_serial():
     """Four threads run the same requests on one fresh cube, racing to fill
-    its mask, descendant, scaled-table, label-rank and quoted-label caches,
-    while reading rows through both the row index and bitsets; every result
-    and its rendered text equal the serial ones, and no fact scan goes
-    uncounted."""
+    its region-count, ancestor-map, descendant, label-rank and quoted-label
+    caches, while reading rows through both the row index and bitsets;
+    every result and its rendered text equal the serial ones, and no fact
+    scan goes uncounted."""
     tables = random_tables(random.Random(151), max_facts=2000)
     strategies = ("auto", "min", "mid", "max")
 
@@ -263,6 +270,47 @@ def test_concurrent_readers_match_serial():
                 a, b = result.slots[role].cells, expect.slots[role].cells
                 assert (a is None) == (b is None), (key, role)
                 assert a is None or cell_sets_equal(a, b), (key, role)
+    assert shared.exec_stats.fact_scans == 4 * serial_cube.exec_stats.fact_scans
+
+
+def test_concurrent_readers_of_the_sweep_cube_match_serial(tmp_path):
+    """The README's claim that concurrent readers are safe, on a 50K-fact
+    cut of the reference sweep cube: four threads run the ten sweep
+    statements under auto, min, mid and max on one freshly loaded cube, each
+    in its own order, with a short switch interval.  Every result equals
+    the serial one exactly, and the shared cube counts four times the
+    serial fact scans."""
+    generate(SynthSpec.from_dict(scaled(SWEEP_SPEC, 50_000)), tmp_path)
+    serial_cube = load_cube(tmp_path / "schema.json")
+    jobs = [(text, strategy) for text in _sweep_texts(serial_cube.schema)
+            for strategy in ("auto", "min", "mid", "max")]
+    serial = {job: run_analyze(serial_cube, *job) for job in jobs}
+    assert serial_cube.exec_stats.fact_scans > 0
+    shared = load_cube(tmp_path / "schema.json")
+
+    def answers(order_seed):
+        order = random.Random(order_seed).sample(jobs, len(jobs))
+        return {job: run_analyze(shared, *job) for job in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(answers, seed) for seed in range(4)]
+            threaded = [f.result(timeout=300) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+
+    for results in threaded:
+        assert results.keys() == serial.keys()
+        for job, result in results.items():
+            expect = serial[job]
+            assert (result.strategy_used, result.cuboids) == (expect.strategy_used,
+                                                               expect.cuboids), job
+            for role in ROLES:
+                a, b = result.slots[role].cells, expect.slots[role].cells
+                assert (a is None) == (b is None), (job, role)
+                assert a is None or cell_sets_equal(a, b, rel_tol=0.0), (job, role)
     assert shared.exec_stats.fact_scans == 4 * serial_cube.exec_stats.fact_scans
 
 

@@ -538,6 +538,36 @@ def test_index_rows_equal_the_bitset_rows(seed, n_dims, n_facts, share):
         cube_mod.INDEX_SHARE = original
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.sampled_from([0, 1, 40, 400]))
+def test_rolled_column_gathers_the_level_codes(seed, n_dims, n_facts):
+    """At every depth of every dimension, ALL included, for no rows, random
+    ascending rows and all rows (rows=None), with scale 1 and above:
+    rolled_column is the rows' ancestor codes times the scale, as a fresh
+    int64 array, and writing into it leaves the level columns as they were."""
+    rng = random.Random(seed)
+    cube = _index_cube(rng, n_dims, n_facts)
+    before = {name: [col.copy() for col in cols] for name, cols in cube.level_codes.items()}
+    for dim in cube.schema.dimensions:
+        coords = cube.coordinates[dim.name]
+        for level in dim.levels:
+            for rows in (np.empty(0, np.int64),
+                         np.array(sorted(rng.sample(range(n_facts), rng.randint(0, n_facts))),
+                                  dtype=np.int64),
+                         None):
+                for scale in (1, rng.randint(2, 1 << 20)):
+                    got = cube.rolled_column(dim.name, level.depth, rows, scale)
+                    picked = coords if rows is None else coords[rows]
+                    expect = dim.anc_array(0, level.depth)[picked] * scale
+                    assert got.dtype == np.int64 and np.array_equal(got, expect)
+                    assert not any(np.shares_memory(got, col)
+                                   for cols in cube.level_codes.values() for col in cols)
+                    got[:] = -1
+    for name, cols in cube.level_codes.items():
+        assert all(np.array_equal(a, b) for a, b in zip(cols, before[name]))
+    check_level_codes(cube)
+
+
 def _tiered_cube(facts=20_000, seed=5):
     """Two dimensions of 400 detailed members under 40 and then 20 parents,
     uniform facts: every member at level 2 or below holds at most 1/20 of
@@ -580,13 +610,11 @@ def test_small_region_requests_build_no_bitset(monkeypatch):
     assert not built
 
 
-def _held_arrays(obj, skip=()) -> list[int]:
-    """The ids of the arrays an object holds in its attributes not named in
-    ``skip``, in its lists and dicts too, and in the lists a dict holds."""
+def _held_arrays(obj) -> list[int]:
+    """The ids of the arrays an object holds in its attributes, in its lists
+    and dicts too, and in the lists a dict holds."""
     held = []
-    for name, value in vars(obj).items():
-        if name in skip:
-            continue
+    for value in vars(obj).values():
         items = (value.values() if isinstance(value, dict) else
                  value if isinstance(value, list) else [value])
         for item in items:
@@ -599,8 +627,8 @@ def test_filter_state_stays_bounded_over_a_request_stream(tmp_path, monkeypatch)
     """Two blocks of distinct explore-cold requests on a scaled-down sweep
     cube, each run under auto and then under forced Min as the benchmark's
     checker does.  Only atoms holding more than INDEX_SHARE of the rows get
-    a bitset, and none is kept: apart from its rollup tables, the cube holds
-    the same arrays as before, its level columns included, whose size the
+    a bitset, and none is kept: the cube and its lattice hold exactly the
+    arrays they held before, the level columns included, whose size the
     schema fixes.  The lattice's cell sets hold the same arrays as before,
     once each has cached its codes at every level it can roll up to."""
     workload = WORKLOADS["explore-cold"]
@@ -612,9 +640,9 @@ def test_filter_state_stays_bounded_over_a_request_stream(tmp_path, monkeypatch)
         for g in route.query.groupers:
             dim = cube.schema.dimension(g.dimension_name)
             for level in dim.levels[g.depth:]:
-                route.cells.codes_at(dim, level)
+                route.cells.codes_at(cube.schema, level)
     before = [_held_arrays(route.cells) for route in routes]
-    held = _held_arrays(cube, skip=("_scaled_tables",))
+    held = _held_arrays(cube), _held_arrays(cube.lattice)
     sizes = []
 
     def spy(self, level, codes, _original=DetailedCube.atom_mask):
@@ -634,7 +662,7 @@ def test_filter_state_stays_bounded_over_a_request_stream(tmp_path, monkeypatch)
 
     assert sizes  # wide atoms took the bitset path
     assert min(sizes) > cube_mod.INDEX_SHARE * cube.row_count
-    assert _held_arrays(cube, skip=("_scaled_tables",)) == held
+    assert (_held_arrays(cube), _held_arrays(cube.lattice)) == held
     check_level_codes(cube)
     assert [_held_arrays(route.cells) for route in routes] == before
 

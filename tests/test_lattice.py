@@ -194,6 +194,27 @@ def test_deep_and_wide_cubes_load_within_bounds(n_dims, sizes, built):
     assert cube.lattice.nbytes <= cube.lattice.budget
 
 
+def check_smallest_lookups(cube, rng, most=4096) -> None:
+    """For every level vector (a random ``most`` of them when there are
+    more) and every (measure, aggregate) key, Lattice._smallest finds what
+    the ordered scan over the cuboids in size order finds: the first whose
+    depths sit at or below the vector and that holds the key."""
+    lattice = cube.lattice
+    dims = cube.schema.dimensions
+    shape = [len(d.levels) for d in dims]
+    vectors = itertools.product(*map(range, shape))
+    if math.prod(shape) > most:
+        vectors = ([rng.randrange(top) for top in shape] for _ in range(most))
+    keys = [(m.name, agg) for m in cube.schema.measures for agg in lattice_mod.AGGS]
+    for vector in vectors:
+        fits = np.flatnonzero((lattice.depths <= np.array(vector)).all(axis=1))
+        levels = [d.levels[k] for d, k in zip(dims, vector)]
+        for key in keys:
+            expect = next((lattice.cuboids[i][key] for i in fits if key in lattice.cuboids[i]),
+                          None)
+            assert lattice._smallest(levels, key) is expect, (vector, key)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_random_schemas_load_within_bounds(seed):
@@ -234,6 +255,7 @@ def test_random_schemas_load_within_bounds(seed):
     assert cube.exec_stats.build_scans <= lattice_mod.MAX_FACT_PASSES
     assert cube.lattice.nbytes <= cube.lattice.budget
     check_level_codes(cube)
+    check_smallest_lookups(cube, rng)
 
 
 def test_selection_bounds_its_work():
@@ -298,6 +320,8 @@ def test_a_sum_cuboid_whose_cells_overflow_is_dropped(monkeypatch):
     for routes, (depth_a, _) in zip(cube.lattice.cuboids, cube.lattice.depths.tolist()):
         assert (("m", "sum") in routes) == (depth_a == 0), depth_a
         assert {("m", "count"), ("m", "min"), ("m", "max")} <= set(routes)
+    # a sum at a coarse vector is read from the smallest finer cuboid that kept it
+    check_smallest_lookups(cube, random.Random(0))
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,13 @@ deriving facilitators from a merged result (post-processing).  total_ns is
 the sum of the four stages.  Timings come from the monotonic clock.
 
 The workload runner measures each query x strategy x repetition after a
-configurable number of warmup runs (warmups also fill the cube's region
-counts and the schema's ancestor maps, so repetitions compare hot paths).
-A per-query timeout marks runs that exceeded their budget;
-execution is not preempted mid-scan, so the budget is checked against the
-measured wall time and a timed-out strategy is not retried for the
-remaining repetitions.  Each report row names the
-strategy that ran and the selector's predicted time for it, next to the
-measured stages.
+configurable number of warmup runs (warmups also fill the schema's
+ancestor maps, so repetitions compare hot paths).  A per-query timeout
+marks runs that exceeded their budget; execution is not preempted
+mid-scan, so the budget is checked against the measured wall time and a
+timed-out strategy is not retried for the remaining repetitions.  Each
+report row names the strategy that ran and the selector's predicted time
+for it, next to the measured stages.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ def run_analyze(
     choice = stats = None
     if strategy == "auto":
         stats = estimate_stats(fs)
-        choice = choose_plan(fs, stats, selector_config, route_roles(fs))
+        choice = choose_plan(fs, stats, selector_config, route_roles(fs, stats))
         plan = choice.plan
     else:
         plan = build_plan(strategy, fs)
@@ -231,7 +230,7 @@ def run_workload(
         aq = from_statement(stmt, cube)
         fs = build_facilitators(aq)
         stats = estimate_stats(fs)
-        predicted = {name: estimate.ms for name, estimate in estimate_plans(fs).items()}
+        predicted = {name: estimate.ms for name, estimate in estimate_plans(fs, stats).items()}
 
         # Oracle result for the equivalence flag (also warms the caches).
         oracle = run_analyze(cube, aq, strategy="min")
@@ -312,11 +311,12 @@ def write_report(rows: Sequence[dict], path) -> None:
 # ---------------------------------------------------------------------------
 
 def format_count(n: int) -> str:
-    if n >= 1_000_000:
-        return f"{n / 1_000_000:.0f}M"
-    if n >= 1_000:
+    """``n`` in K or M, the unit chosen after rounding: 999,999 is 1M."""
+    if n < 1_000:
+        return str(n)
+    if round(n / 1_000) < 1_000:
         return f"{n / 1_000:.0f}K"
-    return str(n)
+    return f"{n / 1_000_000:.0f}M"
 
 
 def load_session(schema_file, dimension_files=None, fact_file=None, delimiter=","):

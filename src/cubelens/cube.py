@@ -33,10 +33,10 @@ on that column (np.isin for several values), so no bitset is kept, and
 the columns' size is fixed by the schema and the row count.  Both paths
 give the same ascending row ids.
 
-A condition's row count is cached under its set of atoms.  It is a sum of
-slice sizes for a single atom, else read from a count cuboid of the cube's
-lattice (lattice.Lattice, built with the cube) when one can express its
-atoms, else the length of its index rows on the index path, else the
+A condition's row count (condition_count) is taken afresh on each call: a
+sum of slice sizes for a single atom, else read from a count cuboid of the
+cube's lattice (lattice.Lattice, built with the cube) when one can express
+its atoms, else the length of its index rows on the index path, else the
 popcount of its bitset.
 
 Scans roll up through the same columns: ``rolled_column`` gathers the
@@ -47,8 +47,8 @@ once, when the cube is built, so a scan bounds its sums without a pass over
 them.
 
 The cube, its level columns, its row index and its lattice are immutable
-after load; the count cache fills idempotently, so concurrent readers are
-fine.
+after load, but for the exec_stats counters; the cube keeps no state per
+request, so concurrent readers are fine.
 """
 
 from __future__ import annotations
@@ -272,7 +272,6 @@ class DetailedCube:
                 raise SchemaMismatch(f"coordinate code out of range for dimension {dim.name}")
         self.measure_peaks = {name: abs_peak(col) for name, col in self.measure_columns.items()}
         self.exec_stats = ExecStats()
-        self._condition_counts: dict[frozenset, int] = {}  # by the condition's atoms
         self.row_index = {d.name: RowIndex(d, self.coordinates[d.name])
                           for d in schema.dimensions}
         from .lattice import Lattice  # lattice builds on query, which imports this module
@@ -361,24 +360,20 @@ class DetailedCube:
         return np.sort(self._index_rows(condition.mask_atoms(), pick[0]))
 
     def condition_count(self, condition) -> int:
-        """Rows selected by a SelectionCondition, cached under its atoms: the
-        size of a single atom's slices, else a count read from the cuboid
-        lattice, else the length of its index rows on the index path, else
-        the popcount of its bitset."""
-        key = condition.atom_set
-        count = self._condition_counts.get(key)
+        """Rows selected by a SelectionCondition: a single atom's slice sizes,
+        else a count read from the cuboid lattice, else the length of its index
+        rows on the index path, else the popcount of its bitset."""
+        atoms = condition.mask_atoms()
+        if not atoms:
+            return self.row_count
+        if len(atoms) == 1:
+            level, codes = atoms[0]
+            return self.row_index[level.dimension_name].size(level.depth, codes)
+        count = self.lattice.count(condition)
         if count is None:
-            atoms = condition.mask_atoms()
-            if not atoms:
-                count = self.row_count
-            elif len(atoms) == 1:
-                level, codes = atoms[0]
-                count = self.row_index[level.dimension_name].size(level.depth, codes)
-            elif (count := self.lattice.count(condition)) is None:
-                pick = self.index_slice(condition)
-                count = (int(np.count_nonzero(self.condition_mask(atoms))) if pick is None
-                         else len(self._index_rows(atoms, pick[0])))
-            count = self._condition_counts.setdefault(key, count)
+            pick = self.index_slice(condition)
+            count = (int(np.count_nonzero(self.condition_mask(atoms))) if pick is None
+                     else len(self._index_rows(atoms, pick[0])))
         return count
 
 

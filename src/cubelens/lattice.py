@@ -31,11 +31,12 @@ groups above its own filter level.  A route is the smallest such cuboid
 from the smallest count cuboid at or below its atoms.  Both lookups start
 from a table, filled when the lattice is built, of each level vector's
 smallest cuboid at or below it; only a key that cuboid lacks (a sum dropped
-on overflow) goes on to the larger ones in size order.  The selector decides
-whether a route is cheaper than a scan.  Everything is built in the
-constructor; the cell sets' code caches fill idempotently, and which cells
-lie inside an atom is computed per call, so concurrent readers are safe and
-a cuboid keeps no state per atom.
+on overflow) goes on to the larger ones in size order.  A count that is one
+cell of its cuboid is found by a binary search on the cells' packed keys.
+The selector decides whether a route is cheaper than a scan.  Everything is
+built in the constructor; the cell sets' code caches fill idempotently, and
+which cells lie inside an atom is computed per call, so concurrent readers
+are safe and a cuboid keeps no state per atom.
 """
 
 from __future__ import annotations
@@ -164,7 +165,8 @@ class Lattice:
         fact_bytes = sum(c.nbytes for c in cube.coordinates.values())
         fact_bytes += sum(c.nbytes for c in cube.measure_columns.values())
         self.budget = BUDGET_SHARE * fact_bytes
-        self.cell_bytes = 8 * (len(dims) + 1 + 3 * len(measures))  # keys, count, 3 per measure
+        # key columns, packed key, count and 3 per measure
+        self.cell_bytes = 8 * (len(dims) + 2 + 3 * len(measures))
         picked = []
         if 2 <= len(dims) <= 6:  # a cuboid's query groups every dimension: 2..6 groupers
             picked = select_vectors([[lv.member_count for lv in d.levels] for d in dims],
@@ -194,11 +196,19 @@ class Lattice:
             vectors = np.indices(shape).reshape(len(shape), -1).T
             for i in range(len(built) - 1, -1, -1):  # the smallest is written last
                 self._smallest_at[(self.depths[i] <= vectors).all(axis=1)] = i
+        # Per cuboid, its levels below ALL with their strides and its packed cell
+        # keys (a cuboid always packs: see _fact_key), ascending from group_reduce.
+        self._cell_keys = []
+        for routes in self.cuboids:
+            cells = routes[self._first].cells
+            strides = key_layout([g.member_count for g in cells.schema.groupers])[0]
+            levels = [(g, s) for g, s in zip(cells.schema.groupers, strides) if not g.is_all]
+            self._cell_keys.append((levels, sum(map(operator.mul, cells.key_cols, strides))))
         self.nbytes = sum(sum(c.nbytes for c in routes[self._first].cells.key_cols)
-                          + routes[self._first].cells.values.nbytes
+                          + routes[self._first].cells.values.nbytes + keys.nbytes
                           + sum(r.cells.values.nbytes for (_, agg), r in routes.items()
                                 if agg != "count")
-                          for routes in self.cuboids)
+                          for routes, (_, keys) in zip(self.cuboids, self._cell_keys))
 
     def _size(self, routes) -> int:
         return len(routes[self._first].cells)
@@ -261,40 +271,45 @@ class Lattice:
         return CubeQuery(self.cube, SelectionCondition(), levels, measure,
                          f"{measure}_{agg}", agg)
 
-    def _smallest(self, levels, key: tuple[str, str]) -> Optional[Route]:
-        """The smallest cuboid holding ``key`` (measure, aggregate) at or
-        below ``levels``: on each dimension, their finest level or ALL."""
+    def _position(self, levels, key: tuple[str, str]) -> int:
+        """Where the smallest cuboid at or below ``levels`` holding ``key`` is; -1: none."""
         if not self.cuboids:
-            return None
+            return -1
         need = self._all_depths.copy()
         for level in levels:
             i = self._dim_index[level.dimension_name]
             if level.depth < need[i]:
                 need[i] = level.depth
         first = self._smallest_at.item(sum(map(operator.mul, need, self._strides)))
-        if first < 0:
-            return None
-        if key in self.cuboids[first]:
-            return self.cuboids[first][key]
+        if first < 0 or key in self.cuboids[first]:
+            return first
         # The smallest lacks the key (a sum dropped on overflow): the others
         # at or below, in size order.
-        for i in np.flatnonzero((self.depths <= need).all(axis=1)):
-            if key in self.cuboids[i]:
-                return self.cuboids[i][key]
-        return None
+        return next((int(i) for i in np.flatnonzero((self.depths <= need).all(axis=1))
+                     if key in self.cuboids[i]), -1)
 
     def route(self, q: CubeQuery) -> Optional[Route]:
         """The smallest cuboid usable for q (see the module note), or None."""
         if q.filter_order_problem is not None:
             return None
-        return self._smallest([*(atom.level for atom in q.condition), *q.groupers],
-                              (q.measure, q.agg))
+        key = (q.measure, q.agg)
+        i = self._position([*(atom.level for atom in q.condition), *q.groupers], key)
+        return None if i < 0 else self.cuboids[i][key]
 
     def count(self, condition) -> Optional[int]:
-        """The fact rows ``condition`` selects, summed from the smallest count
-        cuboid at or below its atoms' levels; None when there is none."""
-        route = self._smallest([atom.level for atom in condition], self._first)
-        if route is None:
+        """The fact rows ``condition`` selects (None: no count cuboid at or below
+        its atoms): one cell found by its packed key, or the cells inside summed."""
+        first = self._position([atom.level for atom in condition], self._first)
+        if first < 0:
             return None
-        mask = route.cells.inside(self.cube.schema, condition)
-        return int(route.cells.values.sum() if mask is None else route.cells.values[mask].sum())
+        cells = self.cuboids[first][self._first].cells
+        levels, keys = self._cell_keys[first]
+        key = 0
+        for level, stride in levels:
+            atom = condition.by_dimension.get(level.dimension_name)
+            if atom is None or atom.level.depth != level.depth or len(atom.values) > 1:
+                mask = cells.inside(self.cube.schema, condition)
+                return int(cells.values.sum() if mask is None else cells.values[mask].sum())
+            key += atom.values[0] * stride
+        at = int(keys.searchsorted(key))
+        return int(cells.values[at]) if at < len(keys) and keys[at] == key else 0

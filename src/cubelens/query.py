@@ -100,15 +100,6 @@ class SelectionCondition:
                     f"two atoms on dimension {atom.dimension_name}; one allowed"
                 )
             self.by_dimension[atom.dimension_name] = atom
-        self._atom_set: frozenset[SelectionAtom] | None = None
-
-    @property
-    def atom_set(self) -> frozenset[SelectionAtom]:
-        """The atoms in any order: the key of this region's row count (made
-        on first use; forced plans count no region)."""
-        if self._atom_set is None:
-            self._atom_set = frozenset(self.atoms)
-        return self._atom_set
 
     def atom_for(self, dim_name: str) -> SelectionAtom | None:
         return self.by_dimension.get(dim_name)
@@ -214,14 +205,9 @@ class CubeQuery:
 
     def __post_init__(self):
         # Facts every usability check reads, set once (the dataclass is frozen).
-        finest, finest_levels = {}, {}
-        for i, g in enumerate(self.groupers):
-            best = finest_levels.get(g.dimension_name)
-            if best is None or g.depth < best.depth:
-                finest[g.dimension_name], finest_levels[g.dimension_name] = i, g
         facts = vars(self)
-        facts["finest"] = finest  # per grouper dimension, its finest position
-        facts["finest_levels"] = finest_levels  # and that finest grouper
+        facts["finest"] = finest_groupers(self.groupers)  # per dimension, its finest position
+        facts["finest_levels"] = {name: self.groupers[i] for name, i in self.finest.items()}
         # Why some grouper sits above its dimension's filter level, if one does.
         facts["filter_order_problem"] = None
         atoms = self.condition.by_dimension

@@ -1,11 +1,11 @@
 """Plan choice for strategy 'auto': a cost model over the plans, or the
 paper's coverage/imbalance rule.
 
-Both read exact region sizes: the fact rows matched by the detailed filter
-regions of the original query, the two sibling queries and the
-all-encompassing query (DetailedCube.condition_count: slice sizes of the
-row index, count cuboids, the rows an index slice keeps, or the popcount of
-the condition's bitset; each count is cached under the condition's atoms).
+Both read exact region sizes, which estimate_stats counts once per request
+into its CostStats: the fact rows matched by the detailed filter regions of
+the original query, the two sibling queries and the all-encompassing query
+(DetailedCube.condition_count: slice sizes of the row index, count cuboids,
+the rows an index slice keeps, or the popcount of the condition's bitset).
 The regions are the slot conditions of the request's FacilitatorSet, and
 the sibling union is counted from the other three, without a union mask.
 
@@ -21,12 +21,12 @@ per-row cost of the fold path it will take (dense, or a sort at rows *
 log2(rows)), a gather cost per row that grows as its region thins out, and
 its key space once per chunk for the dense buffers.  Row selection costs a
 pass over the cube's full bitset, or, on the index path, a constant plus a
-constant per row of the index slice it reads.  The selection path, the fold path and the
-chunk count come from the functions the scan itself runs
+constant per row of the index slice it reads.  The selection path, the
+fold path and the chunk count come from the functions the scan itself runs
 (DetailedCube.index_slice, aggregate.fold_path, query.scan_chunks), so the
-model cannot drift from the kernel.  A scan's rows are the cached count of
-its own region, one of the four that estimate_stats counts: no mask is
-built and no fact is read beyond what estimate_stats does.
+model cannot drift from the kernel.  A scan's rows are its region's count
+in CostStats (_region_rows): no count is taken, no mask built and no fact
+read beyond what estimate_stats does.
 
 Before either rule, 'auto' routes roles to the cube's cuboid lattice
 (route_roles): a role whose smallest usable cuboid is predicted cheaper than
@@ -134,26 +134,19 @@ class StrategyChoice:
 
 
 def estimate_stats(fs: FacilitatorSet) -> CostStats:
-    """Exact region sizes via DetailedCube.condition_count; no sampling."""
-    org = fs.org.query.condition
-    cond_a = org if fs.sib_a.empty else fs.sib_a.query.condition
-    cond_b = org if fs.sib_b.empty else fs.sib_b.query.condition
-    cube = fs.request.cube
-    count = cube.condition_count
-    facts_org, facts_a, facts_b = count(org), count(cond_a), count(cond_b)
-    missing = fs.missing
-    degraded = tuple(role for role in ("sibA", "sibB") if role in missing)
-    return CostStats(
-        facts_org=facts_org,
-        facts_sib_a=facts_a,
-        facts_sib_b=facts_b,
-        facts_all=count(fs.widened_condition),
-        # Each sibling widens one atom and keeps the other, so the two
-        # regions intersect exactly in the original's region.
-        sibling_union=facts_a + facts_b - facts_org,
-        row_count=cube.row_count,
-        degraded=degraded + (("all",) if missing else ()),
-    )
+    """Exact region sizes via DetailedCube.condition_count, each counted once."""
+    count = fs.request.cube.condition_count
+    facts_org = count(fs.org.query.condition)
+    facts_a = facts_org if fs.sib_a.empty else count(fs.sib_a.query.condition)
+    facts_b = facts_org if fs.sib_b.empty else count(fs.sib_b.query.condition)
+    # Each sibling widens one atom and keeps the other, so the two regions
+    # intersect exactly in the original's region.
+    union = facts_a + facts_b - facts_org
+    degraded = ("sibA",) * fs.sib_a.empty + ("sibB",) * fs.sib_b.empty
+    # with a sibling missing, the all-encompassing region is the other's: the union
+    facts_all = union if degraded else count(fs.widened_condition)
+    return CostStats(facts_org, facts_a, facts_b, facts_all, union, fs.request.cube.row_count,
+                     degraded + (("all",) if fs.missing else ()))
 
 
 def choose_strategy(stats: CostStats, config: Optional[SelectorConfig] = None) -> StrategyChoice:
@@ -227,9 +220,15 @@ def _selection_ns(q: CubeQuery) -> float:
                       else INDEX_NS + SLICE_ROW_NS * pick[1])
 
 
-def _estimate_scan(q: CubeQuery) -> ScanEstimate:
-    """The predicted cost of execute_query(q) over its region's cached count."""
-    rows = q.cube.condition_count(q.condition)
+def _region_rows(stats: CostStats, roles) -> int:
+    """The rows a scan answering ``roles`` selects: the original's region,
+    widened by each sibling among them."""
+    regions = (stats.facts_org, stats.facts_sib_a, stats.facts_sib_b, stats.facts_all)
+    return regions[("sibA" in roles) + 2 * ("sibB" in roles)]
+
+
+def _estimate_scan(q: CubeQuery, rows: int) -> ScanEstimate:
+    """The predicted cost of execute_query(q) over its region's ``rows``."""
     ns = _selection_ns(q)
     if rows == 0:
         return ScanEstimate(q, 0, 0, None, ns)
@@ -245,7 +244,7 @@ def _estimate_scan(q: CubeQuery) -> ScanEstimate:
     return ScanEstimate(q, rows, chunks, path, ns)
 
 
-def route_roles(fs: FacilitatorSet) -> dict:
+def route_roles(fs: FacilitatorSet, stats: CostStats) -> dict:
     """The roles 'auto' answers from the cube's lattice: each non-empty role
     whose smallest usable cuboid is predicted cheaper than scanning it;
     role -> lattice.Route."""
@@ -258,17 +257,22 @@ def route_roles(fs: FacilitatorSet) -> dict:
         if route is None:
             continue
         ns = _cuboid_ns(route)
-        if ns < _selection_ns(slot.query) or ns < _estimate_scan(slot.query).ns:
+        if ns < _selection_ns(slot.query) or ns < _estimate_scan(
+                slot.query, _region_rows(stats, (role,))).ns:
             routed[role] = route
     return routed
 
 
-def estimate_plans(fs: FacilitatorSet, cuboids: Optional[dict] = None) -> dict[str, PlanEstimate]:
+def estimate_plans(fs: FacilitatorSet, stats: CostStats,
+                   cuboids: Optional[dict] = None) -> dict[str, PlanEstimate]:
     """Every strategy's plan over the roles not in ``cuboids`` (see
     route_roles), priced over exactly the scans it lists."""
     plans = [build_plan(name, fs, cuboids) for name in STRATEGIES]
-    unique = {id(q): q for plan in plans for q in plan.scans}  # Min and Mid share siblings
-    scans = {key: _estimate_scan(q) for key, q in unique.items()}
+    # each scan with the roles it answers (Min and Mid share siblings)
+    unique = {id(q): (q, roles) for plan in plans for q, roles in zip(
+        plan.scans, [plan.derived] * (plan.base is not None) + [(r,) for r in plan.scanned])}
+    scans = {key: _estimate_scan(q, _region_rows(stats, roles))
+             for key, (q, roles) in unique.items()}
     return {plan.name: PlanEstimate(plan, tuple(scans[id(q)] for q in plan.scans))
             for plan in plans}
 
@@ -291,7 +295,7 @@ def choose_plan(fs: FacilitatorSet, stats: CostStats,
         choice.predicted_ms = dict.fromkeys(STRATEGIES, PlanEstimate(plan, ()).ms)
         choice.plan = plan
         return choice
-    plans = estimate_plans(fs, cuboids)
+    plans = estimate_plans(fs, stats, cuboids)
     predicted = {name: estimate.ms for name, estimate in plans.items()}
     if config.rule == "paper":
         choice = choose_strategy(stats, config)

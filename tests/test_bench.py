@@ -12,6 +12,7 @@ from cubelens import mqo
 from cubelens.analyze import ROLES, build_facilitators
 from cubelens.bench import (
     WorkloadSpec,
+    format_count,
     render_result,
     run_analyze,
     run_workload,
@@ -211,6 +212,14 @@ def test_auto_header_appends_predicted_costs(foodmart_cube):
     assert first.startswith(f"# strategy={result.strategy_used} (coverage=")
     assert first.endswith(f") predicted_ms {predicted}")
     assert set(result.selector.predicted_ms) == {"min", "mid", "max"}
+
+
+@pytest.mark.parametrize("n,text", [
+    (0, "0"), (999, "999"), (1_000, "1K"), (1_499, "1K"), (999_499, "999K"),
+    (999_500, "1M"), (999_999, "1M"), (1_000_000, "1M"), (2_000_000, "2M"),
+])
+def test_format_count_chooses_the_unit_after_rounding(n, text):
+    assert format_count(n) == text
 
 
 def test_bad_workload_rejected(tmp_path):

@@ -623,14 +623,22 @@ def _held_arrays(obj) -> list[int]:
     return sorted(held)
 
 
+def _held_objects(obj) -> dict:
+    """Each attribute's object id, with the length of a dict or list."""
+    return {name: (id(value), len(value) if isinstance(value, (dict, list)) else None)
+            for name, value in vars(obj).items()}
+
+
 def test_filter_state_stays_bounded_over_a_request_stream(tmp_path, monkeypatch):
     """Two blocks of distinct explore-cold requests on a scaled-down sweep
     cube, each run under auto and then under forced Min as the benchmark's
     checker does.  Only atoms holding more than INDEX_SHARE of the rows get
     a bitset, and none is kept: the cube and its lattice hold exactly the
-    arrays they held before, the level columns included, whose size the
-    schema fixes.  The lattice's cell sets hold the same arrays as before,
-    once each has cached its codes at every level it can roll up to."""
+    objects and arrays they held before, the level columns included, whose
+    size the schema fixes, and no dict or list of theirs grows (the
+    exec_stats counters are the one state that changes).  The lattice's cell
+    sets hold the same arrays as before, once each has cached its codes at
+    every level it can roll up to."""
     workload = WORKLOADS["explore-cold"]
     generate(SynthSpec.from_dict(scaled(workload.spec, 50_000)), tmp_path)
     cube = load_cube(tmp_path / "schema.json")
@@ -643,6 +651,7 @@ def test_filter_state_stays_bounded_over_a_request_stream(tmp_path, monkeypatch)
                 route.cells.codes_at(cube.schema, level)
     before = [_held_arrays(route.cells) for route in routes]
     held = _held_arrays(cube), _held_arrays(cube.lattice)
+    objects = _held_objects(cube), _held_objects(cube.lattice)
     sizes = []
 
     def spy(self, level, codes, _original=DetailedCube.atom_mask):
@@ -663,6 +672,7 @@ def test_filter_state_stays_bounded_over_a_request_stream(tmp_path, monkeypatch)
     assert sizes  # wide atoms took the bitset path
     assert min(sizes) > cube_mod.INDEX_SHARE * cube.row_count
     assert (_held_arrays(cube), _held_arrays(cube.lattice)) == held
+    assert (_held_objects(cube), _held_objects(cube.lattice)) == objects
     check_level_codes(cube)
     assert [_held_arrays(route.cells) for route in routes] == before
 

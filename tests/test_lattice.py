@@ -196,7 +196,7 @@ def test_deep_and_wide_cubes_load_within_bounds(n_dims, sizes, built):
 
 def check_smallest_lookups(cube, rng, most=4096) -> None:
     """For every level vector (a random ``most`` of them when there are
-    more) and every (measure, aggregate) key, Lattice._smallest finds what
+    more) and every (measure, aggregate) key, Lattice._position finds what
     the ordered scan over the cuboids in size order finds: the first whose
     depths sit at or below the vector and that holds the key."""
     lattice = cube.lattice
@@ -210,9 +210,63 @@ def check_smallest_lookups(cube, rng, most=4096) -> None:
         fits = np.flatnonzero((lattice.depths <= np.array(vector)).all(axis=1))
         levels = [d.levels[k] for d, k in zip(dims, vector)]
         for key in keys:
-            expect = next((lattice.cuboids[i][key] for i in fits if key in lattice.cuboids[i]),
-                          None)
-            assert lattice._smallest(levels, key) is expect, (vector, key)
+            expect = next((int(i) for i in fits if key in lattice.cuboids[i]), -1)
+            assert lattice._position(levels, key) == expect, (vector, key)
+
+
+def check_count_lookups(cube, rng, regions=64) -> int:
+    """Every count cuboid's packed cell keys strictly ascend, and for random
+    regions Lattice.count equals both the sum of the cells inside the region
+    of its smallest count cuboid and the popcount of the region's bitset:
+    one cell of a cuboid, with or without atoms at ALL; codes no cell of a
+    cuboid holds (count 0); and atoms at random levels and values, most of
+    them finer or coarser than their count cuboid.  Returns how many
+    regions were read as one cell of their count cuboid, and how many of
+    those no cell held."""
+    lattice = cube.lattice
+    for _, keys in lattice._cell_keys:
+        assert np.all(keys[1:] > keys[:-1])
+    one_cell = absent = 0
+    dims = cube.schema.dimensions
+    for _ in range(regions if len(lattice) else 0):
+        i = rng.randrange(len(lattice))
+        cells = lattice.cuboids[i][lattice._first].cells
+        kind = rng.choice(("cell", "absent", "random"))
+        atoms = []
+        if kind == "random":
+            for dim in dims:
+                if rng.random() < 0.6:
+                    level = rng.choice(dim.levels)
+                    atoms.append(SelectionAtom(level, rng.sample(
+                        range(level.member_count), rng.randint(1, min(3, level.member_count)))))
+        else:
+            cell = rng.randrange(len(cells))
+            codes = [int(col[cell]) for col in cells.key_cols]
+            for _ in range(20 if kind == "absent" else 0):  # until no cell holds them
+                codes = [rng.randrange(level.member_count) for level in cells.schema.groupers]
+                if not np.logical_and.reduce([col == code for col, code
+                                              in zip(cells.key_cols, codes)]).any():
+                    break
+            for dim, level, code in zip(dims, cells.schema.groupers, codes):
+                if not level.is_all:
+                    atoms.append(SelectionAtom(level, (code,)))
+                elif rng.random() < 0.5:
+                    atoms.append(SelectionAtom(dim.all_level, (0,)))
+        condition = SelectionCondition(atoms)
+        at = lattice._position([atom.level for atom in atoms], lattice._first)
+        popcount = int(np.count_nonzero(cube.condition_mask(condition.mask_atoms())))
+        count = lattice.count(condition)
+        if at < 0:
+            assert count is None
+            continue
+        counts = lattice.cuboids[at][lattice._first].cells
+        mask = counts.inside(cube.schema, condition)
+        inside = counts.values.sum() if mask is None else counts.values[mask].sum()
+        assert count == inside == popcount, (kind, condition.mask_atoms())
+        if kind != "random" and at == i:
+            one_cell += 1
+            absent += count == 0
+    return one_cell, absent
 
 
 @settings(max_examples=40, deadline=None)
@@ -256,6 +310,7 @@ def test_random_schemas_load_within_bounds(seed):
     assert cube.lattice.nbytes <= cube.lattice.budget
     check_level_codes(cube)
     check_smallest_lookups(cube, rng)
+    check_count_lookups(cube, rng)
 
 
 def test_selection_bounds_its_work():
@@ -322,6 +377,7 @@ def test_a_sum_cuboid_whose_cells_overflow_is_dropped(monkeypatch):
         assert {("m", "count"), ("m", "min"), ("m", "max")} <= set(routes)
     # a sum at a coarse vector is read from the smallest finer cuboid that kept it
     check_smallest_lookups(cube, random.Random(0))
+    assert min(check_count_lookups(cube, random.Random(0))) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +595,7 @@ def test_dropped_cube_is_freed_without_a_garbage_collection(foodmart_cube):
     for dim in cube.schema.dimensions:
         for level in dim.levels:
             cube.atom_mask(level, (0,))
-    assert len(cube.lattice) and cube._condition_counts
+    assert len(cube.lattice)
     render_result(cube, result)
     alive = weakref.ref(cube)
     gc.disable()

@@ -3,8 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from cubelens import aggregate, mqo, query
+from cubelens import aggregate, lattice as lattice_mod, mqo, query
 from cubelens.analyze import AnalyzeQuery, build_facilitators, from_statement
+from cubelens.bench import run_analyze
 from cubelens.cube import CubeSchema, DetailedCube, Measure
 from cubelens.hierarchy import dimension_from_member_rows
 from cubelens.parser import parse
@@ -163,23 +164,45 @@ def test_coverage_and_imbalance_ranges():
         assert choice.chosen in ("mid", "max")
 
 
-def test_cached_regions_are_counted_without_a_popcount(monkeypatch):
-    # each condition's row count is cached under its atoms: estimating a
-    # request again counts nothing, and every cached count is a fresh
-    # popcount of the condition's bitset
+def test_each_region_count_is_its_bitset_popcount():
+    # the four counts of CostStats, degraded requests included (a missing
+    # sibling's region is the original's, and the all-encompassing region
+    # is widened by the siblings that exist)
     rng = random.Random(167)
-    cube = build_cube(random_tables(rng, max_facts=500))
-    fs = build_facilitators(random_analyze(rng, cube))
-    first = estimate_stats(fs)
-    calls = []
-    count_nonzero = np.count_nonzero
-    monkeypatch.setattr(np, "count_nonzero", lambda *a, **k: calls.append(1) or count_nonzero(*a, **k))
-    assert estimate_stats(fs) == first
-    assert calls == []
-    assert cube._condition_counts
-    for atoms, count in cube._condition_counts.items():
-        mask = cube.condition_mask([(a.level, a.values) for a in atoms])
-        assert count == count_nonzero(mask), atoms
+    degraded = 0
+    for _ in range(60):
+        cube = build_cube(random_tables(rng, max_facts=500))
+        fs = build_facilitators(random_analyze(rng, cube, atom_probability=0.6))
+        stats = estimate_stats(fs)
+        regions = [fs.org.query.condition,
+                   *(fs.org.query.condition if slot.empty else slot.query.condition
+                     for slot in (fs.sib_a, fs.sib_b)),
+                   fs.widened_condition]
+        popcounts = [int(np.count_nonzero(cube.condition_mask(region.mask_atoms())))
+                     for region in regions]
+        assert [stats.facts_org, stats.facts_sib_a, stats.facts_sib_b,
+                stats.facts_all] == popcounts
+        degraded += fs.sib_a.empty or fs.sib_b.empty
+    assert degraded >= 10
+
+
+def test_an_auto_request_counts_each_region_once(monkeypatch):
+    # the cube keeps no counts, so a request counts only its distinct
+    # regions: the original, each sibling that exists and, with both, the
+    # all-encompassing one; pricing a scan counts nothing
+    counted = []
+    count = DetailedCube.condition_count
+    monkeypatch.setattr(DetailedCube, "condition_count",
+                        lambda self, condition: counted.append(condition) or count(self, condition))
+    rng = random.Random(173)
+    for _ in range(40):
+        cube = build_cube(random_tables(rng, max_facts=500))
+        aq = random_analyze(rng, cube, atom_probability=0.6)
+        counted.clear()
+        run_analyze(cube, aq)
+        fs = build_facilitators(aq)
+        siblings = (not fs.sib_a.empty) + (not fs.sib_b.empty)
+        assert len(counted) == 1 + siblings + (siblings == 2) <= 4
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +270,7 @@ def test_predicted_fold_paths_are_the_paths_taken(monkeypatch, scans, chunk):
         fs = build_facilitators(random_analyze(rng, cube))
         level0 += any(g.depth == 0 for slot in fs.slots().values() if not slot.empty
                       for g in slot.query.groupers)
-        plans = estimate_plans(fs)
+        plans = estimate_plans(fs, estimate_stats(fs))
         for name, plan in plans.items():
             scans.clear()
             result = mqo.run_strategy(plan.plan)
@@ -264,6 +287,32 @@ def test_predicted_fold_paths_are_the_paths_taken(monkeypatch, scans, chunk):
     assert level0 >= 10
     if chunk < query.SCAN_CHUNK:
         assert max(seen_chunks) > 1
+
+
+def test_priced_rows_are_the_rows_scanned(monkeypatch, scans):
+    # random subsets of the roles that have a usable cuboid are answered
+    # from it, so that merged bases widen by one sibling as well as by both
+    # or none; degraded requests included
+    monkeypatch.setattr(lattice_mod, "BUDGET_SHARE", 4.0)
+    rng = random.Random(229)
+    one_sibling = degraded = 0
+    while one_sibling < 40 or degraded < 10:
+        cube = build_cube(random_tables(rng, max_facts=400))
+        fs = build_facilitators(random_analyze(rng, cube, atom_probability=0.6))
+        routes = {role: cube.lattice.route(slot.query)
+                  for role, slot in fs.slots().items() if not slot.empty}
+        cuboids = {role: route for role, route in routes.items()
+                   if route is not None and rng.random() < 0.5}
+        for plan in estimate_plans(fs, estimate_stats(fs), cuboids).values():
+            scans.clear()
+            mqo.run_strategy(plan.plan)
+            assert len(scans) == len(plan.scans)
+            for (q, folds), predicted in zip(scans, plan.scans):
+                assert q is predicted.query
+                assert sum(rows for rows, _ in folds) == predicted.rows, plan.plan.derived
+            one_sibling += plan.plan.base is not None and len(
+                {"sibA", "sibB"} & set(plan.plan.derived)) == 1
+        degraded += fs.sib_a.empty or fs.sib_b.empty
 
 
 def test_degraded_requests_get_three_candidates():

@@ -177,6 +177,8 @@ class WorkloadSpec:
     def __post_init__(self):
         if any(q.repetitions < 1 for q in self.queries):
             raise ParseError("workload repetitions must be >= 1")
+        if self.warmups < 0:
+            raise ParseError("workload warmups must be >= 0")
         if not math.isfinite(self.timeout_s):
             raise ParseError("workload timeout_s must be finite")
 
@@ -311,12 +313,13 @@ def write_report(rows: Sequence[dict], path) -> None:
 # ---------------------------------------------------------------------------
 
 def format_count(n: int) -> str:
-    """``n`` in K or M, the unit chosen after rounding: 999,999 is 1M."""
+    """``n`` in K, M or G, the unit chosen after rounding: 999,999 is 1M."""
     if n < 1_000:
         return str(n)
-    if round(n / 1_000) < 1_000:
-        return f"{n / 1_000:.0f}K"
-    return f"{n / 1_000_000:.0f}M"
+    for unit, scale in (("K", 1_000), ("M", 1_000_000)):
+        if round(n / scale) < 1_000:
+            return f"{n / scale:.0f}{unit}"
+    return f"{n / 1_000_000_000:.0f}G"
 
 
 def load_session(schema_file, dimension_files=None, fact_file=None, delimiter=","):

@@ -19,20 +19,21 @@ budget: half of the bytes of the fact columns.
 
 Each chosen vector holds the count and the sum, min and max of every
 measure, over one set of key columns.  It is built by reaggregate from its
-smallest chosen ancestor (a finer vector), or from one pass over the facts
-when no ancestor was chosen.  A sum cuboid whose cells leave int64 is dropped;
-its queries scan the facts, which raise SumOverflow exactly as Min-MQO does.
+smallest built ancestor (a finer vector), or from one pass over the facts
+when no ancestor was built.  A vector is kept whole or not at all: one whose
+sum cells leave int64 is left out, and its queries read a finer cuboid or
+scan the facts, which raise SumOverflow exactly as Min-MQO does.
 
 Lookups follow the lattice order (HRU): an unfiltered cuboid grouping every
 dimension is usable for a query exactly when it holds the query's measure
 and aggregate and sits at or below its groupers and atoms, unless the query
 groups above its own filter level.  A route is the smallest such cuboid
 (reaggregate then checks usability once); a condition's row count is read
-from the smallest count cuboid at or below its atoms.  Both lookups start
-from a table, filled when the lattice is built, of each level vector's
-smallest cuboid at or below it; only a key that cuboid lacks (a sum dropped
-on overflow) goes on to the larger ones in size order.  A count that is one
-cell of its cuboid is found by a binary search on the cells' packed keys.
+from the smallest cuboid at or below its atoms.  Since every cuboid holds
+every (measure, aggregate), both lookups are one read of a table, filled
+when the lattice is built, of each level vector's smallest cuboid at or
+below it.  A count that is one cell of its cuboid is found by a binary
+search on the cells' packed keys.
 The selector decides whether a route is cheaper than a scan.  Everything is
 built in the constructor; the cell sets' code caches fill idempotently, and
 which cells lie inside an atom is computed per call, so concurrent readers
@@ -63,8 +64,8 @@ BUDGET_SHARE = 0.5
 # (candidate, answered vector) pairs per step (the 4-dimension WIDE_SPEC has
 # 33,750 in all), keeping the candidates of best first-step benefit per
 # byte when there are more; and it picks at most MAX_PICKS vectors (WIDE_SPEC picks
-# 121).  At most MAX_FACT_PASSES picked vectors without a picked ancestor
-# are built from the facts, one pass each (WIDE_SPEC needs 21); the rest of
+# 120).  At most MAX_FACT_PASSES picked vectors without a built ancestor
+# are built from the facts, one pass each (WIDE_SPEC needs 20); the rest of
 # them are left out.  Together these bound the build's work.
 MAX_VECTORS = 1 << 16
 MAX_PAIRS = 1 << 17
@@ -175,20 +176,21 @@ class Lattice:
         built: list[tuple[tuple[int, ...], dict[tuple[str, str], Route]]] = []
         roots = 0  # vectors built from the facts
         for v in sorted((v for v, _ in picked), key=sum):  # ancestors have smaller depth sums
-            ancestors = sorted((routes for u, routes in built
-                                if all(a <= b for a, b in zip(u, v))), key=self._size)
-            if not ancestors:
+            source = min((routes for u, routes in built if all(a <= b for a, b in zip(u, v))),
+                         key=self._size, default=None)
+            if source is None:
                 if roots == MAX_FACT_PASSES:
                     continue  # its queries read a finer cuboid or scan the facts
                 roots += 1
-            built.append((v, self._build(tuple(d.levels[k] for d, k in zip(dims, v)),
-                                         ancestors)))
+            routes = self._build(tuple(d.levels[k] for d, k in zip(dims, v)), source)
+            if routes is not None:
+                built.append((v, routes))
         built.sort(key=lambda u: self._size(u[1]))
         self.cuboids = [routes for _, routes in built]
         self.depths = np.array([v for v, _ in built], dtype=np.int64).reshape(len(built),
                                                                              len(dims))
         # Each level vector's smallest cuboid at or below it (-1: none), at
-        # the vector's row-major position: where _smallest starts looking.
+        # the vector's row-major position.
         shape = [len(d.levels) for d in dims]
         self._strides = [math.prod(shape[i + 1:]) for i in range(len(shape))]
         self._smallest_at = np.full(math.prod(shape) if built else 0, -1, dtype=np.int16)
@@ -213,10 +215,10 @@ class Lattice:
     def _size(self, routes) -> int:
         return len(routes[self._first].cells)
 
-    def _build(self, levels, ancestors) -> dict[tuple[str, str], Route]:
-        """The cuboids of one level vector, (measure, agg) -> Route: each
-        folded from the smallest of ``ancestors`` (built finer vectors,
-        smallest first) that holds it, else from the facts."""
+    def _build(self, levels, source) -> Optional[dict[tuple[str, str], Route]]:
+        """The cuboids of one level vector, (measure, agg) -> Route, each
+        folded from ``source`` (the smallest built finer vector's cuboids),
+        else from the facts; None when a sum's cells leave int64."""
         routes: dict[tuple[str, str], Route] = {}
         key = None  # the packed key of every fact row, once a fold needs it
         measures = [m.name for m in self.cube.schema.measures]
@@ -228,10 +230,10 @@ class Lattice:
                 routes[measure, agg] = Route(q, cells.with_values(schema, cells.values,
                                                                   cells.peak))
                 continue
-            source = next((r[measure, agg] for r in ancestors if (measure, agg) in r), None)
             try:
                 if source is not None:
-                    cells = reaggregate(source.cells, q, source.query)
+                    base = source[measure, agg]
+                    cells = reaggregate(base.cells, q, base.query)
                     key_cols, values = cells.key_cols, cells.values
                 else:
                     if key is None:
@@ -241,7 +243,7 @@ class Lattice:
                         self.cube.measure_columns[measure], agg, peak=q.value_peak)
                     key_cols = unpack(packed, [lv.member_count for lv in levels])
             except SumOverflow:
-                continue  # a sum whose cells leave int64: its queries scan the facts
+                return None
             peak = abs_peak(values)
             routes[measure, agg] = Route(q, (
                 routes[self._first].cells.with_values(schema, values, peak) if routes else
@@ -271,8 +273,8 @@ class Lattice:
         return CubeQuery(self.cube, SelectionCondition(), levels, measure,
                          f"{measure}_{agg}", agg)
 
-    def _position(self, levels, key: tuple[str, str]) -> int:
-        """Where the smallest cuboid at or below ``levels`` holding ``key`` is; -1: none."""
+    def _position(self, levels) -> int:
+        """Where the smallest cuboid at or below ``levels`` is; -1: none."""
         if not self.cuboids:
             return -1
         need = self._all_depths.copy()
@@ -280,26 +282,19 @@ class Lattice:
             i = self._dim_index[level.dimension_name]
             if level.depth < need[i]:
                 need[i] = level.depth
-        first = self._smallest_at.item(sum(map(operator.mul, need, self._strides)))
-        if first < 0 or key in self.cuboids[first]:
-            return first
-        # The smallest lacks the key (a sum dropped on overflow): the others
-        # at or below, in size order.
-        return next((int(i) for i in np.flatnonzero((self.depths <= need).all(axis=1))
-                     if key in self.cuboids[i]), -1)
+        return self._smallest_at.item(sum(map(operator.mul, need, self._strides)))
 
     def route(self, q: CubeQuery) -> Optional[Route]:
         """The smallest cuboid usable for q (see the module note), or None."""
         if q.filter_order_problem is not None:
             return None
-        key = (q.measure, q.agg)
-        i = self._position([*(atom.level for atom in q.condition), *q.groupers], key)
-        return None if i < 0 else self.cuboids[i][key]
+        i = self._position([*(atom.level for atom in q.condition), *q.groupers])
+        return None if i < 0 else self.cuboids[i].get((q.measure, q.agg))
 
     def count(self, condition) -> Optional[int]:
-        """The fact rows ``condition`` selects (None: no count cuboid at or below
-        its atoms): one cell found by its packed key, or the cells inside summed."""
-        first = self._position([atom.level for atom in condition], self._first)
+        """The fact rows ``condition`` selects (None: no cuboid at or below its
+        atoms): one cell found by its packed key, or the cells inside summed."""
+        first = self._position([atom.level for atom in condition])
         if first < 0:
             return None
         cells = self.cuboids[first][self._first].cells

@@ -59,7 +59,6 @@ from .query import (
     CubeQuery,
     _atoms_equal,
     cube_usable,
-    empty_cell_set,
     execute_query,
 )
 
@@ -78,13 +77,11 @@ def reaggregate(base_cells: CellSet, target: CubeQuery, base: CubeQuery,
     report = cube_usable(base, target)
     if not report.usable:
         raise UsabilityViolation(
-            f"base query is not usable for the target: failed {report.failed}",
+            "base query is not usable for the target: "
+            + "; ".join(f"({cid}) {why}" for cid, why in report.failures),
             failed=report.failed,
         )
     schema = CellSchema(target.groupers, target.measure_alias, target.agg)
-    if len(base_cells) == 0:
-        return empty_cell_set(schema, base_cells.values.dtype)
-
     cube_schema = base.cube.schema
     condition = target.condition
     if kept_by is not None and condition in kept_by:

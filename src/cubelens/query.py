@@ -374,12 +374,18 @@ def _scan_chunk(q: CubeQuery, keys: list[Level], strides: list[int], space: int,
 
 @dataclass(frozen=True)
 class UsabilityReport:
-    usable: bool
-    conditions: tuple[tuple[str, bool, str], ...]
+    """What cube_usable found: each failed condition's id, (i) to (vi), with
+    the reason it fails, in id order.  A usable pair fails none."""
+
+    failures: tuple[tuple[str, str], ...] = ()
+
+    @property
+    def usable(self) -> bool:
+        return not self.failures
 
     @property
     def failed(self) -> tuple[str, ...]:
-        return tuple(cid for cid, ok, _ in self.conditions if not ok)
+        return tuple(cid for cid, _ in self.failures)
 
     def __bool__(self) -> bool:
         return self.usable
@@ -391,23 +397,18 @@ def _atoms_equal(a: SelectionAtom | None, b: SelectionAtom | None) -> bool:
     return a is not None and b is not None and a.level == b.level and a.values == b.values
 
 
-# The report of a usable pair: every condition holds.
-_USABLE = UsabilityReport(True, (
-    ("i", True, "same detailed cube"),
-    ("ii", True, "same schema dimensions, measure and distributive aggregate"),
-    ("iii", True, "one atom per dimension (absent atoms are trivial ALL atoms)"),
-    ("iv", True, "filters at or above grouper levels in both queries"),
-    ("v", True, "new schema levels at or above the base levels"),
-    ("vi", True, "new atoms re-expressed at the base levels stay within the base grouper "
-     "domains")))
+# The report of every usable pair, shared so that success builds nothing.
+_USABLE = UsabilityReport()
 
 
-def cube_usable(q_base: CubeQuery, q_new: CubeQuery):
+def cube_usable(q_base: CubeQuery, q_new: CubeQuery) -> UsabilityReport:
     """Six-condition checklist deciding whether q_base's result can be
-    filtered and reaggregated into q_new's.  Returns a per-condition report
-    with ids (i)-(vi).  It runs on every reaggregate call, so facts of one
-    query alone are cached on it, and condition (vi) settles a single value
-    by one ancestor lookup where that decides it."""
+    filtered and reaggregated into q_new's.  Returns the conditions that
+    fail with their reasons; (iii), one atom per dimension, always holds
+    (SelectionCondition enforces it).  It runs on every reaggregate call,
+    so facts of one query alone are cached on it, a usable pair gets one
+    shared report, and condition (vi) settles a single value by one
+    ancestor lookup where that decides it."""
     same_cube = q_base.cube == q_new.cube  # a cuboid's query holds a proxy of its cube
     base_fine, new_fine = q_base.finest_levels, q_new.finest_levels
 
@@ -435,16 +436,14 @@ def cube_usable(q_base: CubeQuery, q_new: CubeQuery):
     if same_cube and not problems and order_problem is None and not v_problems \
             and not vi_problems:
         return _USABLE
-    held = {cid: text for cid, _, text in _USABLE.conditions}
-    return UsabilityReport(
-        False,
-        (("i", same_cube, held["i"] if same_cube else "different detailed cubes"),
-         ("ii", not problems, "; ".join(problems) or held["ii"]),
-         # One conjunctive atom per dimension is enforced by SelectionCondition.
-         ("iii", True, held["iii"]),
-         ("iv", order_problem is None, order_problem or held["iv"]),
-         ("v", not v_problems, "; ".join(v_problems) or held["v"]),
-         ("vi", not vi_problems, "; ".join(vi_problems) or held["vi"])))
+    return UsabilityReport(tuple(
+        (cid, why) for cid, why in (
+            ("i", None if same_cube else "different detailed cubes"),
+            ("ii", "; ".join(problems)),
+            ("iv", order_problem),
+            ("v", "; ".join(v_problems)),
+            ("vi", "; ".join(vi_problems)))
+        if why))
 
 
 def _atom_problems(q_base: CubeQuery, q_new: CubeQuery) -> list[str]:

@@ -102,8 +102,8 @@ class SynthSpec:
         overrides the spec's seed."""
         if (self.seed if seed is None else seed) < 0:
             raise InvalidSpec("seed must be >= 0")
-        if self.facts < 0:
-            raise InvalidSpec("fact count must be >= 0")
+        if not 0 <= self.facts < 2**63:
+            raise InvalidSpec("fact count must be >= 0 and fit int64")
         if not self.dimensions:
             raise InvalidSpec("need at least one dimension")
         if not self.measures:

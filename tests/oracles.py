@@ -317,12 +317,12 @@ def _lift_values_reference(dim, from_level, values, to_depth):
 
 def cube_usable_reference(q_base, q_new):
     """The six-condition checklist as first written, without fast paths:
-    query.cube_usable must return the same report, condition by condition
-    and message by message."""
+    query.cube_usable must return the same report, failed condition by
+    failed condition and reason by reason."""
     checks: list[tuple[str, bool, str]] = []
 
     same_cube = q_base.cube == q_new.cube  # a cuboid's query holds a proxy of its cube
-    checks.append(("i", same_cube, "same detailed cube" if same_cube else "different detailed cubes"))
+    checks.append(("i", same_cube, "different detailed cubes"))
 
     problems = []
     base_dims, new_dims = grouper_dims(q_base), grouper_dims(q_new)
@@ -337,14 +337,12 @@ def cube_usable_reference(q_base, q_new):
         problems.append(f"aggregates differ ({q_base.agg} vs {q_new.agg})")
     if q_base.agg not in AGG_FUNCTIONS or q_new.agg not in AGG_FUNCTIONS:
         problems.append("aggregate is not distributive")
-    checks.append(("ii", not problems, "; ".join(problems) or "same schema dimensions, measure and distributive aggregate"))
+    checks.append(("ii", not problems, "; ".join(problems)))
 
-    # One conjunctive atom per dimension is enforced by SelectionCondition.
-    checks.append(("iii", True, "one atom per dimension (absent atoms are trivial ALL atoms)"))
+    # (iii), one conjunctive atom per dimension, is enforced by SelectionCondition.
 
     order_problem = q_base.filter_order_problem or q_new.filter_order_problem
-    checks.append(("iv", order_problem is None,
-                   order_problem or "filters at or above grouper levels in both queries"))
+    checks.append(("iv", order_problem is None, order_problem))
 
     base_fine = {d: q_base.groupers[i] for d, i in q_base.finest.items()}
     v_problems = []
@@ -354,8 +352,7 @@ def cube_usable_reference(q_base, q_new):
             continue  # already reported under (ii)
         if base_level.depth > g.depth:
             v_problems.append(f"{g!r} is below the base grouper {base_level!r}")
-    checks.append(("v", not v_problems,
-                   "; ".join(v_problems) or "new schema levels at or above the base levels"))
+    checks.append(("v", not v_problems, "; ".join(v_problems)))
 
     vi_problems = []
     if same_cube:
@@ -391,10 +388,9 @@ def cube_usable_reference(q_base, q_new):
                 vi_problems.append(
                     f"atom on {dim_name} selects values outside the base grouper domain"
                 )
-    checks.append(("vi", not vi_problems,
-                   "; ".join(vi_problems) or "new atoms re-expressed at the base levels stay within the base grouper domains"))
+    checks.append(("vi", not vi_problems, "; ".join(vi_problems)))
 
-    return UsabilityReport(all(ok for _, ok, _ in checks), tuple(checks))
+    return UsabilityReport(tuple((cid, why) for cid, ok, why in checks if not ok))
 
 
 # ---------------------------------------------------------------------------

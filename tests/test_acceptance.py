@@ -159,7 +159,7 @@ def test_criterion_3_usability_predicate():
         base = merged
         for slot in fs.slots().values():
             report = cube_usable(base, slot.query)
-            assert report.usable, (slot.role, report.conditions)
+            assert report.usable, (slot.role, report.failures)
             positives += 1
 
         target = fs.org.query
@@ -448,6 +448,8 @@ def test_auto_answers_the_sweep_from_the_lattice(sweep_bench, monkeypatch):
     # a fresh cube over the same columns, with a new lattice
     cube, queries, _ = sweep_bench
     fresh = DetailedCube(cube.schema, cube.coordinates, cube.measure_columns)
+    # the picks and cells of the sweep lattice, pinned
+    assert len(fresh.lattice) == 33 and fresh.lattice.nbytes == 11_259_584
     built = spy_bitsets(monkeypatch)
     for _, _, text in queries:
         result = run_analyze(fresh, text)

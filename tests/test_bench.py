@@ -217,6 +217,8 @@ def test_auto_header_appends_predicted_costs(foodmart_cube):
 @pytest.mark.parametrize("n,text", [
     (0, "0"), (999, "999"), (1_000, "1K"), (1_499, "1K"), (999_499, "999K"),
     (999_500, "1M"), (999_999, "1M"), (1_000_000, "1M"), (2_000_000, "2M"),
+    (999_499_999, "999M"), (999_500_000, "1G"), (999_999_999, "1G"), (10**9, "1G"),
+    (10**12, "1000G"),
 ])
 def test_format_count_chooses_the_unit_after_rounding(n, text):
     assert format_count(n) == text
@@ -225,9 +227,11 @@ def test_format_count_chooses_the_unit_after_rounding(n, text):
 def test_bad_workload_rejected(tmp_path):
     from cubelens.errors import ParseError
     bad = tmp_path / "w.json"
-    bad.write_text('{"queries": [{"text": "x", "repetitions": 0}]}')
-    with pytest.raises(ParseError):
-        WorkloadSpec.load(bad)
+    for text in ('{"queries": [{"text": "x", "repetitions": 0}]}',
+                 '{"queries": [{"text": "x"}], "warmups": -5}'):
+        bad.write_text(text)
+        with pytest.raises(ParseError):
+            WorkloadSpec.load(bad)
 
 
 def test_concurrent_readers_match_serial():

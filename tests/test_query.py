@@ -13,6 +13,7 @@ from cubelens.query import (
     CubeQuery,
     SelectionAtom,
     SelectionCondition,
+    _USABLE,
     cell_sets_equal,
     cube_usable,
     execute_query,
@@ -366,7 +367,8 @@ def test_usable_reflexive(foodmart_cube):
     aq = reference_aq(foodmart_cube)
     q = aq.original_query()
     report = cube_usable(q, q)
-    assert report.usable and report.failed == ()
+    assert report.usable and report.failed == () and report.failures == ()
+    assert report is _USABLE  # every usable pair shares one report
 
 
 def test_all_encompassing_usable_for_facilitators(foodmart_cube):
@@ -375,7 +377,7 @@ def test_all_encompassing_usable_for_facilitators(foodmart_cube):
     merged = build_plan("max", fs).base
     for role, slot in fs.slots().items():
         report = cube_usable(merged, slot.query)
-        assert report.usable, (role, report.conditions)
+        assert report.usable, (role, report.failures)
 
 
 def test_usable_fails_on_lower_grouper(foodmart_cube):
@@ -445,9 +447,15 @@ def test_reaggregate_drilldown_to_original(foodmart_cube):
 def test_reaggregate_requires_usability(foodmart_cube):
     aq = reference_aq(foodmart_cube)
     fs = build_facilitators(aq)
-    org_cells = execute_query(fs.org.query)
-    with pytest.raises(UsabilityViolation):
-        reaggregate(org_cells, fs.dd_a.query, fs.org.query)  # would need lower levels
+    report = cube_usable(fs.org.query, fs.dd_a.query)  # would need lower levels
+    assert not report and report.failed == ("v",)
+    with pytest.raises(UsabilityViolation) as info:
+        reaggregate(execute_query(fs.org.query), fs.dd_a.query, fs.org.query)
+    # the error names each failed condition with its reason
+    assert info.value.failed == ("v",)
+    why = dict(report.failures)["v"]
+    assert "is below the base grouper" in why
+    assert str(info.value) == f"base query is not usable for the target: (v) {why}"
 
 
 def test_reaggregate_random_usable_pairs():
@@ -545,7 +553,7 @@ def _narrowed_target(rng, base):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_cube_usable_matches_the_reference_checklist(seed):
-    """Whole reports agree: usable, each condition's ok flag and message,
+    """Whole reports agree: each failed condition and its reason,
     on random pairs, pairs near each other, pairs across two cubes over the
     same columns, and cuboid bases, whose queries hold a proxy of the cube."""
     rng = random.Random(seed)

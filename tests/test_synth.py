@@ -131,7 +131,7 @@ def test_block_parents_interleaves_children():
     assert len(set(parents[:8].tolist())) >= 3
 
 
-def test_invalid_specs_rejected():
+def test_invalid_specs_rejected(tmp_path):
     with pytest.raises(InvalidSpec):
         SynthSpec.from_dict({"dimensions": [], "measures": []})  # no fact count
     with pytest.raises(InvalidSpec):
@@ -150,3 +150,7 @@ def test_invalid_specs_rejected():
     })
     with pytest.raises(InvalidSpec):
         growing.validate()
+    huge = SynthSpec.from_dict({**SEED42_SPEC, "facts": 10**20})  # past int64
+    with pytest.raises(InvalidSpec):
+        generate(huge, tmp_path)
+    assert not any(tmp_path.iterdir())  # rejected before any file is written

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -59,10 +60,21 @@ def _add_selector_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--selector", choices=RULES, default="cost",
                    help="auto's rule: the cheapest predicted plan (cost, default) "
                         "or the paper's coverage/imbalance thresholds (paper)")
-    p.add_argument("--coverage-threshold", type=float, default=DEFAULT_COVERAGE_THRESHOLD,
-                   help="paper rule only")
-    p.add_argument("--imbalance-threshold", type=float, default=DEFAULT_IMBALANCE_THRESHOLD,
-                   help="paper rule only")
+    p.add_argument("--coverage-threshold", type=_finite_float,
+                   default=DEFAULT_COVERAGE_THRESHOLD, help="paper rule only")
+    p.add_argument("--imbalance-threshold", type=_finite_float,
+                   default=DEFAULT_IMBALANCE_THRESHOLD, help="paper rule only")
+
+
+def _finite_float(text: str) -> float:
+    """A threshold flag's value: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _strategy_list(text: str) -> list[str]:
@@ -79,17 +91,8 @@ def _strategy_list(text: str) -> list[str]:
     return names
 
 
-def _schema_path(args) -> Path:
-    if args.schema:
-        return Path(args.schema)
-    data_dir = args.data_dir or os.environ.get(DATA_DIR_ENV)
-    if not data_dir:
-        raise SystemExit(f"error: give --schema, --data-dir or ${DATA_DIR_ENV}")
-    return Path(data_dir) / "schema.json"
-
-
 def _load(args):
-    return load_session(_schema_path(args), args.dims, args.facts, delimiter=args.delimiter)
+    return load_session(Path(args.schema), args.dims, args.facts, delimiter=args.delimiter)
 
 
 def _selector_config(args) -> SelectorConfig:
@@ -189,6 +192,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "query" and not (args.query or args.query_file):
         parser.error("query needs --query or --query-file")
+    if "schema" in vars(args) and not args.schema:  # schema.json in the data directory
+        data_dir = args.data_dir or os.environ.get(DATA_DIR_ENV)
+        if not data_dir:
+            parser.error(f"{args.command} needs --schema, --data-dir or ${DATA_DIR_ENV}")
+        args.schema = str(Path(data_dir) / "schema.json")
     try:
         return args.func(args)
     except OSError as exc:

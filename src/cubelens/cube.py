@@ -28,10 +28,11 @@ Both paths test an atom the same way, on level_codes: per dimension and
 per level below ALL, each fact's member code at that level (a projection
 index, after O'Neil & Quass, SIGMOD 1997).  The detailed level's column is
 the coordinate column; each coarser one is as narrow as its member count
-allows, gathered once when the cube is built.  An atom test is a compare
-on that column (np.isin for several values), so no bitset is kept, and
-the columns' size is fixed by the schema and the row count.  Both paths
-give the same ascending row ids.
+allows, gathered once when the cube is built.  An atom test is
+Dimension.rolls_into on the column at the atom's own level (a compare, or a
+table lookup for several values), so no bitset is kept, and the columns'
+size is fixed by the schema and the row count.  Both paths give the same
+ascending row ids.
 
 A condition's row count (condition_count) is taken afresh on each call: a
 sum of slice sizes for a single atom, else read from a count cuboid of the
@@ -241,12 +242,6 @@ class RowIndex:
         return np.concatenate([self.rows[starts[c]:ends[c]] for c in codes])
 
 
-def _holds(column: np.ndarray, codes: Sequence[int]) -> np.ndarray:
-    """Where a level column holds one of ``codes`` (ints: a compare keeps
-    the column's dtype)."""
-    return column == codes[0] if len(codes) == 1 else np.isin(column, codes)
-
-
 class DetailedCube:
     """The detailed cube: coordinate codes at level 0 plus measure columns,
     and each fact's code at every level below ALL (level_codes)."""
@@ -312,7 +307,8 @@ class DetailedCube:
         ``level``."""
         if level.is_all:
             return np.ones(self.row_count, dtype=bool)
-        return _holds(self.level_codes[level.dimension_name][level.depth], codes)
+        return self.schema.dimension(level.dimension_name).rolls_into(
+            level, codes, level.depth, self.level_codes[level.dimension_name][level.depth])
 
     def condition_mask(self, atoms: Sequence[tuple[Level, Sequence[int]]]) -> np.ndarray:
         """Fresh bitset for a conjunction of (level, codes) atoms: the AND of
@@ -347,7 +343,9 @@ class DetailedCube:
         for i, (level, codes) in enumerate(atoms):
             if i == first or level.is_all or not len(rows):
                 continue
-            rows = rows[_holds(self.level_codes[level.dimension_name][level.depth][rows], codes)]
+            name = level.dimension_name
+            rows = rows[self.schema.dimension(name).rolls_into(
+                level, codes, level.depth, self.level_codes[name][level.depth][rows])]
         return rows
 
     def condition_rows(self, condition) -> np.ndarray:
@@ -438,7 +436,9 @@ def _parse_schema_json(schema_file) -> dict:
 
 def _resolve_dimension_files(spec: dict, schema_dir: Path, dimension_files) -> dict[str, Path]:
     """Member file per dimension: explicit NAME=PATH / positional overrides
-    win over the paths declared in the schema file."""
+    win over the paths declared in the schema file.  A NAME that is no
+    dimension of the schema is a SchemaMismatch."""
+    known = {d["name"].lower(): d["name"] for d in spec["dimensions"]}
     declared: dict[str, Path] = {}
     for dspec in spec["dimensions"]:
         if "members" in dspec:
@@ -449,7 +449,11 @@ def _resolve_dimension_files(spec: dict, schema_dir: Path, dimension_files) -> d
         entry = str(entry)
         if "=" in entry:
             name, _, p = entry.partition("=")
-            declared[name.strip().lower()] = Path(p)
+            name = name.strip()
+            if name.lower() not in known:
+                raise SchemaMismatch(f"member file {p} given for unknown dimension {name!r} "
+                                     f"(dimensions: {', '.join(known.values())})")
+            declared[name.lower()] = Path(p)
         else:
             positional.append(Path(entry))
     if positional:

@@ -3,13 +3,16 @@
 A dimension is a totally ordered chain of levels running from the most
 detailed level (depth 0) up to the single-member ALL level.  Members are
 dictionary-encoded per level as dense integer codes, so ancestor lookup is an
-array index and descendant expansion is a cached, pre-grouped code list.
-Labels appear only at the I/O boundary; everything engine-internal speaks
-codes.  Every label-coded CSV the program writes goes through write_columns,
-a column at a time, with each level's labels quoted once.
+array index.  No descendant set is ever listed: a code lies under a member
+exactly when its ancestor at the member's level is that member, so every
+membership test (a filter atom on fact rows, on result cells, or on a whole
+level) is one ancestor gather and a compare (Dimension.rolls_into).  Labels
+appear only at the I/O boundary; everything engine-internal speaks codes.
+Every label-coded CSV the program writes goes through write_columns, a
+column at a time, with each level's labels quoted once.
 
-Dimensions are immutable after construction.  The ancestor/descendant caches
-fill idempotently (same key always maps to the same value), which makes
+Dimensions are immutable after construction.  The ancestor-map cache fills
+idempotently (same key always maps to the same value), which makes
 concurrent readers safe without locking.
 """
 
@@ -111,7 +114,6 @@ class Dimension:
         self.parent_of = tuple(np.asarray(p, dtype=np.int64) for p in parent_of)
         self._level_by_name = {lv.name.lower(): lv for lv in self.levels}
         self._anc_cache: dict[tuple[int, int], np.ndarray] = {}
-        self._desc_cache: dict[tuple[int, int], list[np.ndarray]] = {}
 
     # -- lookup ---------------------------------------------------------
 
@@ -172,26 +174,17 @@ class Dimension:
             cached = self._anc_cache.setdefault(key, arr)
         return cached
 
-    def desc_lists(self, from_depth: int, to_depth: int) -> list[np.ndarray]:
-        """For each member at from_depth, the sorted codes of its descendants
-        at to_depth.  Lazily materialized and cached."""
-        if to_depth > from_depth:
-            raise LevelOrderViolation(
-                f"cannot expand depth {from_depth} up to {to_depth} in {self.name}"
-            )
-        key = (from_depth, to_depth)
-        cached = self._desc_cache.get(key)
-        if cached is None:
-            up = self.anc_array(to_depth, from_depth)
-            n_high = len(self.dictionaries[from_depth])
-            order = np.argsort(up, kind="stable")  # stable keeps codes sorted
-            counts = np.bincount(up, minlength=n_high)
-            bounds = np.concatenate(([0], np.cumsum(counts)))
-            cached = self._desc_cache.setdefault(
-                key,
-                [order[bounds[m]:bounds[m + 1]] for m in range(n_high)],
-            )
-        return cached
+    def rolls_into(self, level: Level, values: Sequence[int], depth: int,
+                   codes: np.ndarray) -> np.ndarray:
+        """Whether each code at ``depth`` (at or below ``level``) rolls up
+        into one of ``values`` at ``level``: a compare for one value (a plain
+        int keeps the codes' dtype), else a lookup in a table over the level."""
+        up = codes if depth == level.depth else self.anc_array(depth, level.depth)[codes]
+        if len(values) == 1:
+            return up == values[0]
+        table = np.zeros(level.member_count, dtype=bool)
+        table[list(values)] = True
+        return table[up]
 
     def _check_code(self, level: Level, code: int) -> int:
         code = int(code)

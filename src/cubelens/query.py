@@ -34,11 +34,12 @@ rows.
 The usability predicate decides when one query's result can be filtered and
 re-rolled into another's (mqo.reaggregate performs that rewrite, and checks
 it on every call).  It treats an absent atom as the trivial ALL filter.  Both
-test atom membership through ancestor maps (atom_contains), not set lookups;
-the predicate settles a single-valued atom under a coarser base atom by one
-ancestor lookup.  The facts of one query that every check reads (its finest
-grouper per dimension, whether it groups above a filter) are set when the
-query is built.
+test atom membership through ancestor maps (Dimension.rolls_into), never by
+listing descendants: where a whole level must be compared, the test runs on
+every code of that level.  The predicate settles a single-valued atom under
+a coarser base atom by one ancestor lookup.  The facts of one query that
+every check reads (its finest grouper per dimension, whether it groups above
+a filter) are set when the query is built.
 
 execute_query is pure over immutable inputs; concurrent query runs are safe.
 """
@@ -61,7 +62,7 @@ from .aggregate import (
 )
 from .cube import DetailedCube
 from .errors import InvalidQuery, UnknownMember
-from .hierarchy import Dimension, Level
+from .hierarchy import Level
 
 
 @dataclass(frozen=True)
@@ -178,8 +179,8 @@ class CellSet:
             level = atom.level
             if level.is_all:
                 continue
-            hit = atom_contains(schema.dimension(level.dimension_name), atom, level.depth,
-                                self.codes_at(schema, level))
+            hit = schema.dimension(level.dimension_name).rolls_into(
+                level, atom.values, level.depth, self.codes_at(schema, level))
             mask = hit if mask is None else np.logical_and(mask, hit, out=mask)
         return mask
 
@@ -233,12 +234,12 @@ class CubeQuery:
                     continue
                 # An atom below its grouper is only legal when it is the
                 # detailed proxy of a rollable filter, i.e. its value set is
-                # a union of complete grouper-level subtrees.
-                values = np.asarray(atom.values, dtype=np.int64)
-                up = np.unique(dim.anc_array(atom.level.depth, g.depth)[values])
-                lists = dim.desc_lists(g.depth, atom.level.depth)
-                covered = sum(len(lists[int(u)]) for u in up)
-                if covered != len(values):
+                # a union of complete grouper-level subtrees: no member at
+                # the atom's level under those subtrees lies outside it.
+                level = atom.level
+                up = dim.anc_array(level.depth, g.depth)[list(atom.values)]
+                under = dim.rolls_into(g, up, level.depth, np.arange(level.member_count))
+                if np.count_nonzero(under) != len(atom.values):
                     raise InvalidQuery(
                         f"filter on {atom.level!r} is below the grouper {g!r} and does "
                         f"not cover complete {g.name} subtrees (not rollable)"
@@ -267,15 +268,6 @@ class CubeQuery:
 # Operations
 # ---------------------------------------------------------------------------
 
-def _lift_values(dim: Dimension, from_level: Level, values: Sequence[int], to_depth: int) -> np.ndarray:
-    """Union of the descendant sets of ``values`` at ``to_depth`` (sorted)."""
-    lists = dim.desc_lists(from_level.depth, to_depth)
-    picked = [lists[v] for v in values]
-    if len(picked) == 1:
-        return picked[0]
-    return np.unique(np.concatenate(picked))
-
-
 def finest_groupers(groupers: Sequence[Level]) -> dict[str, int]:
     """Per grouper dimension, the position of its finest (lowest) grouper."""
     index: dict[str, int] = {}
@@ -284,17 +276,6 @@ def finest_groupers(groupers: Sequence[Level]) -> dict[str, int]:
         if best is None or g.depth < groupers[best].depth:
             index[g.dimension_name] = i
     return index
-
-
-def atom_contains(dim: Dimension, atom: SelectionAtom, depth: int, codes: np.ndarray) -> np.ndarray:
-    """Whether each code at ``depth`` (at or below the atom's level) rolls up
-    into one of the atom's values."""
-    up = codes if depth == atom.level.depth else dim.anc_array(depth, atom.level.depth)[codes]
-    if atom.is_single():
-        return up == atom.values[0]
-    table = np.zeros(atom.level.member_count, dtype=bool)
-    table[list(atom.values)] = True
-    return table[up]
 
 
 # Selected rows per fused gather-and-fold step: the step's key, values and
@@ -477,10 +458,11 @@ def _atom_problems(q_base: CubeQuery, q_new: CubeQuery) -> list[str]:
                 and dim.anc_array(new_level.depth, a_base.level.depth).item(a_new.values[0])
                 in a_base.values):
             continue  # each member under the new value rolls up to its ancestor, inside
-        lifted = (_lift_values(dim, a_new.level, a_new.values, base_level.depth)
-                  if a_new is not None else
-                  np.arange(base_level.member_count, dtype=np.int64))
-        if not atom_contains(dim, a_base, base_level.depth, lifted).all():
+        # Every base-level code the new atom keeps must lie inside the base atom.
+        codes = np.arange(base_level.member_count)
+        kept = (codes if a_new is None else
+                codes[dim.rolls_into(a_new.level, a_new.values, base_level.depth, codes)])
+        if not dim.rolls_into(a_base.level, a_base.values, base_level.depth, kept).all():
             problems.append(f"atom on {dim_name} selects values outside the base grouper domain")
     return problems
 

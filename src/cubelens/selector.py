@@ -104,6 +104,9 @@ class SelectorConfig:
     def __post_init__(self):
         if self.rule not in RULES:
             raise ValueError(f"unknown selector rule {self.rule!r}")
+        for name in ("coverage_threshold", "imbalance_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass

@@ -9,7 +9,10 @@ sort of the label rows; cells_csv writes those rows through csv.writer.
 
 The helpers at the end (cell_dict, desc, siblings_under_parent, filter_rows,
 detailed_proxy, grouper_domain) read the engine's own encodings; the engine
-does not need them, and the tests check them against the oracles.
+does not need them, and the tests check them against the oracles.  desc
+lists descendants by its own walk up the parent maps (``parent_of``), so
+the references built on it share no membership code with the engine, which
+never lists descendants (Dimension.rolls_into).
 run_forced runs one strategy's plan, as `--strategy` does without timing.
 usable_route is the definition Lattice.route answers by the lattice order,
 and cube_usable_reference the usability checklist query.cube_usable must
@@ -39,7 +42,6 @@ from cubelens.query import (
     SelectionAtom,
     UsabilityReport,
     _atoms_equal,
-    atom_contains,
     cube_usable,
 )
 from cubelens.synth import _labels, _member_paths
@@ -248,7 +250,11 @@ def desc(dim, from_level, to_level, member):
     hi, lo = dim.level(from_level), dim.level(to_level)
     if lo.depth > hi.depth:
         raise LevelOrderViolation(f"desc goes from coarse to detailed, got {hi!r} -> {lo!r}")
-    return dim.desc_lists(hi.depth, lo.depth)[anc(dim, hi, hi, member)]
+    member = anc(dim, hi, hi, member)  # checks the code's range
+    up = np.arange(lo.member_count)
+    for parents in dim.parent_of[lo.depth:hi.depth]:
+        up = parents[up]
+    return np.flatnonzero(up == member)
 
 
 def siblings_under_parent(dim, level, member):
@@ -270,8 +276,8 @@ def filter_rows(cube, detailed_condition):
 
 def _descendants(dim, atom, depth):
     """Union of the descendant sets of the atom's values at ``depth`` (sorted)."""
-    lists = dim.desc_lists(atom.level.depth, depth)
-    return np.unique(np.concatenate([lists[v] for v in atom.values]))
+    return np.unique(np.concatenate([desc(dim, atom.level, dim.levels[depth], v)
+                                     for v in atom.values]))
 
 
 def detailed_proxy(dim, atom):
@@ -304,15 +310,6 @@ def usable_route(lattice, q):
         if route is not None and cube_usable(route.query, q):
             return route
     return None
-
-
-def _lift_values_reference(dim, from_level, values, to_depth):
-    """Union of the descendant sets of ``values`` at ``to_depth`` (sorted)."""
-    lists = dim.desc_lists(from_level.depth, to_depth)
-    picked = [lists[v] for v in values]
-    if len(picked) == 1:
-        return picked[0]
-    return np.unique(np.concatenate(picked))
 
 
 def cube_usable_reference(q_base, q_new):
@@ -381,10 +378,9 @@ def cube_usable_reference(q_base, q_new):
                     f"schema level {base_level!r}"
                 )
                 continue
-            lifted = (_lift_values_reference(dim, a_new.level, a_new.values, base_level.depth)
-                      if a_new is not None else
-                      np.arange(base_level.member_count, dtype=np.int64))
-            if not atom_contains(dim, a_base, base_level.depth, lifted).all():
+            lifted = (_descendants(dim, a_new, base_level.depth) if a_new is not None
+                      else range(base_level.member_count))
+            if not set(lifted) <= set(_descendants(dim, a_base, base_level.depth)):
                 vi_problems.append(
                     f"atom on {dim_name} selects values outside the base grouper domain"
                 )

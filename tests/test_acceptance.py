@@ -11,6 +11,7 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
 
 from cubelens.analyze import build_facilitators, from_statement
@@ -297,11 +298,11 @@ def _sweep_queries(cube):
         out = []
         n0 = dim.detailed_level.member_count
         for depth in (2, 3, 4):
-            lists = dim.desc_lists(depth, 0)
             level = dim.levels[depth]
-            ranked = sorted(range(level.member_count),
-                            key=lambda c: -len(lists[c]))[:8]
-            out += [(depth, c, len(lists[c]) / n0) for c in ranked if lists[c].size]
+            # each member's descendant count at level 0
+            mass = np.bincount(dim.anc_array(0, depth), minlength=level.member_count).tolist()
+            ranked = sorted(range(level.member_count), key=lambda c: -mass[c])[:8]
+            out += [(depth, c, mass[c] / n0) for c in ranked if mass[c]]
         return out
 
     d1, d2 = cube.schema.dimensions

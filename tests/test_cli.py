@@ -201,6 +201,39 @@ def test_query_env_var_data_dir(foodmart_dir, capsys, monkeypatch):
     assert rc == 0
 
 
+def test_unknown_dims_name_exits_2(foodmart_dir, capsys):
+    """A NAME=PATH member file for a dimension the schema lacks is refused,
+    not ignored in favour of the schema's own file."""
+    members = foodmart_dir / "Product_members.csv"
+    rc = main(["load", "--data-dir", str(foodmart_dir), "--dims", f"Prodct={members}"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("data error: ") and "unknown dimension 'Prodct'" in captured.err
+    assert main(["load", "--data-dir", str(foodmart_dir), "--dims", f" product ={members}"]) == 0
+
+
+@pytest.mark.parametrize("command", [["load"], ["query", "--query", REFERENCE_QUERY]])
+def test_no_data_location_is_a_usage_error(command, capsys, monkeypatch):
+    monkeypatch.delenv("CUBELENS_DATA_DIR", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main(command)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "needs --schema, --data-dir or $CUBELENS_DATA_DIR" in err
+
+
+@pytest.mark.parametrize("flag", ["--coverage-threshold", "--imbalance-threshold"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "high"])
+def test_non_finite_threshold_is_a_usage_error(foodmart_dir, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["query", "--data-dir", str(foodmart_dir), "--query", REFERENCE_QUERY,
+              "--selector", "paper", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"argument {flag}:" in err
+
+
 def test_gensynth_deterministic_manifest(synth_dir, capsys):
     assert (synth_dir / "schema.json").exists()
     assert main(["load", "--data-dir", str(synth_dir)]) == 0

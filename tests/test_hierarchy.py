@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -119,6 +120,36 @@ def test_anc_desc_exhaustive_against_oracle():
                     got = {dim.member_label(lo_name, c)
                            for c in desc(dim, hi_name, lo_name, code)}
                     assert got == set(oracle.desc(hi_name, lo_name, label))
+
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rolls_into_matches_oracle_descendants(seed):
+    """rolls_into(level, values, depth, codes) holds exactly where a code at
+    ``depth`` lies in the oracle's descendant set of one of ``values``, for
+    every (level, depth <= level) pair, one value and several, on codes in
+    any order and with repeats (as a fact column holds them)."""
+    rng = random.Random(seed)
+    tables = random_tables(rng)
+    cube = build_cube(tables)
+    for name, (level_names, rows) in tables.dims.items():
+        dim = cube.schema.dimension(name)
+        oracle = HierarchyOracle(level_names, rows)
+        all_names = level_names + ["ALL"]
+        for hi_i, hi_name in enumerate(all_names):
+            level = dim.level(hi_name)
+            for lo_name in all_names[:hi_i + 1]:
+                lo = dim.level(lo_name)
+                codes = np.array([rng.randrange(lo.member_count) for _ in range(50)]
+                                 + list(range(lo.member_count)), dtype=np.uint16)
+                for k in {1, min(2, level.member_count), level.member_count}:
+                    values = tuple(rng.sample(range(level.member_count), k))
+                    inside = set()
+                    for v in values:
+                        inside.update(oracle.desc(hi_name, lo_name,
+                                                  dim.member_label(level, v)))
+                    got = dim.rolls_into(level, values, lo.depth, codes)
+                    assert got.tolist() == [dim.member_label(lo, c) in inside for c in codes]
 
 
 def test_validate_foodmart_clean(foodmart_cube):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubelens.cube import CubeSchema, DetailedCube, Measure
-from cubelens.errors import LevelOrderViolation, UsabilityViolation
+from cubelens.errors import InvalidQuery, LevelOrderViolation, UsabilityViolation
 from cubelens.hierarchy import dimension_from_tables
 from cubelens.mqo import build_plan, reaggregate
 from cubelens.analyze import build_facilitators
@@ -357,6 +357,67 @@ def test_cell_coordinates_inside_grouper_domain():
             dim = cube.schema.dimension(g.dimension_name)
             allowed = set(grouper_domain(dim, atom, g).tolist())
             assert set(cells.key_cols[i].tolist()) <= allowed
+
+
+# ---------------------------------------------------------------------------
+# CubeQuery.validate
+# ---------------------------------------------------------------------------
+
+def _regrouped(base, groupers, agg=None, condition=None):
+    return CubeQuery(base.cube, base.condition if condition is None else condition,
+                     tuple(groupers), base.measure_name, "x", agg or base.agg)
+
+
+@pytest.mark.parametrize("count", [1, 7])
+def test_validate_rejects_grouper_count(foodmart_cube, count):
+    base = reference_aq(foodmart_cube).original_query()
+    levels = [lv for dim in foodmart_cube.schema.dimensions for lv in dim.levels
+              if not lv.is_all]
+    with pytest.raises(InvalidQuery, match=f"expected 2..6 groupers, got {count}"):
+        _regrouped(base, levels[:count]).validate()
+
+
+def test_validate_rejects_duplicate_grouper(foodmart_cube):
+    base = reference_aq(foodmart_cube).original_query()
+    month = base.groupers[0]
+    with pytest.raises(InvalidQuery, match="duplicate"):
+        _regrouped(base, (month, base.groupers[1], month)).validate()
+
+
+def test_validate_rejects_non_distributive_aggregate(foodmart_cube):
+    base = reference_aq(foodmart_cube).original_query()
+    with pytest.raises(InvalidQuery, match="'avg' is not distributive"):
+        _regrouped(base, base.groupers, agg="avg").validate()
+
+
+def _quarter_by_month_filter(foodmart_cube, n_months):
+    """The reference query grouped by Date.Quarter, its Date filter replaced
+    by the first ``n_months`` months of 1997-Q3."""
+    base = reference_aq(foodmart_cube).original_query()
+    date = foodmart_cube.schema.dimension("Date")
+    q3 = date.member_code("Quarter", "1997-Q3")
+    months = desc(date, "Quarter", "Month", q3)
+    assert len(months) == 3
+    atom = SelectionAtom(date.level("Month"), tuple(months[:n_months].tolist()))
+    return _regrouped(base, (date.level("Quarter"), base.groupers[1]),
+                      condition=base.condition.replacing("Date", atom))
+
+
+def test_validate_rejects_a_proxy_that_splits_a_grouper_member(foodmart_cube):
+    q = _quarter_by_month_filter(foodmart_cube, 2)
+    with pytest.raises(InvalidQuery, match="not rollable"):
+        q.validate()
+    with pytest.raises(InvalidQuery):
+        execute_query(q)
+
+
+def test_validate_accepts_a_rollable_proxy(foodmart_cube):
+    q = _quarter_by_month_filter(foodmart_cube, 3)
+    q.validate()
+    by_quarter = _regrouped(q, q.groupers, condition=reference_aq(
+        foodmart_cube).original_query().condition)
+    cells = execute_query(q)
+    assert len(cells) and cell_sets_equal(cells, execute_query(by_quarter))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -358,3 +359,10 @@ def test_cost_reason_names_winner_and_runner_up(foodmart_cube):
 def test_unknown_rule_rejected():
     with pytest.raises(ValueError):
         SelectorConfig(rule="fastest")
+
+
+@pytest.mark.parametrize("field", ["coverage_threshold", "imbalance_threshold"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_threshold_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SelectorConfig(**{field: value})

@@ -25,7 +25,6 @@ from .hierarchy import (
     anc,
     dimension_from_member_rows,
     dimension_from_tables,
-    validate_hierarchy,
 )
 from .mqo import build_plan, reaggregate, run_strategy
 from .parser import AnalyzeStatement, parse
@@ -58,8 +57,7 @@ __all__ = [
     "TimingBreakdown", "WorkloadSpec", "run_analyze", "run_workload",
     "CubeSchema", "DetailedCube", "Measure", "load_cube",
     "CubeLensError",
-    "Dimension", "Level", "anc", "dimension_from_member_rows",
-    "dimension_from_tables", "validate_hierarchy",
+    "Dimension", "Level", "anc", "dimension_from_member_rows", "dimension_from_tables",
     "build_plan", "reaggregate", "run_strategy",
     "AnalyzeStatement", "parse",
     "CellSet", "CubeQuery", "SelectionAtom", "SelectionCondition",

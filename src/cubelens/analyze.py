@@ -81,12 +81,6 @@ class AnalyzeQuery:
                     f"{len(atom.values)} values"
                 )
 
-    def grouper(self, which: str) -> Level:
-        return self.groupers[_which_index(which)]
-
-    def atom(self, which: str) -> Optional[SelectionAtom]:
-        return self.condition.atom_for(self.grouper(which).dimension_name)
-
     def original_query(self) -> CubeQuery:
         return CubeQuery(self.cube, self.condition, tuple(self.groupers),
                          self.measure_name, f"{self.measure_alias}_org", self.agg)

@@ -85,7 +85,6 @@ from .hierarchy import (
     decoding,
     read_json,
     read_members_csv,
-    validate_hierarchy,
 )
 
 MEASURE_KINDS = ("integer", "decimal")
@@ -484,14 +483,9 @@ def load_cube(
     schema_dir = Path(schema_file).parent
 
     dim_files = _resolve_dimension_files(spec, schema_dir, dimension_files)
-    dimensions = []
-    for dspec in spec["dimensions"]:
-        dim = read_members_csv(dspec["name"], dspec["levels"], dim_files[dspec["name"].lower()],
-                               delimiter=delimiter)
-        problems = validate_hierarchy(dim)
-        if problems:
-            raise ParseError(f"dimension {dim.name} failed validation: {'; '.join(problems)}")
-        dimensions.append(dim)
+    dimensions = [read_members_csv(dspec["name"], dspec["levels"],
+                                   dim_files[dspec["name"].lower()], delimiter=delimiter)
+                  for dspec in spec["dimensions"]]
 
     measures = [(mspec["name"], mspec.get("kind")) for mspec in spec["measures"]]
     if fact_file is None:

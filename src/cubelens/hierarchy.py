@@ -11,9 +11,12 @@ appear only at the I/O boundary; everything engine-internal speaks codes.
 Every label-coded CSV the program writes goes through write_columns, a
 column at a time, with each level's labels quoted once.
 
-Dimensions are immutable after construction.  The ancestor-map cache fills
-idempotently (same key always maps to the same value), which makes
-concurrent readers safe without locking.
+Every Dimension is built by dimension_from_tables, which checks its member
+tables and raises ParseError on the first fault, so a dimension either is
+built valid (anc a total function from each level to every coarser one) or
+not at all, and nothing checks it again.  Dimensions are immutable after
+construction.  The ancestor-map cache fills idempotently (same key always
+maps to the same value), which makes concurrent readers safe without locking.
 """
 
 from __future__ import annotations
@@ -60,12 +63,18 @@ class Level:
 
 
 class MemberDictionary:
-    """Bijective label<->code mapping for one level."""
+    """Bijective label<->code mapping for one level: a label given twice
+    raises ParseError naming the dimension and the level."""
 
     def __init__(self, level: Level, labels: Sequence[str]):
         self.level = level
         self.labels = tuple(labels)
         self._code_by_label = {label: code for code, label in enumerate(self.labels)}
+        if len(self._code_by_label) != len(self.labels):
+            repeated = next(label for code, label in enumerate(self.labels)
+                            if self._code_by_label[label] != code)
+            raise ParseError(f"dimension {level.dimension_name} level {level.name}: "
+                             f"label {repeated!r} appears twice")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -210,42 +219,6 @@ def anc(dim: Dimension, from_level, to_level, member: int) -> int:
     return int(dim.anc_array(lo.depth, hi.depth)[code])
 
 
-def validate_hierarchy(dim: Dimension) -> list[str]:
-    """Check the structural invariants; returns violations (empty = valid)."""
-    violations: list[str] = []
-    for i, lv in enumerate(dim.levels):
-        if lv.depth != i:
-            violations.append(f"level depths not contiguous at {lv!r}")
-    top = dim.levels[-1]
-    if top.name != ALL_LEVEL_NAME:
-        violations.append(f"topmost level is {top.name!r}, expected {ALL_LEVEL_NAME}")
-    if top.member_count != 1:
-        violations.append("ALL level must have exactly one member")
-
-    for lv, dictionary in zip(dim.levels, dim.dictionaries):
-        if len(dictionary) != lv.member_count:
-            violations.append(f"dictionary size mismatch at {lv!r}")
-        if len(set(dictionary.labels)) != len(dictionary.labels):
-            violations.append(f"dictionary not bijective at {lv!r}")
-
-    if len(dim.parent_of) != len(dim.levels) - 1:
-        violations.append("non-total ancestor map: wrong number of parent arrays")
-    else:
-        for d, parents in enumerate(dim.parent_of):
-            child, parent = dim.levels[d], dim.levels[d + 1]
-            if len(parents) != child.member_count:
-                violations.append(f"non-total ancestor map between {child!r} and {parent!r}")
-                continue
-            if len(parents) and (parents.min() < 0 or parents.max() >= parent.member_count):
-                violations.append(f"parent code out of range between {child!r} and {parent!r}")
-
-    if not violations and dim.detailed_level.member_count:
-        roots = np.unique(dim.anc_array(0, len(dim.levels) - 1))
-        if roots.size != 1 or roots[0] != 0:
-            violations.append("hierarchy does not map every member to the single ALL root")
-    return violations
-
-
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
@@ -260,9 +233,22 @@ def dimension_from_tables(
 
     ``level_names``/``labels_per_level`` cover the non-ALL levels from most
     detailed to coarsest; ``parents[d]`` maps level-d codes to level-d+1
-    codes.  The structure is built permissively: run validate_hierarchy to
-    check invariants.
+    codes.  The tables are checked here, the only place a Dimension is
+    built: one label list per level and one parent map per level but the
+    coarsest, at least one level, no label twice within a level, and one
+    integer parent code per member, each a code of the parent level.  The
+    first fault raises ParseError naming the dimension and the level.  The
+    rest holds by construction: contiguous depths, ALL on top with one
+    member, and every member rolling up to that one root.
     """
+    if not level_names:
+        raise ParseError(f"dimension {name} declares no levels below {ALL_LEVEL_NAME}")
+    if len(labels_per_level) != len(level_names) or len(parents) != len(level_names) - 1:
+        raise ParseError(
+            f"dimension {name}: levels {', '.join(level_names)} need {len(level_names)} label "
+            f"lists and {len(level_names) - 1} parent maps, got {len(labels_per_level)} "
+            f"and {len(parents)}"
+        )
     levels = [
         Level(name, lvl_name, depth, len(labels))
         for depth, (lvl_name, labels) in enumerate(zip(level_names, labels_per_level))
@@ -272,9 +258,22 @@ def dimension_from_tables(
         MemberDictionary(lv, labels) for lv, labels in zip(levels, labels_per_level)
     ]
     dictionaries.append(MemberDictionary(levels[-1], [ALL_MEMBER_LABEL]))
-    parent_arrays = [np.asarray(list(p), dtype=np.int64) for p in parents]
-    top_count = len(labels_per_level[-1]) if labels_per_level else 0
-    parent_arrays.append(np.zeros(top_count, dtype=np.int64))
+    parent_arrays = []
+    for child, parent, codes in zip(levels, levels[1:], parents):
+        codes = np.asarray(list(codes))
+        where = f"dimension {name} level {child.name}"
+        if codes.size and codes.dtype.kind not in "iu":  # int64 would truncate 0.5 to 0
+            raise ParseError(f"{where}: parent codes must be integers, got {codes.dtype}")
+        codes = codes.astype(np.int64)
+        if len(codes) != child.member_count:
+            raise ParseError(f"{where}: {child.member_count} members but "
+                             f"{len(codes)} parent codes")
+        bad = codes[(codes < 0) | (codes >= parent.member_count)]
+        if bad.size:
+            raise ParseError(f"{where}: parent code {bad[0]} is not one of the "
+                             f"{parent.member_count} members of {parent.name}")
+        parent_arrays.append(codes)
+    parent_arrays.append(np.zeros(levels[-2].member_count, dtype=np.int64))
     return Dimension(name, levels, dictionaries, parent_arrays)
 
 
@@ -285,18 +284,17 @@ def dimension_from_member_rows(
 ) -> Dimension:
     """Build a dimension from ancestor-path rows, one per detailed member.
 
-    Each row lists one label per non-ALL level, detailed first.  Codes are
-    assigned in order of first appearance.  Conflicting ancestor paths for
-    the same member are rejected.
+    Each row lists one label per non-ALL level, detailed first, and may end
+    with an explicit ``All``.  Codes are assigned in order of first
+    appearance, and each code takes its parent from the row it first
+    appears in.  Conflicting ancestor paths for the same member are
+    rejected.
     """
     names = [n for n in level_names if n != ALL_LEVEL_NAME]
     n_levels = len(names)
-    if n_levels == 0:
-        raise ParseError(f"dimension {name} declares no levels below {ALL_LEVEL_NAME}")
-
     codes: list[dict[str, int]] = [{} for _ in range(n_levels)]
     labels: list[list[str]] = [[] for _ in range(n_levels)]
-    parent_links: list[dict[int, int]] = [{} for _ in range(n_levels - 1)]
+    parents: list[list[int]] = [[] for _ in range(n_levels - 1)]
 
     def intern(depth: int, label: str) -> int:
         code = codes[depth].get(label)
@@ -316,26 +314,13 @@ def dimension_from_member_rows(
             )
         path = [intern(d, label) for d, label in enumerate(row)]
         for d in range(n_levels - 1):
-            known = parent_links[d].get(path[d])
-            if known is None:
-                parent_links[d][path[d]] = path[d + 1]
-            elif known != path[d + 1]:
+            if path[d] == len(parents[d]):  # interned in this row
+                parents[d].append(path[d + 1])
+            elif parents[d][path[d]] != path[d + 1]:
                 raise ParseError(
                     f"dimension {name} row {lineno}: conflicting ancestor path for "
                     f"{labels[d][path[d]]!r} at level {names[d]}"
                 )
-
-    parents = []
-    for d in range(n_levels - 1):
-        arr = np.full(len(labels[d]), -1, dtype=np.int64)
-        for child, parent in parent_links[d].items():
-            arr[child] = parent
-        if (arr < 0).any():
-            missing = labels[d][int(np.flatnonzero(arr < 0)[0])]
-            raise ParseError(
-                f"dimension {name}: member {missing!r} at level {names[d]} has no parent"
-            )
-        parents.append(arr)
     return dimension_from_tables(name, names, labels, parents)
 
 

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the textual ANALYZE syntax.
+r"""Recursive-descent parser for the textual ANALYZE syntax.
 
 Grammar (keywords case-insensitive, '∧' accepted for AND):
 
@@ -11,6 +11,9 @@ Grammar (keywords case-insensitive, '∧' accepted for AND):
     atom  := level '=' value
     level := IDENT | IDENT '.' IDENT          (bare names must be unambiguous)
     value := quoted string | bare word        (member labels match exactly)
+
+Inside a quoted value a backslash makes the next character literal
+('O\'Brien', "say \"hi\"", 'back\\slash'); there are no other escapes.
 
 Level and dimension identifiers resolve case-insensitively against the
 loaded schema; member labels are case-sensitive.  Errors carry the byte

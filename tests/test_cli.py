@@ -653,6 +653,32 @@ def test_schema_without_measures_exits_2_before_any_file_is_read(tmp_path, capsy
     assert capsys.readouterr().err == f"data error: {path}: cube c declares no measures\n"
 
 
+def _drop_last_column(path):
+    path.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                            for line in path.read_text().splitlines()))
+
+
+def _set_first_measure_kind(path, kind):
+    schema = json.loads(path.read_text())
+    schema["measures"][0]["kind"] = kind
+    path.write_text(json.dumps(schema))
+
+
+@pytest.mark.parametrize("target, edit, message", [
+    ("Store_members.csv", lambda p: p.write_text(""), "empty member file for dimension Store"),
+    ("facts.csv", lambda p: p.write_text(""), "missing header row"),
+    ("facts.csv", _drop_last_column, "missing columns: unit_sales"),
+    ("schema.json", lambda p: _set_first_measure_kind(p, "money"),
+     "measure store_sales: unknown kind 'money'"),
+], ids=["empty-member-file", "no-fact-header", "missing-fact-column", "unknown-measure-kind"])
+def test_load_fault_exits_2_naming_the_file(foodmart_dir, tmp_path, capsys, target, edit,
+                                            message):
+    schema = _own_copy(foodmart_dir, tmp_path)
+    edit(tmp_path / target)
+    assert main(["load", "--schema", str(schema)]) == 2
+    assert capsys.readouterr().err == f"data error: {tmp_path / target}: {message}\n"
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_bench_non_finite_timeout_exits_2(foodmart_dir, tmp_path, capsys, value):
     workload = tmp_path / "w.json"

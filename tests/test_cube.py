@@ -472,6 +472,20 @@ def test_measure_peaks_recorded_at_build():
     assert cube.measure_peaks == {"i": 1 << 63, "f": 2.5, "e": 3}
 
 
+@pytest.mark.parametrize("a, b, m, message", [
+    ([0, 1], [0], [5, 6], "column lengths differ"),
+    ([0, 1], [0, 1], [5], "column lengths differ"),
+    ([0, 2], [0, 1], [5, 6], "out of range for dimension A"),
+    ([0, 1], [-1, 1], [5, 6], "out of range for dimension B"),
+], ids=["short-coordinates", "short-measure", "code-too-high", "negative-code"])
+def test_columns_that_do_not_fit_the_schema_raise(a, b, m, message):
+    dims = [dimension_from_member_rows(name, ["Leaf"], [(f"{name}1",), (f"{name}2",)])
+            for name in "AB"]
+    with pytest.raises(SchemaMismatch, match=message):
+        DetailedCube(CubeSchema("c", dims, [Measure("m", "integer")]),
+                     {"A": np.asarray(a), "B": np.asarray(b)}, {"m": np.asarray(m)})
+
+
 # ---------------------------------------------------------------------------
 # The row index
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from cubelens.hierarchy import (
     anc,
     dimension_from_member_rows,
     dimension_from_tables,
-    validate_hierarchy,
+    read_members_csv,
 )
 
 from fixtures import build_cube, random_tables
@@ -152,25 +152,50 @@ def test_rolls_into_matches_oracle_descendants(seed):
                     assert got.tolist() == [dim.member_label(lo, c) in inside for c in codes]
 
 
-def test_validate_foodmart_clean(foodmart_cube):
+# name -> (level names, label lists, parent maps, where the message points)
+TABLE_FAULTS = {
+    "negative-parent-code": (["Leaf", "Root"], [["a", "b"], ["R"]], [[0, -1]], "level Leaf"),
+    "parent-code-too-high": (["Leaf", "Mid", "Root"], [["a", "b"], ["m", "n"], ["R"]],
+                             [[0, 1], [0, 1]], "level Mid"),
+    "fractional-parent-code": (["Leaf", "Root"], [["a", "b"], ["R"]], [[0, 0.5]], "level Leaf"),
+    "short-parent-map": (["Leaf", "Root"], [["a", "b", "c"], ["R"]], [[0, 0]], "level Leaf"),
+    "repeated-label": (["Leaf", "Root"], [["a", "b", "a"], ["R"]], [[0, 0, 0]], "level Leaf"),
+    "repeated-top-label": (["Leaf", "Root"], [["a", "b"], ["R", "R"]], [[0, 1]], "level Root"),
+    "no-level": ([], [], [], "no levels below ALL"),
+    "missing-label-list": (["Leaf", "Root"], [["a"]], [[0]], "levels Leaf, Root"),
+    "extra-parent-map": (["Leaf"], [["a"]], [[0]], "levels Leaf"),
+}
+
+
+@pytest.mark.parametrize("fault", TABLE_FAULTS)
+def test_tables_fault_raises_parse_error(fault):
+    """Every fault member tables can carry raises ParseError naming the
+    dimension and the level, before any cube can read the tables (a parent
+    code of -1 would otherwise read the last parent)."""
+    level_names, labels, parents, where = TABLE_FAULTS[fault]
+    with pytest.raises(ParseError) as exc:
+        dimension_from_tables("T", level_names, labels, parents)
+    assert str(exc.value).startswith("dimension T") and where in str(exc.value)
+
+
+def test_foodmart_dimensions_are_built_whole(foodmart_cube):
+    """What holds by construction: contiguous depths, ALL on top with one
+    member, dictionaries sized to their levels, and one root."""
     for dim in foodmart_cube.schema.dimensions:
-        assert validate_hierarchy(dim) == []
+        assert [lv.depth for lv in dim.levels] == list(range(len(dim.levels)))
+        assert dim.all_level.name == "ALL" and dim.all_level.member_count == 1
+        assert [len(d) for d in dim.dictionaries] == [lv.member_count for lv in dim.levels]
+        assert set(dim.anc_array(0, dim.all_level.depth).tolist()) == {0}
 
 
-def test_validate_non_total_map():
-    dim = dimension_from_tables("T", ["Leaf", "Root"],
-                                [["a", "b", "c"], ["R"]],
-                                [[0, 0]])  # one child entry missing
-    problems = validate_hierarchy(dim)
-    assert any("non-total ancestor map" in p for p in problems)
-
-
-def test_validate_duplicate_label():
-    dim = dimension_from_tables("T", ["Leaf", "Root"],
-                                [["a", "a"], ["R"]],
-                                [[0, 0]])
-    problems = validate_hierarchy(dim)
-    assert any("dictionary not bijective" in p for p in problems)
+def test_explicit_all_column_loads_the_same_dimension(tmp_path):
+    plain, with_all = tmp_path / "plain.csv", tmp_path / "all.csv"
+    plain.write_text("Leaf,Mid\na,m\nb,m\nc,n\n")
+    with_all.write_text("Leaf,Mid,ALL\na,m,All\nb,m,All\nc,n,All\n")
+    dims = [read_members_csv("T", ["Leaf", "Mid", "ALL"], path) for path in (plain, with_all)]
+    assert dims[1].levels == dims[0].levels
+    assert [d.labels for d in dims[1].dictionaries] == [d.labels for d in dims[0].dictionaries]
+    assert [p.tolist() for p in dims[1].parent_of] == [p.tolist() for p in dims[0].parent_of]
 
 
 def test_member_rows_conflicting_path_rejected():

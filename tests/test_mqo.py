@@ -377,7 +377,7 @@ def _distribute_by_tuple(aq, merged, cells):
     filter-level coordinates pass."""
     col = {(g.dimension_name, g.depth): i for i, g in enumerate(merged.groupers)}
     g_a, g_b = aq.groupers
-    alpha, beta = aq.atom("alpha"), aq.atom("beta")
+    alpha, beta = (aq.condition.atom_for(g.dimension_name) for g in aq.groupers)
 
     def at(level):
         return col[(level.dimension_name, level.depth)]

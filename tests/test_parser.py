@@ -13,7 +13,7 @@ from cubelens.errors import (
 )
 from cubelens.parser import _tokenize, parse
 
-from fixtures import REFERENCE_QUERY, WALKTHROUGH_QUERY
+from fixtures import REFERENCE_QUERY, WALKTHROUGH_QUERY, DatasetTables, build_cube
 from oracles import render_statement
 
 
@@ -161,6 +161,22 @@ def test_round_trip_with_escaped_quote(walkthrough_cube):
     stmt = parse(WALKTHROUGH_QUERY, walkthrough_cube.schema)
     rendered = render_statement(stmt)
     assert "'CA'" in rendered and "'2025-Q4'" in rendered
+
+
+def test_quoted_value_takes_backslash_escapes():
+    """Inside quotes a backslash makes the next character literal."""
+    names = ["O'Brien", 'say "hi"', "back\\slash"]
+    tables = DatasetTables("esc", {
+        "Cust": (["Name", "Region"], [(n, "North") for n in names]),
+        "Item": (["Sku", "Kind"], [("s1", "k1")]),
+    }, [("m", "integer")], [{"Cust": n, "Item": "s1"} for n in names], {"m": [1, 2, 3]})
+    schema = build_cube(tables).schema
+    for value, label in ((r"'O\'Brien'", "O'Brien"), (r'"O\'Brien"', "O'Brien"),
+                         (r'"say \"hi\""', 'say "hi"'), (r"'back\\slash'", "back\\slash"),
+                         (r"'s\ay \"hi\"'", 'say "hi"')):
+        stmt = parse(f"ANALYZE sum(m) FROM esc FOR Name = {value} GROUP BY Name, Sku", schema)
+        assert stmt.atoms[0].label == label, value
+        assert stmt.atoms[0].code == names.index(label)
 
 
 # Pieces that random edits splice into a valid statement: quotes and

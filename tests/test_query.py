@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubelens.cube import CubeSchema, DetailedCube, Measure
-from cubelens.errors import InvalidQuery, LevelOrderViolation, UsabilityViolation
+from cubelens.errors import InvalidQuery, LevelOrderViolation, UnknownMember, UsabilityViolation
 from cubelens.hierarchy import dimension_from_tables
 from cubelens.mqo import build_plan, reaggregate
 from cubelens.analyze import build_facilitators
@@ -207,6 +207,33 @@ def test_merged_queries_match_naive_group_by(agg):
     assert max(k for _, k in shapes) >= 3
 
 
+def test_scan_past_the_packed_key_range_matches_naive_group_by():
+    """Six detailed groupers of 1,500 members span 1500**6 > 2**62 keys, so
+    the scan has no packed layout and group_reduce folds the plain columns."""
+    from fixtures import DatasetTables, build_oracles
+    rng = random.Random(62)
+    dims = {}
+    for d in range(6):
+        names = [f"D{d}L0", f"D{d}L1"]
+        dims[f"D{d}"] = (names, [(f"D{d}_{i:04d}", f"D{d}_top{i % 3}") for i in range(1500)])
+    fact_rows = [{name: rows[rng.randrange(1500)][0] for name, (_, rows) in dims.items()}
+                 for _ in range(200)]
+    values = [rng.randint(-50, 1000) for _ in fact_rows]
+    fact_rows[1] = dict(fact_rows[0])  # one cell folds two facts
+    tables = DatasetTables("wide", dims, [("m", "integer")], fact_rows, {"m": values})
+    cube, oracles = build_cube(tables), build_oracles(tables)
+    groupers = tuple(dim.detailed_level for dim in cube.schema.dimensions)
+    for agg in ("sum", "min", "max", "count"):
+        q = CubeQuery(cube, SelectionCondition([]), groupers, "m", "m", agg)
+        assert q.scan_layout is None
+        cells = execute_query(q)
+        expect = naive_execute(fact_rows, values, [],
+                               [(g.dimension_name, oracles[g.dimension_name], g.name)
+                                for g in groupers], agg)
+        assert len(expect) == 199
+        assert decode_cells(cube, cells) == expect
+
+
 def _random_scan_query(rng, cube, agg):
     """2-6 groupers (distinct levels, several per dimension allowed, depth 0
     included); on grouped dimensions an atom at or above every grouper there,
@@ -388,6 +415,18 @@ def test_validate_rejects_non_distributive_aggregate(foodmart_cube):
     base = reference_aq(foodmart_cube).original_query()
     with pytest.raises(InvalidQuery, match="'avg' is not distributive"):
         _regrouped(base, base.groupers, agg="avg").validate()
+
+
+def test_malformed_atoms_and_conditions_raise(foodmart_cube):
+    date = foodmart_cube.schema.dimension("Date")
+    month, year = date.level("Month"), date.level("Year")
+    with pytest.raises(InvalidQuery, match="empty value set"):
+        SelectionAtom(month, ())
+    for code in (-1, month.member_count):
+        with pytest.raises(UnknownMember, match=f"code {code} out of range at Date.Month"):
+            SelectionAtom(month, (0, code))
+    with pytest.raises(InvalidQuery, match="two atoms on dimension Date"):
+        SelectionCondition([SelectionAtom(month, (0,)), SelectionAtom(year, (0,))])
 
 
 def _quarter_by_month_filter(foodmart_cube, n_months):
